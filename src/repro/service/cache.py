@@ -15,8 +15,10 @@ a **content address** derived from the interned specification:
   processes (``PYTHONHASHSEED``) and machines, so sweep workers and later
   service processes share one persistent store.  Each entry is a pickle of
   the full :class:`~repro.synthesis.implicit_to_explicit.SynthesisResult`
-  (AST classes pickle fields-only, see ``core.node.dataclass_state``) next to
-  a human-readable JSON sidecar used by ``python -m repro cache-stats``.
+  (AST classes pickle fields-only, see ``core.node.dataclass_state``),
+  stamped with :func:`~repro.nrc.simplify.simplifier_fingerprint` so entries
+  simplified by another rule set read as stale misses, next to a
+  human-readable JSON sidecar used by ``python -m repro cache-stats``.
 
 Long-running services must not grow without bound; :meth:`SynthesisCache.
 maintain` size-bounds the process-global memo structures the synthesis stack
@@ -47,6 +49,7 @@ from repro.logic.formulas import Formula
 from repro.logic.terms import Var
 from repro.nr.columns import reset_shared_interner, shared_interner_stats
 from repro.nrc.expr import expr_size
+from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.trace import get_tracer
 from repro.service.manifest import MANIFEST_NAME, CacheManifest
 from repro.specs.problems import ImplicitDefinitionProblem
@@ -547,13 +550,17 @@ class SynthesisCache:
         except OSError:
             return None
         try:
-            result = pickle.loads(blob)
+            payload = pickle.loads(blob)
         except Exception:
-            # A truncated or stale entry must read as a miss, never an error;
-            # drop it so the slot is rebuilt by the next store.
-            self._disk_evict(digest)
-            return None
-        if not isinstance(result, SynthesisResult):
+            payload = None
+        result = payload.get("result") if isinstance(payload, dict) else None
+        if (
+            not isinstance(result, SynthesisResult)
+            or payload.get("simplifier") != simplifier_fingerprint()
+        ):
+            # A truncated entry, or one simplified by another rule set, must
+            # read as a miss, never an error; drop it so the slot is rebuilt
+            # by the next store.
             self._disk_evict(digest)
             return None
         # Re-canonicalize so the loaded tree shares caches with live nodes.
@@ -568,7 +575,10 @@ class SynthesisCache:
         cost_seconds: float = 0.0,
     ) -> None:
         payload_path, meta_path = self._entry_paths(digest)
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(
+            {"simplifier": simplifier_fingerprint(), "result": result},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         meta = DiskEntry(
             digest=digest,
             name=problem.name,

@@ -9,6 +9,8 @@ succeed on all of them.  Each spec then runs through a differential gauntlet:
 * printer/parser round-trips (problem text and expression text, at several
   widths) must reproduce the exact AST;
 * the synthesis pipeline must produce a definition;
+* the simplified definition must evaluate like the raw extracted one on
+  every instance, through both ``eval_nrc`` and ``eval_nrc_batch``;
 * the synthesized definition must agree with the generating expression on
   random instances, through both the batched and the per-environment
   evaluator (:func:`repro.synthesis.verification.check_explicit_definition`);
@@ -37,7 +39,7 @@ from repro.logic.terms import Var
 from repro.nr.types import ProdType, SetType, Type, UR
 from repro.nr.values import Value, pair, ur, vset
 from repro.nrc.compose import nrc_free_vars
-from repro.nrc.eval import eval_nrc
+from repro.nrc.eval import eval_nrc, eval_nrc_batch
 from repro.nrc.expr import (
     NBigUnion,
     NDiff,
@@ -109,7 +111,7 @@ class GeneratedSpec:
 class FuzzFailure:
     """One (minimized) fuzz finding."""
 
-    kind: str  # "roundtrip" | "prover" | "verify" | "differential" | "remote" | "mutate"
+    kind: str  # "roundtrip" | "prover" | "verify" | "simplify" | "differential" | "remote" | "mutate"
     index: int
     name: str
     detail: str
@@ -330,6 +332,11 @@ class DifferentialChecker:
         result = report.result
         if result is None:  # pragma: no cover - pipeline always sets result
             return self._failure(spec, "prover", "pipeline returned no result")
+        # A simplifier bug would also fail verification; checking it first
+        # names the layer at fault.
+        simplify_failure = self._check_simplify(spec, result)
+        if simplify_failure is not None:
+            return simplify_failure
         if report.verification is not None and not report.verification.ok:
             return self._failure(
                 spec,
@@ -368,6 +375,34 @@ class DifferentialChecker:
                     spec, "differential", f"check_implicitly_defines(batched={flag}) is False"
                 )
         self._local_expression = str(result.expression)
+        return None
+
+    def _check_simplify(self, spec: GeneratedSpec, result) -> Optional[FuzzFailure]:
+        """The simplifier must not change what the extracted definition means."""
+        if result.raw_expression is None:
+            return None
+        envs = [
+            {NVar(var.name, var.typ): instance[var] for var in spec.problem.inputs}
+            for instance in spec.instances
+        ]
+        try:
+            raw = [eval_nrc(result.raw_expression, env) for env in envs]
+            outputs = {
+                "eval_nrc_batch(raw)": eval_nrc_batch(result.raw_expression, envs),
+                "eval_nrc(simplified)": [eval_nrc(result.expression, env) for env in envs],
+                "eval_nrc_batch(simplified)": eval_nrc_batch(result.expression, envs),
+            }
+        except ReproError as exc:
+            return self._failure(spec, "simplify", f"evaluator crashed: {exc}")
+        for label, values in outputs.items():
+            for index, (got, want) in enumerate(zip(values, raw)):
+                if got != want:
+                    return self._failure(
+                        spec,
+                        "simplify",
+                        f"{label} disagrees with eval_nrc(raw) on instance {index}: "
+                        f"{result.raw_expression} simplified to {result.expression}",
+                    )
         return None
 
     def _check_remote(self, spec: GeneratedSpec) -> Optional[FuzzFailure]:

@@ -1,4 +1,4 @@
-"""Shared pytest configuration: hypothesis profiles.
+"""Shared pytest configuration: hypothesis profiles and shared fixtures.
 
 Property tests run with the lightweight ``dev`` profile locally and the
 deeper ``ci`` profile on CI, selected via the ``HYPOTHESIS_PROFILE``
@@ -9,6 +9,7 @@ the profile supplies the defaults for everything else.
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -20,3 +21,23 @@ settings.register_profile(
 )
 settings.register_profile("dev", max_examples=60, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def in_process_definition():
+    """Render a registry problem's definition from the in-process pipeline.
+
+    The returned function also asserts that the definition verifies on the
+    entry's instance family, so callers comparing a CLI or HTTP answer
+    against it check behaviour rather than the query's syntactic shape.
+    """
+    from repro.service.registry import default_registry
+    from repro.service.workers import pipeline_for_entry
+
+    def definition(name):
+        entry = default_registry().get(name)
+        report = pipeline_for_entry(entry).run(entry.problem(), entry.instances(8))
+        assert report.verification is not None and report.verification.ok
+        return str(report.result.expression)
+
+    return definition

@@ -147,6 +147,29 @@ def test_corrupt_disk_entry_reads_as_miss(tmp_path):
     assert not (tmp_path / f"{digest}.pkl").exists()
 
 
+def test_entries_from_another_simplifier_read_as_stale_misses(tmp_path, monkeypatch):
+    from repro.service import cache as cache_module
+
+    problem = examples.union_view()
+    result = _result(problem)
+    digest = SynthesisCache(disk_dir=tmp_path).store(problem, result)
+    payload = tmp_path / f"{digest}.pkl"
+    assert pickle.loads(payload.read_bytes())["result"].expression == result.expression
+
+    # A rule-set change makes the stored definition stale: a miss, evicted.
+    monkeypatch.setattr(cache_module, "simplifier_fingerprint", lambda: "another-rule-set")
+    loaded, tier = SynthesisCache(disk_dir=tmp_path).lookup(problem)
+    assert loaded is None and tier == "miss"
+    assert not payload.exists() and not (tmp_path / f"{digest}.json").exists()
+    monkeypatch.undo()
+
+    # So is an entry written before entries were stamped (a bare result).
+    payload.write_bytes(pickle.dumps(result))
+    loaded, tier = SynthesisCache(disk_dir=tmp_path).lookup(problem)
+    assert loaded is None and tier == "miss"
+    assert not payload.exists()
+
+
 def test_pickled_results_carry_no_process_local_caches():
     problem = examples.union_view()
     result = _result(problem)

@@ -39,13 +39,13 @@ def test_synthesize_text_output(capsys):
     assert "cache: miss" in out
 
 
-def test_synthesize_json_with_verification(capsys):
+def test_synthesize_json_with_verification(capsys, in_process_definition):
     code, out, _ = run_cli(capsys, "synthesize", "union_view", "--verify-scale", "8", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["problem"] == "union_view"
     assert payload["verification"]["ok"] is True
-    assert payload["expression"].startswith("U{")
+    assert payload["expression"] == in_process_definition("union_view")
     stage_names = [stage["name"] for stage in payload["stages"]]
     assert "proof-search" in stage_names and "verification" in stage_names
 
@@ -224,7 +224,7 @@ def test_client_unreachable_server_is_a_clean_error(capsys):
 
 
 # ---------------------------------------------------------- spec_text + fuzz
-def test_synthesize_spec_file(capsys, tmp_path):
+def test_synthesize_spec_file(capsys, tmp_path, in_process_definition):
     from repro.service.registry import default_registry
     from repro.specs.lang import pretty_problem
 
@@ -234,7 +234,7 @@ def test_synthesize_spec_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["problem"] == "union_view"
-    assert payload["expression"].startswith("U{")
+    assert payload["expression"] == in_process_definition("union_view")
 
 
 def test_synthesize_requires_exactly_one_source(capsys, tmp_path):

@@ -37,7 +37,7 @@ def http_error(callable_, *args):
 
 
 # ------------------------------------------------------------- sync service
-def test_sync_service_methods_speak_the_typed_api():
+def test_sync_service_methods_speak_the_typed_api(in_process_definition):
     service = SynthesisService()
     infos = service.list_problems(tag="family:union")
     assert {info.name for info in infos} == {
@@ -47,7 +47,7 @@ def test_sync_service_methods_speak_the_typed_api():
     }
     response = service.synthesize(api.SynthesizeRequest(problem="union_view"))
     assert response.problem == "union_view"
-    assert response.expression.startswith("U{")
+    assert response.expression == in_process_definition("union_view")
     assert response.cache_tier == "miss"
     # The service owns the cache across calls: the second run is warm.
     warm = service.synthesize(api.SynthesizeRequest(problem="union_view"))

@@ -165,6 +165,22 @@ def test_shrinker_minimizes_a_seeded_failure():
     assert len(minimized.spec_text) <= len(spec.spec_text())
 
 
+def test_fuzz_reports_a_broken_simplifier_as_a_simplify_failure(monkeypatch):
+    from repro.nrc.expr import NEmpty
+    from repro.nrc.simplify import simplify_with_stats
+    from repro.service import pipeline
+    from repro.specs.fuzz import DifferentialChecker
+
+    def broken(expr):
+        simplified, stats = simplify_with_stats(expr)
+        return NEmpty(infer_type(simplified).elem), stats
+
+    monkeypatch.setattr(pipeline, "simplify_with_stats", broken)
+    failure = DifferentialChecker().check(generate_spec(seed=0, index=0))
+    assert failure is not None and failure.kind == "simplify", failure
+    assert "disagrees with eval_nrc(raw)" in failure.detail
+
+
 # --------------------------------------------------------- spec_text contract
 def test_synthesize_request_spec_text_is_exclusive_with_problem():
     with pytest.raises(api.ApiError):

@@ -13,8 +13,8 @@ Contracts
 * Requests — :class:`SynthesizeRequest`, :class:`VerifyRequest`,
   :class:`SweepRequest`, :class:`SweepSubmitRequest` (the async fleet
   submission).  Validation happens at construction (and again in
-  :meth:`from_json_dict`, which additionally rejects unknown and mistyped
-  fields), so a malformed request is an :class:`ApiError` with code
+  :meth:`~Contract.from_json_dict`, which additionally rejects unknown and
+  mistyped fields), so a malformed request is an :class:`ApiError` with code
   ``invalid_request`` *before* any synthesis machinery runs.
 * Responses — :class:`SynthesisResult` (one pipeline run: digest, cache tier,
   per-stage timings, the synthesized definition, an optional verification
@@ -28,16 +28,38 @@ Contracts
   with an HTTP status per code and a JSON rendering, so the CLI and the HTTP
   server map the same failure to the same message.
 
+The wire is declared once
+=========================
+
+Each contract is a frozen dataclass deriving from :class:`Contract`, whose
+one codec reads the schema off the dataclass fields and their annotations:
+``str``/``int``/``float``/``bool`` scalars (``bool`` is never an ``int``; an
+``int`` widens to a ``float`` field), ``Optional[X]``, ``Tuple[X, ...]``,
+``Mapping[str, V]`` and nested contracts.  Decoding rejects unknown keys,
+missing required fields and mistyped values, container elements included.
+The plan is resolved once per class, on first use.
+
+Keys are emitted in field order.  Each field declares its emit rule as field
+metadata: a plain field is always emitted, a field declared with
+:func:`_omit_at_default` is left out while it equals its default, and a
+``_LOCAL`` field (``SynthesisResult.display``) never travels.  Only
+:class:`SynthesisResult` (the computed ``cache_hit`` key and the
+``expression`` group) and :class:`ProcessCacheStats` (the ``"process"``
+envelope) adjust the derived rendering by hand.
+
 Serialization is deterministic: ``X.from_json(x.to_json()) == x`` for every
-contract type (the round-trip is property-tested), and ``to_json`` emits keys
-in a fixed order so equal values render byte-identically.
+contract type (the round-trip is property-tested), equal values render
+byte-identically, and ``tests/golden/wire_v1.json`` pins the bytes.  The
+JSON reader rejects ``NaN`` and ``±Infinity``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+import math
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 #: The wire-format version; every HTTP route is prefixed with it.
 API_VERSION = "v1"
@@ -66,6 +88,211 @@ SHARD_STATES = (SHARD_PENDING, SHARD_RUNNING, SHARD_DONE, SHARD_FAILED)
 #: Default retry budget per shard (attempts = 1 + DEFAULT_SHARD_RETRIES).
 DEFAULT_SHARD_RETRIES = 2
 
+
+# ------------------------------------------------------------------ the codec
+#: Field-metadata key of a field's emit rule; a field without it is always
+#: emitted.
+_EMIT = "emit"
+#: Emit rule: left out of the rendering while the value equals the default.
+_OMIT_DEFAULT = "omit_default"
+#: Emit rule: transport-local, neither emitted nor accepted on the wire.
+_LOCAL = "local"
+_ALWAYS = object()
+
+
+def _omit_at_default(default=MISSING, *, default_factory=MISSING):
+    """A field the rendering leaves out while it equals its default."""
+    return field(default=default, default_factory=default_factory, metadata={_EMIT: _OMIT_DEFAULT})
+
+
+def _scalar(typ: type, where: str, widen: bool = True):
+    """Decode a ``typ`` scalar.  The type test is exact, so ``True`` is not an
+    ``int``; an ``int`` is accepted as a ``float``, and converted when
+    ``widen`` (fields) or kept as is (map values, so their bytes round-trip)."""
+
+    def decode(value):
+        if type(value) is typ:
+            return value
+        if typ is float and type(value) is int:
+            return float(value) if widen else value
+        raise invalid_request(f"{where} must be {typ.__name__}, got {type(value).__name__}")
+
+    return decode
+
+
+def _container(typ: type, where: str, value) -> None:
+    if not isinstance(value, typ):
+        raise invalid_request(f"{where} must be {typ.__name__}, got {type(value).__name__}")
+
+
+def _codec(hint, where: str):
+    """``(encode, decode)`` for one annotation; ``encode`` is ``None`` when the
+    value goes on the wire as is, and ``where`` names it in error messages."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        encode, decode = _codec(inner, where)
+        return (
+            None if encode is None else (lambda value: None if value is None else encode(value)),
+            lambda value: None if value is None else decode(value),
+        )
+    if origin is tuple:
+        item_encode, item_decode = _codec(args[0], f"{where} item")
+
+        def decode_tuple(value):
+            _container(list, where, value)
+            return tuple(item_decode(item) for item in value)
+
+        if item_encode is None:
+            return list, decode_tuple
+        return (lambda value: [item_encode(item) for item in value]), decode_tuple
+    if origin is abc.Mapping:
+        check = None if args[1] is object else _scalar(args[1], f"{where} value", widen=False)
+
+        def decode_mapping(value):
+            _container(dict, where, value)
+            if check is not None:
+                for item in value.values():
+                    check(item)
+            return value
+
+        return dict, decode_mapping
+    if isinstance(hint, type) and issubclass(hint, Contract):
+        # Looked up per call, so a wrapped or overridden codec is honoured.
+        return (lambda value: value.to_json_dict()), (lambda value: hint.from_json_dict(value))
+    if hint in (str, int, float, bool):
+        return None, _scalar(hint, where)
+    raise TypeError(f"no wire codec for annotation {hint!r} ({where})")
+
+
+class _WirePlan:
+    """A contract class's codec, resolved from its fields and annotations."""
+
+    __slots__ = ("keys", "emit", "parse", "coerce")
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.emit = []  # (name, encode, value omitted at or _ALWAYS)
+        self.parse = []  # (name, decode, required)
+        self.coerce = []  # (name, tuple | dict): containers normalized at construction
+        for spec in fields(cls):
+            hint = hints[spec.name]
+            if get_origin(hint) in (tuple, abc.Mapping):
+                self.coerce.append((spec.name, tuple if get_origin(hint) is tuple else dict))
+            rule = spec.metadata.get(_EMIT)
+            if rule == _LOCAL:
+                continue
+            encode, decode = _codec(hint, f"field {spec.name!r}")
+            has_default = spec.default is not MISSING or spec.default_factory is not MISSING
+            omit = _ALWAYS
+            if rule == _OMIT_DEFAULT:
+                omit = spec.default if spec.default is not MISSING else spec.default_factory()
+            self.emit.append((spec.name, encode, omit))
+            self.parse.append((spec.name, decode, not has_default))
+        self.keys = frozenset(name for name, _, _ in self.parse)
+
+
+def _build_plan(cls: type) -> _WirePlan:
+    # Built on first use, after every class it refers to exists; two threads
+    # racing here build the same plan twice, which is harmless.
+    cls._wire_plan = _WirePlan(cls)
+    return cls._wire_plan
+
+
+def _json_object(kind: str, payload, keys) -> Mapping[str, object]:
+    """``payload`` as a JSON object of ``kind`` whose keys all lie in ``keys``."""
+    if not isinstance(payload, abc.Mapping):
+        raise invalid_request(f"{kind} payload must be a JSON object, got {type(payload).__name__}")
+    unknown = payload.keys() - keys
+    if unknown:
+        raise invalid_request(
+            f"{kind} has unknown field(s): {', '.join(sorted(unknown))}",
+            unknown_fields=sorted(unknown),
+        )
+    return payload
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+_JSON_READER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+
+
+def _parse_json_object(text) -> Mapping[str, object]:
+    try:
+        payload = _JSON_READER.decode(text)
+    except (ValueError, TypeError) as exc:
+        raise invalid_request(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, abc.Mapping):
+        raise invalid_request(
+            f"request body must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+class Contract:
+    """Base of the wire contracts: the JSON codec derived from the fields.
+
+    Subclasses are frozen dataclasses; a subclass ``__post_init__`` calls
+    ``super().__post_init__()`` first, which turns ``Tuple`` fields into
+    tuples and copies ``Mapping`` fields into fresh dicts.
+    """
+
+    #: The class's :class:`_WirePlan`, built on first use.
+    _wire_plan = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._wire_plan = None
+        # Each contract holds the codec methods in its own namespace, so one
+        # class's codec can be wrapped without touching the others (the
+        # benchmark's per-layer instrumentation patches ``JobStatus.to_json_dict``
+        # and ``SynthesizeRequest.from_json`` that way).
+        for name in ("to_json_dict", "from_json_dict", "to_json", "from_json"):
+            if name not in cls.__dict__:
+                setattr(cls, name, Contract.__dict__[name])
+
+    def __post_init__(self) -> None:
+        for name, coerce in (self._wire_plan or _build_plan(type(self))).coerce:
+            object.__setattr__(self, name, coerce(getattr(self, name)))
+
+    def to_json_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {}
+        for name, encode, omit in (self._wire_plan or _build_plan(type(self))).emit:
+            value = getattr(self, name)
+            if omit is _ALWAYS or value != omit:
+                payload[name] = value if encode is None else encode(value)
+        return payload
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, object]):
+        plan = cls._wire_plan or _build_plan(cls)
+        _json_object(cls.__name__, payload, plan.keys)
+        values = {}
+        for name, decode, required in plan.parse:
+            value = payload.get(name, MISSING)
+            if value is not MISSING:
+                values[name] = decode(value)
+            elif required:
+                raise invalid_request(f"missing required field {name!r}")
+        return cls(**values)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(_parse_json_object(text))
+
+
 # ----------------------------------------------------------------- the errors
 #: Error code → HTTP status.  The taxonomy is closed: every failure the
 #: service can surface maps onto exactly one of these codes.
@@ -87,36 +314,21 @@ ERROR_CODES: Dict[str, int] = {
 
 
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(Contract):
     """The data of a structured error (embeddable in :class:`JobStatus`)."""
 
     code: str
     message: str
-    detail: Mapping[str, object] = field(default_factory=dict)
+    detail: Mapping[str, object] = _omit_at_default(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.code not in ERROR_CODES:
             raise ValueError(f"unknown API error code {self.code!r}")
-        object.__setattr__(self, "detail", dict(self.detail))
 
     @property
     def http_status(self) -> int:
         return ERROR_CODES[self.code]
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"code": self.code, "message": self.message}
-        if self.detail:
-            payload["detail"] = dict(self.detail)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ErrorInfo":
-        _check_fields("ErrorInfo", payload, {"code", "message", "detail"})
-        return cls(
-            code=_field(payload, "code", str),
-            message=_field(payload, "message", str),
-            detail=_field(payload, "detail", dict, default={}),
-        )
 
 
 class ApiError(Exception):
@@ -155,7 +367,7 @@ class ApiError(Exception):
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "ApiError":
         body = payload.get("error", payload)
-        if not isinstance(body, Mapping):
+        if not isinstance(body, abc.Mapping):
             raise ValueError(f"malformed error payload: {payload!r}")
         return cls.from_info(ErrorInfo.from_json_dict(body))
 
@@ -219,48 +431,15 @@ def synthesis_failure(exc: BaseException, expected: str = "ok") -> ApiError:
     )
 
 
-# ------------------------------------------------------------- field plumbing
-def _check_fields(kind: str, payload: Mapping[str, object], allowed: set) -> None:
-    if not isinstance(payload, Mapping):
-        raise invalid_request(f"{kind} payload must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - allowed
-    if unknown:
-        raise invalid_request(
-            f"{kind} has unknown field(s): {', '.join(sorted(unknown))}",
-            unknown_fields=sorted(unknown),
-        )
-
-
-_MISSING = object()
-
-
-def _field(payload: Mapping[str, object], name: str, typ, default=_MISSING):
-    value = payload.get(name, _MISSING)
-    if value is _MISSING:
-        if default is _MISSING:
-            raise invalid_request(f"missing required field {name!r}")
-        return default
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if typ is int and isinstance(value, bool):
-        raise invalid_request(f"field {name!r} must be {typ.__name__}, got bool")
-    if not isinstance(value, typ):
-        raise invalid_request(
-            f"field {name!r} must be {getattr(typ, '__name__', typ)}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _opt_field(payload: Mapping[str, object], name: str, typ):
-    value = payload.get(name)
-    if value is None:
-        return None
-    return _field(payload, name, typ)
-
-
 # ------------------------------------------------------------------- requests
+def _check_timeout(timeout: Optional[float]) -> None:
+    # A NaN or infinite timeout would disable the job deadline.
+    if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+        raise invalid_request("timeout must be positive and finite")
+
+
 @dataclass(frozen=True)
-class SynthesizeRequest:
+class SynthesizeRequest(Contract):
     """Run one registry problem through the staged pipeline.
 
     ``verify_scale`` > 0 additionally verifies the definition on that many
@@ -280,16 +459,17 @@ class SynthesizeRequest:
     silently falls back to a cold search when it does not.
     """
 
-    problem: str = ""
-    max_depth: Optional[int] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    include_raw: bool = False
-    timeout: Optional[float] = None
-    spec_text: Optional[str] = None
-    ancestor: Optional[str] = None
+    problem: str = _omit_at_default("")
+    max_depth: Optional[int] = _omit_at_default(None)
+    verify_scale: int = _omit_at_default(0)
+    cache_dir: Optional[str] = _omit_at_default(None)
+    include_raw: bool = _omit_at_default(False)
+    timeout: Optional[float] = _omit_at_default(None)
+    spec_text: Optional[str] = _omit_at_default(None)
+    ancestor: Optional[str] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.spec_text is None:
             if not isinstance(self.problem, str) or not self.problem:
                 raise invalid_request("problem must be a non-empty registry name")
@@ -302,77 +482,23 @@ class SynthesizeRequest:
             raise invalid_request("max_depth must be at least 1")
         if self.verify_scale < 0:
             raise invalid_request("verify_scale must be non-negative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise invalid_request("timeout must be positive")
+        _check_timeout(self.timeout)
         if self.ancestor is not None and (
             not isinstance(self.ancestor, str) or not self.ancestor
         ):
             raise invalid_request("ancestor must be a non-empty witness digest")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        if self.problem:
-            payload["problem"] = self.problem
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        if self.verify_scale:
-            payload["verify_scale"] = self.verify_scale
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.include_raw:
-            payload["include_raw"] = self.include_raw
-        if self.timeout is not None:
-            payload["timeout"] = self.timeout
-        if self.spec_text is not None:
-            payload["spec_text"] = self.spec_text
-        if self.ancestor is not None:
-            payload["ancestor"] = self.ancestor
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SynthesizeRequest":
-        _check_fields(
-            "SynthesizeRequest",
-            payload,
-            {
-                "problem",
-                "max_depth",
-                "verify_scale",
-                "cache_dir",
-                "include_raw",
-                "timeout",
-                "spec_text",
-                "ancestor",
-            },
-        )
-        return cls(
-            problem=_field(payload, "problem", str, default=""),
-            max_depth=_opt_field(payload, "max_depth", int),
-            verify_scale=_field(payload, "verify_scale", int, default=0),
-            cache_dir=_opt_field(payload, "cache_dir", str),
-            include_raw=_field(payload, "include_raw", bool, default=False),
-            timeout=_opt_field(payload, "timeout", float),
-            spec_text=_opt_field(payload, "spec_text", str),
-            ancestor=_opt_field(payload, "ancestor", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthesizeRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class VerifyRequest:
+class VerifyRequest(Contract):
     """Synthesize + check the definition on a generated instance family."""
 
     problem: str
     scale: int = DEFAULT_VERIFY_SCALE
-    max_depth: Optional[int] = None
+    max_depth: Optional[int] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.problem, str) or not self.problem:
             raise invalid_request("problem must be a non-empty registry name")
         if self.scale < 1:
@@ -387,116 +513,40 @@ class VerifyRequest:
             problem=self.problem, max_depth=self.max_depth, verify_scale=self.scale
         )
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"problem": self.problem, "scale": self.scale}
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "VerifyRequest":
-        _check_fields("VerifyRequest", payload, {"problem", "scale", "max_depth"})
-        return cls(
-            problem=_field(payload, "problem", str),
-            scale=_field(payload, "scale", int, default=DEFAULT_VERIFY_SCALE),
-            max_depth=_opt_field(payload, "max_depth", int),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifyRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(Contract):
     """Run many registry problems through the parallel worker pool.
 
     An empty ``problems`` tuple sweeps the default population (every entry
     expected to synthesize) unless ``include_all`` asks for the full registry.
     """
 
-    problems: Tuple[str, ...] = ()
-    include_all: bool = False
-    processes: Optional[int] = None
-    timeout: Optional[float] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    max_depth: Optional[int] = None
+    problems: Tuple[str, ...] = _omit_at_default(())
+    include_all: bool = _omit_at_default(False)
+    processes: Optional[int] = _omit_at_default(None)
+    timeout: Optional[float] = _omit_at_default(None)
+    verify_scale: int = _omit_at_default(0)
+    cache_dir: Optional[str] = _omit_at_default(None)
+    max_depth: Optional[int] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
+        super().__post_init__()
         if any(not isinstance(name, str) or not name for name in self.problems):
             raise invalid_request("problems must be non-empty registry names")
         if self.problems and self.include_all:
             raise invalid_request("pass either explicit problems or include_all, not both")
         if self.processes is not None and self.processes < 1:
             raise invalid_request("processes must be at least 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise invalid_request("timeout must be positive")
+        _check_timeout(self.timeout)
         if self.verify_scale < 0:
             raise invalid_request("verify_scale must be non-negative")
         if self.max_depth is not None and self.max_depth < 1:
             raise invalid_request("max_depth must be at least 1")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        if self.problems:
-            payload["problems"] = list(self.problems)
-        if self.include_all:
-            payload["include_all"] = True
-        if self.processes is not None:
-            payload["processes"] = self.processes
-        if self.timeout is not None:
-            payload["timeout"] = self.timeout
-        if self.verify_scale:
-            payload["verify_scale"] = self.verify_scale
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepRequest":
-        _check_fields(
-            "SweepRequest",
-            payload,
-            {
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-            },
-        )
-        problems = _field(payload, "problems", list, default=[])
-        if not all(isinstance(name, str) for name in problems):
-            raise invalid_request("problems must be a list of strings")
-        return cls(
-            problems=tuple(problems),
-            include_all=_field(payload, "include_all", bool, default=False),
-            processes=_opt_field(payload, "processes", int),
-            timeout=_opt_field(payload, "timeout", float),
-            verify_scale=_field(payload, "verify_scale", int, default=0),
-            cache_dir=_opt_field(payload, "cache_dir", str),
-            max_depth=_opt_field(payload, "max_depth", int),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class SweepSubmitRequest:
+class SweepSubmitRequest(Contract):
     """Submit a sweep as one async fleet job (``POST /v1/sweeps``).
 
     The problem-selection fields mirror :class:`SweepRequest` (an empty
@@ -511,20 +561,19 @@ class SweepSubmitRequest:
       fails before the shard is marked ``failed``.
     """
 
-    problems: Tuple[str, ...] = ()
-    include_all: bool = False
-    processes: Optional[int] = None
-    timeout: Optional[float] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    max_depth: Optional[int] = None
-    nodes: Tuple[str, ...] = ()
-    shard_size: Optional[int] = None
-    max_retries: int = DEFAULT_SHARD_RETRIES
+    problems: Tuple[str, ...] = _omit_at_default(())
+    include_all: bool = _omit_at_default(False)
+    processes: Optional[int] = _omit_at_default(None)
+    timeout: Optional[float] = _omit_at_default(None)
+    verify_scale: int = _omit_at_default(0)
+    cache_dir: Optional[str] = _omit_at_default(None)
+    max_depth: Optional[int] = _omit_at_default(None)
+    nodes: Tuple[str, ...] = _omit_at_default(())
+    shard_size: Optional[int] = _omit_at_default(None)
+    max_retries: int = _omit_at_default(DEFAULT_SHARD_RETRIES)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        super().__post_init__()
         # Shared selection/execution fields obey SweepRequest's rules.
         self.to_sweep_request()
         if any(not isinstance(node, str) or not node for node in self.nodes):
@@ -536,92 +585,17 @@ class SweepSubmitRequest:
 
     def to_sweep_request(self) -> SweepRequest:
         """The equivalent single-node request (what each shard executes)."""
-        return SweepRequest(
-            problems=self.problems,
-            include_all=self.include_all,
-            processes=self.processes,
-            timeout=self.timeout,
-            verify_scale=self.verify_scale,
-            cache_dir=self.cache_dir,
-            max_depth=self.max_depth,
-        )
+        return SweepRequest(**{spec.name: getattr(self, spec.name) for spec in fields(SweepRequest)})
 
     @classmethod
     def from_sweep_request(cls, request: SweepRequest, **fleet: object) -> "SweepSubmitRequest":
-        return cls(
-            problems=request.problems,
-            include_all=request.include_all,
-            processes=request.processes,
-            timeout=request.timeout,
-            verify_scale=request.verify_scale,
-            cache_dir=request.cache_dir,
-            max_depth=request.max_depth,
-            **fleet,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload = self.to_sweep_request().to_json_dict()
-        if self.nodes:
-            payload["nodes"] = list(self.nodes)
-        if self.shard_size is not None:
-            payload["shard_size"] = self.shard_size
-        if self.max_retries != DEFAULT_SHARD_RETRIES:
-            payload["max_retries"] = self.max_retries
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepSubmitRequest":
-        _check_fields(
-            "SweepSubmitRequest",
-            payload,
-            {
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-                "nodes",
-                "shard_size",
-                "max_retries",
-            },
-        )
-        base = {
-            name: payload[name]
-            for name in (
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-            )
-            if name in payload
-        }
-        sweep = SweepRequest.from_json_dict(base)
-        nodes = _field(payload, "nodes", list, default=[])
-        if not all(isinstance(node, str) for node in nodes):
-            raise invalid_request("nodes must be a list of strings")
-        return cls.from_sweep_request(
-            sweep,
-            nodes=tuple(nodes),
-            shard_size=_opt_field(payload, "shard_size", int),
-            max_retries=_field(payload, "max_retries", int, default=DEFAULT_SHARD_RETRIES),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSubmitRequest":
-        return cls.from_json_dict(_parse_json_object(text))
+        shared = {spec.name: getattr(request, spec.name) for spec in fields(SweepRequest)}
+        return cls(**shared, **fleet)
 
 
 # ------------------------------------------------------------------ responses
 @dataclass(frozen=True)
-class ProblemInfo:
+class ProblemInfo(Contract):
     """One registry entry's discoverable metadata."""
 
     name: str
@@ -630,82 +604,27 @@ class ProblemInfo:
     expected: str = "ok"
     has_instances: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tags", tuple(self.tags))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "expected": self.expected,
-            "has_instances": self.has_instances,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ProblemInfo":
-        _check_fields(
-            "ProblemInfo", payload, {"name", "description", "tags", "expected", "has_instances"}
-        )
-        return cls(
-            name=_field(payload, "name", str),
-            description=_field(payload, "description", str),
-            tags=tuple(_field(payload, "tags", list, default=[])),
-            expected=_field(payload, "expected", str, default="ok"),
-            has_instances=_field(payload, "has_instances", bool, default=False),
-        )
-
 
 @dataclass(frozen=True)
-class StageReport:
+class StageReport(Contract):
     """One named pipeline stage: wall-clock seconds + provenance detail."""
 
     name: str
     seconds: float
-    detail: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detail", dict(self.detail))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"name": self.name, "seconds": self.seconds}
-        if self.detail:
-            payload["detail"] = dict(self.detail)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "StageReport":
-        _check_fields("StageReport", payload, {"name", "seconds", "detail"})
-        return cls(
-            name=_field(payload, "name", str),
-            seconds=_field(payload, "seconds", float),
-            detail=_field(payload, "detail", dict, default={}),
-        )
+    detail: Mapping[str, object] = _omit_at_default(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(Contract):
     """Tally of the batched verification stage."""
 
     checked: int
     satisfying: int
     ok: bool
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"checked": self.checked, "satisfying": self.satisfying, "ok": self.ok}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "VerificationSummary":
-        _check_fields("VerificationSummary", payload, {"checked", "satisfying", "ok"})
-        return cls(
-            checked=_field(payload, "checked", int),
-            satisfying=_field(payload, "satisfying", int),
-            ok=_field(payload, "ok", bool),
-        )
-
 
 @dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Contract):
     """The wire rendering of one pipeline run (the service's main response).
 
     ``display`` carries transport-local conveniences (the pretty-printed
@@ -726,92 +645,36 @@ class SynthesisResult:
     expression: Optional[str] = None
     expression_size: Optional[int] = None
     proof_size: Optional[int] = None
-    raw_expression: Optional[str] = None
-    verification: Optional[VerificationSummary] = None
-    source: Optional[str] = None
-    display: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "display", dict(self.display))
+    raw_expression: Optional[str] = _omit_at_default(None)
+    verification: Optional[VerificationSummary] = _omit_at_default(None)
+    source: Optional[str] = _omit_at_default(None)
+    display: Mapping[str, str] = field(
+        default_factory=dict, compare=False, repr=False, metadata={_EMIT: _LOCAL}
+    )
 
     @property
     def cache_hit(self) -> bool:
         return self.cache_tier in ("memory", "disk")
 
     def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "problem": self.problem,
-            "digest": self.digest,
-            "cache_tier": self.cache_tier,
-            "cache_hit": self.cache_hit,
-            "total_seconds": self.total_seconds,
-            "stages": [stage.to_json_dict() for stage in self.stages],
-        }
-        if self.expression is not None:
-            payload["expression"] = self.expression
-            payload["expression_size"] = self.expression_size
-            payload["proof_size"] = self.proof_size
-        if self.raw_expression is not None:
-            payload["raw_expression"] = self.raw_expression
-        if self.verification is not None:
-            payload["verification"] = self.verification.to_json_dict()
-        if self.source is not None:
-            payload["source"] = self.source
-        return payload
+        # The computed ``cache_hit`` follows ``cache_tier``, and the
+        # expression group is emitted whole when there is an expression.
+        wire = super().to_json_dict()
+        if self.expression is None:
+            for key in ("expression", "expression_size", "proof_size"):
+                del wire[key]
+        head = {key: wire.pop(key) for key in ("problem", "digest", "cache_tier")}
+        return {**head, "cache_hit": self.cache_hit, **wire}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "SynthesisResult":
-        _check_fields(
-            "SynthesisResult",
-            payload,
-            {
-                "problem",
-                "digest",
-                "cache_tier",
-                "cache_hit",
-                "total_seconds",
-                "stages",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "raw_expression",
-                "verification",
-                "source",
-            },
-        )
-        verification = payload.get("verification")
-        return cls(
-            problem=_field(payload, "problem", str),
-            digest=_field(payload, "digest", str),
-            cache_tier=_field(payload, "cache_tier", str),
-            total_seconds=_field(payload, "total_seconds", float),
-            stages=tuple(
-                StageReport.from_json_dict(stage)
-                for stage in _field(payload, "stages", list, default=[])
-            ),
-            expression=_opt_field(payload, "expression", str),
-            expression_size=_opt_field(payload, "expression_size", int),
-            proof_size=_opt_field(payload, "proof_size", int),
-            raw_expression=_opt_field(payload, "raw_expression", str),
-            verification=(
-                VerificationSummary.from_json_dict(verification)
-                if verification is not None
-                else None
-            ),
-            source=_opt_field(payload, "source", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthesisResult":
-        return cls.from_json_dict(_parse_json_object(text))
+        if isinstance(payload, abc.Mapping) and "cache_hit" in payload:
+            payload = {key: value for key, value in payload.items() if key != "cache_hit"}
+        return super().from_json_dict(payload)
 
 
 @dataclass(frozen=True)
-class JobStatus:
+class JobStatus(Contract):
     """One asynchronous job's lifecycle snapshot.
 
     ``state`` walks ``queued → running → done | failed | cancelled``;
@@ -823,12 +686,13 @@ class JobStatus:
     state: str
     problem: str
     submitted_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    result: Optional[SynthesisResult] = None
-    error: Optional[ErrorInfo] = None
+    started_at: Optional[float] = _omit_at_default(None)
+    finished_at: Optional[float] = _omit_at_default(None)
+    result: Optional[SynthesisResult] = _omit_at_default(None)
+    error: Optional[ErrorInfo] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.state not in JOB_STATES:
             raise invalid_request(f"unknown job state {self.state!r}")
 
@@ -836,62 +700,9 @@ class JobStatus:
     def finished(self) -> bool:
         return self.state in (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "id": self.id,
-            "state": self.state,
-            "problem": self.problem,
-            "submitted_at": self.submitted_at,
-        }
-        if self.started_at is not None:
-            payload["started_at"] = self.started_at
-        if self.finished_at is not None:
-            payload["finished_at"] = self.finished_at
-        if self.result is not None:
-            payload["result"] = self.result.to_json_dict()
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "JobStatus":
-        _check_fields(
-            "JobStatus",
-            payload,
-            {
-                "id",
-                "state",
-                "problem",
-                "submitted_at",
-                "started_at",
-                "finished_at",
-                "result",
-                "error",
-            },
-        )
-        result = payload.get("result")
-        error = payload.get("error")
-        return cls(
-            id=_field(payload, "id", str),
-            state=_field(payload, "state", str),
-            problem=_field(payload, "problem", str),
-            submitted_at=_field(payload, "submitted_at", float),
-            started_at=_opt_field(payload, "started_at", float),
-            finished_at=_opt_field(payload, "finished_at", float),
-            result=SynthesisResult.from_json_dict(result) if result is not None else None,
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobStatus":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(Contract):
     """Flat wire record of one sweep job (mirrors ``workers.JobOutcome``)."""
 
     name: str
@@ -906,57 +717,6 @@ class SweepOutcome:
     error: Optional[str] = None
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stage_seconds", dict(self.stage_seconds))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "seconds": self.seconds,
-            "expected": self.expected,
-            "cache_tier": self.cache_tier,
-            "expression": self.expression,
-            "expression_size": self.expression_size,
-            "proof_size": self.proof_size,
-            "verified": self.verified,
-            "error": self.error,
-            "stage_seconds": dict(self.stage_seconds),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepOutcome":
-        _check_fields(
-            "SweepOutcome",
-            payload,
-            {
-                "name",
-                "status",
-                "seconds",
-                "expected",
-                "cache_tier",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "verified",
-                "error",
-                "stage_seconds",
-            },
-        )
-        return cls(
-            name=_field(payload, "name", str),
-            status=_field(payload, "status", str),
-            seconds=_field(payload, "seconds", float),
-            expected=_field(payload, "expected", str, default="ok"),
-            cache_tier=_field(payload, "cache_tier", str, default="off"),
-            expression=_opt_field(payload, "expression", str),
-            expression_size=_opt_field(payload, "expression_size", int),
-            proof_size=_opt_field(payload, "proof_size", int),
-            verified=_opt_field(payload, "verified", bool),
-            error=_opt_field(payload, "error", str),
-            stage_seconds=_field(payload, "stage_seconds", dict, default={}),
-        )
-
     def to_stable_json_dict(self) -> Dict[str, object]:
         """The deterministic projection: everything except timings/placement.
 
@@ -965,20 +725,14 @@ class SweepOutcome:
         "merged results are byte-identical to a single-node run" acceptance
         check compares exactly this projection.
         """
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "expression": self.expression,
-            "expression_size": self.expression_size,
-            "proof_size": self.proof_size,
-            "verified": self.verified,
-            "error": self.error,
-        }
+        payload = self.to_json_dict()
+        for key in ("seconds", "cache_tier", "stage_seconds"):
+            del payload[key]
+        return payload
 
 
 @dataclass(frozen=True)
-class SpanInfo:
+class SpanInfo(Contract):
     """One finished trace span (see :mod:`repro.obs.trace`).
 
     ``start`` is wall-clock epoch seconds; ``seconds`` is the
@@ -991,84 +745,21 @@ class SpanInfo:
     name: str
     start: float
     seconds: float
-    parent_id: Optional[str] = None
-    attributes: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", dict(self.attributes))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "name": self.name,
-            "start": self.start,
-            "seconds": self.seconds,
-        }
-        if self.parent_id is not None:
-            payload["parent_id"] = self.parent_id
-        if self.attributes:
-            payload["attributes"] = dict(self.attributes)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SpanInfo":
-        _check_fields(
-            "SpanInfo",
-            payload,
-            {"trace_id", "span_id", "name", "start", "seconds", "parent_id", "attributes"},
-        )
-        return cls(
-            trace_id=_field(payload, "trace_id", str),
-            span_id=_field(payload, "span_id", str),
-            name=_field(payload, "name", str),
-            start=_field(payload, "start", float),
-            seconds=_field(payload, "seconds", float),
-            parent_id=_opt_field(payload, "parent_id", str),
-            attributes=_field(payload, "attributes", dict, default={}),
-        )
+    parent_id: Optional[str] = _omit_at_default(None)
+    attributes: Mapping[str, object] = _omit_at_default(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class TraceInfo:
+class TraceInfo(Contract):
     """The span tree recorded for one trace (``GET /v1/jobs/<id>/trace``)."""
 
     trace_id: str
     job_id: str = ""
     spans: Tuple[SpanInfo, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(self.spans))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "trace_id": self.trace_id,
-            "job_id": self.job_id,
-            "spans": [span.to_json_dict() for span in self.spans],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "TraceInfo":
-        _check_fields("TraceInfo", payload, {"trace_id", "job_id", "spans"})
-        return cls(
-            trace_id=_field(payload, "trace_id", str),
-            job_id=_field(payload, "job_id", str, default=""),
-            spans=tuple(
-                SpanInfo.from_json_dict(span)
-                for span in _field(payload, "spans", list, default=[])
-            ),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceInfo":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class SweepResponse:
+class SweepResponse(Contract):
     """All sweep outcomes plus aggregate counters."""
 
     wall_seconds: float
@@ -1080,48 +771,7 @@ class SweepResponse:
     #: Trace spans covering this sweep (coordinator + remote nodes), attached
     #: only by tracing-enabled servers answering ``?wait=1``; omitted from the
     #: JSON rendering when empty so pre-telemetry payloads are unchanged.
-    spans: Tuple[SpanInfo, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", dict(self.counts))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        object.__setattr__(self, "spans", tuple(self.spans))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "wall_seconds": self.wall_seconds,
-            "processes": self.processes,
-            "counts": dict(self.counts),
-            "cache_hits": self.cache_hits,
-            "ok": self.ok,
-            "jobs": [job.to_json_dict() for job in self.jobs],
-        }
-        if self.spans:
-            payload["spans"] = [span.to_json_dict() for span in self.spans]
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepResponse":
-        _check_fields(
-            "SweepResponse",
-            payload,
-            {"wall_seconds", "processes", "counts", "cache_hits", "ok", "jobs", "spans"},
-        )
-        return cls(
-            wall_seconds=_field(payload, "wall_seconds", float),
-            processes=_field(payload, "processes", int),
-            counts=_field(payload, "counts", dict, default={}),
-            cache_hits=_field(payload, "cache_hits", int, default=0),
-            ok=_field(payload, "ok", bool, default=True),
-            jobs=tuple(
-                SweepOutcome.from_json_dict(job)
-                for job in _field(payload, "jobs", list, default=[])
-            ),
-            spans=tuple(
-                SpanInfo.from_json_dict(span)
-                for span in _field(payload, "spans", list, default=[])
-            ),
-        )
+    spans: Tuple[SpanInfo, ...] = _omit_at_default(())
 
     def to_stable_json_dict(self) -> Dict[str, object]:
         """Deterministic projection of the whole sweep (see ``SweepOutcome``)."""
@@ -1134,16 +784,9 @@ class SweepResponse:
     def to_stable_json(self) -> str:
         return json.dumps(self.to_stable_json_dict(), indent=2)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResponse":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class ShardInfo:
+class ShardInfo(Contract):
     """One sweep shard's placement and lifecycle snapshot.
 
     ``node`` is the display name of the node the shard last ran on (empty
@@ -1156,10 +799,10 @@ class ShardInfo:
     problems: Tuple[str, ...] = ()
     node: str = ""
     retries: int = 0
-    error: Optional[ErrorInfo] = None
+    error: Optional[ErrorInfo] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
+        super().__post_init__()
         if self.state not in SHARD_STATES:
             raise invalid_request(f"unknown shard state {self.state!r}")
         if self.index < 0:
@@ -1167,39 +810,9 @@ class ShardInfo:
         if self.retries < 0:
             raise invalid_request("shard retries must be non-negative")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "index": self.index,
-            "state": self.state,
-            "problems": list(self.problems),
-            "node": self.node,
-            "retries": self.retries,
-        }
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ShardInfo":
-        _check_fields(
-            "ShardInfo", payload, {"index", "state", "problems", "node", "retries", "error"}
-        )
-        problems = _field(payload, "problems", list, default=[])
-        if not all(isinstance(name, str) for name in problems):
-            raise invalid_request("shard problems must be a list of strings")
-        error = payload.get("error")
-        return cls(
-            index=_field(payload, "index", int),
-            state=_field(payload, "state", str),
-            problems=tuple(problems),
-            node=_field(payload, "node", str, default=""),
-            retries=_field(payload, "retries", int, default=0),
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
 
 @dataclass(frozen=True)
-class SweepJobStatus:
+class SweepJobStatus(Contract):
     """One asynchronous *sweep* job's lifecycle + per-shard progress.
 
     The sweep-level analogue of :class:`JobStatus`: ``state`` walks the same
@@ -1212,14 +825,14 @@ class SweepJobStatus:
     id: str
     state: str
     submitted_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
+    started_at: Optional[float] = _omit_at_default(None)
+    finished_at: Optional[float] = _omit_at_default(None)
     shards: Tuple[ShardInfo, ...] = ()
-    result: Optional[SweepResponse] = None
-    error: Optional[ErrorInfo] = None
+    result: Optional[SweepResponse] = _omit_at_default(None)
+    error: Optional[ErrorInfo] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shards", tuple(self.shards))
+        super().__post_init__()
         if self.state not in JOB_STATES:
             raise invalid_request(f"unknown job state {self.state!r}")
 
@@ -1227,65 +840,9 @@ class SweepJobStatus:
     def finished(self) -> bool:
         return self.state in (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "id": self.id,
-            "state": self.state,
-            "submitted_at": self.submitted_at,
-        }
-        if self.started_at is not None:
-            payload["started_at"] = self.started_at
-        if self.finished_at is not None:
-            payload["finished_at"] = self.finished_at
-        payload["shards"] = [shard.to_json_dict() for shard in self.shards]
-        if self.result is not None:
-            payload["result"] = self.result.to_json_dict()
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepJobStatus":
-        _check_fields(
-            "SweepJobStatus",
-            payload,
-            {
-                "id",
-                "state",
-                "submitted_at",
-                "started_at",
-                "finished_at",
-                "shards",
-                "result",
-                "error",
-            },
-        )
-        result = payload.get("result")
-        error = payload.get("error")
-        return cls(
-            id=_field(payload, "id", str),
-            state=_field(payload, "state", str),
-            submitted_at=_field(payload, "submitted_at", float),
-            started_at=_opt_field(payload, "started_at", float),
-            finished_at=_opt_field(payload, "finished_at", float),
-            shards=tuple(
-                ShardInfo.from_json_dict(shard)
-                for shard in _field(payload, "shards", list, default=[])
-            ),
-            result=SweepResponse.from_json_dict(result) if result is not None else None,
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepJobStatus":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class ProblemPage:
+class ProblemPage(Contract):
     """One page of registry entries (``GET /v1/problems`` with ``limit``).
 
     ``next_cursor`` is an opaque token for the next page; ``None`` means the
@@ -1294,40 +851,11 @@ class ProblemPage:
     """
 
     problems: Tuple[ProblemInfo, ...] = ()
-    next_cursor: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "problems": [info.to_json_dict() for info in self.problems]
-        }
-        if self.next_cursor is not None:
-            payload["next_cursor"] = self.next_cursor
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ProblemPage":
-        _check_fields("ProblemPage", payload, {"problems", "next_cursor"})
-        return cls(
-            problems=tuple(
-                ProblemInfo.from_json_dict(info)
-                for info in _field(payload, "problems", list, default=[])
-            ),
-            next_cursor=_opt_field(payload, "next_cursor", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemPage":
-        return cls.from_json_dict(_parse_json_object(text))
+    next_cursor: Optional[str] = _omit_at_default(None)
 
 
 @dataclass(frozen=True)
-class CacheEntryInfo:
+class CacheEntryInfo(Contract):
     """One persistent cache entry's sidecar metadata."""
 
     digest: str
@@ -1339,48 +867,9 @@ class CacheEntryInfo:
     payload_bytes: int = 0
     synthesis_seconds: float = 0.0
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "digest": self.digest,
-            "name": self.name,
-            "expression": self.expression,
-            "expression_size": self.expression_size,
-            "proof_size": self.proof_size,
-            "created": self.created,
-            "payload_bytes": self.payload_bytes,
-            "synthesis_seconds": self.synthesis_seconds,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "CacheEntryInfo":
-        _check_fields(
-            "CacheEntryInfo",
-            payload,
-            {
-                "digest",
-                "name",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "created",
-                "payload_bytes",
-                "synthesis_seconds",
-            },
-        )
-        return cls(
-            digest=_field(payload, "digest", str),
-            name=_field(payload, "name", str),
-            expression=_field(payload, "expression", str),
-            expression_size=_field(payload, "expression_size", int),
-            proof_size=_field(payload, "proof_size", int),
-            created=_field(payload, "created", float),
-            payload_bytes=_field(payload, "payload_bytes", int, default=0),
-            synthesis_seconds=_field(payload, "synthesis_seconds", float, default=0.0),
-        )
-
 
 @dataclass(frozen=True)
-class DiskCacheStats:
+class DiskCacheStats(Contract):
     """Persistent-tier inventory of a cache directory.
 
     ``next_cursor`` is set when the entry listing was paginated (``limit``
@@ -1392,57 +881,19 @@ class DiskCacheStats:
     cache_dir: str
     entries: Tuple[CacheEntryInfo, ...] = ()
     total_payload_bytes: int = 0
-    next_cursor: Optional[str] = None
+    next_cursor: Optional[str] = _omit_at_default(None)
     #: Shared-cache manifest provenance (generation, node_id, updated_at,
     #: plus the serving process's bump/skew-drop counters when available);
     #: omitted from the JSON rendering when the directory has no manifest.
-    manifest: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "manifest", dict(self.manifest))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "cache_dir": self.cache_dir,
-            "entries": [entry.to_json_dict() for entry in self.entries],
-            "total_payload_bytes": self.total_payload_bytes,
-        }
-        if self.next_cursor is not None:
-            payload["next_cursor"] = self.next_cursor
-        if self.manifest:
-            payload["manifest"] = dict(self.manifest)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "DiskCacheStats":
-        _check_fields(
-            "DiskCacheStats",
-            payload,
-            {"cache_dir", "entries", "total_payload_bytes", "next_cursor", "manifest"},
-        )
-        return cls(
-            cache_dir=_field(payload, "cache_dir", str),
-            entries=tuple(
-                CacheEntryInfo.from_json_dict(entry)
-                for entry in _field(payload, "entries", list, default=[])
-            ),
-            total_payload_bytes=_field(payload, "total_payload_bytes", int, default=0),
-            next_cursor=_opt_field(payload, "next_cursor", str),
-            manifest=_field(payload, "manifest", dict, default={}),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiskCacheStats":
-        return cls.from_json_dict(_parse_json_object(text))
+    manifest: Mapping[str, object] = _omit_at_default(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class ProcessCacheStats:
-    """This process's in-memory cache telemetry (no ``cache_dir`` given)."""
+class ProcessCacheStats(Contract):
+    """This process's in-memory cache telemetry (no ``cache_dir`` given).
+
+    On the wire the fields sit inside a ``{"process": {...}}`` envelope.
+    """
 
     intern_table: Mapping[str, object] = field(default_factory=dict)
     shared_value_interner: Mapping[str, object] = field(default_factory=dict)
@@ -1456,57 +907,17 @@ class ProcessCacheStats:
     #: WitnessStoreStats`); empty when the cache has no disk directory.
     witness_store: Mapping[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intern_table", dict(self.intern_table))
-        object.__setattr__(self, "shared_value_interner", dict(self.shared_value_interner))
-        object.__setattr__(self, "search_tables", dict(self.search_tables))
-        object.__setattr__(self, "result_cache", dict(self.result_cache))
-        object.__setattr__(self, "witness_store", dict(self.witness_store))
-
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "process": {
-                "intern_table": dict(self.intern_table),
-                "shared_value_interner": dict(self.shared_value_interner),
-                "search_tables": dict(self.search_tables),
-                "result_cache": dict(self.result_cache),
-                "witness_store": dict(self.witness_store),
-            }
-        }
+        return {"process": super().to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "ProcessCacheStats":
-        _check_fields("ProcessCacheStats", payload, {"process"})
-        process = _field(payload, "process", dict, default={})
-        _check_fields(
-            "ProcessCacheStats.process",
-            process,
-            {
-                "intern_table",
-                "shared_value_interner",
-                "search_tables",
-                "result_cache",
-                "witness_store",
-            },
-        )
-        return cls(
-            intern_table=_field(process, "intern_table", dict, default={}),
-            shared_value_interner=_field(process, "shared_value_interner", dict, default={}),
-            search_tables=_field(process, "search_tables", dict, default={}),
-            result_cache=_field(process, "result_cache", dict, default={}),
-            witness_store=_field(process, "witness_store", dict, default={}),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProcessCacheStats":
-        return cls.from_json_dict(_parse_json_object(text))
+        envelope = _json_object(cls.__name__, payload, {"process"})
+        return super().from_json_dict(envelope.get("process", {}))
 
 
 @dataclass(frozen=True)
-class WitnessInfo:
+class WitnessInfo(Contract):
     """One stored proof witness's metadata (``GET /v1/witnesses``)."""
 
     digest: str
@@ -1514,73 +925,23 @@ class WitnessInfo:
     proof_size: int = 0
     created: float = 0.0
     payload_bytes: int = 0
-    sequent: str = ""
+    sequent: str = _omit_at_default("")
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.digest, str) or not self.digest:
             raise invalid_request("witness digest must be a non-empty string")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "digest": self.digest,
-            "name": self.name,
-            "proof_size": self.proof_size,
-            "created": self.created,
-            "payload_bytes": self.payload_bytes,
-        }
-        if self.sequent:
-            payload["sequent"] = self.sequent
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessInfo":
-        _check_fields(
-            "WitnessInfo",
-            payload,
-            {"digest", "name", "proof_size", "created", "payload_bytes", "sequent"},
-        )
-        return cls(
-            digest=_field(payload, "digest", str),
-            name=_field(payload, "name", str, default=""),
-            proof_size=_field(payload, "proof_size", int, default=0),
-            created=_field(payload, "created", float, default=0.0),
-            payload_bytes=_field(payload, "payload_bytes", int, default=0),
-            sequent=_field(payload, "sequent", str, default=""),
-        )
-
 
 @dataclass(frozen=True)
-class WitnessPage:
+class WitnessPage(Contract):
     """The witness-store inventory (``GET /v1/witnesses``), newest first."""
 
     witnesses: Tuple[WitnessInfo, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"witnesses": [info.to_json_dict() for info in self.witnesses]}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessPage":
-        _check_fields("WitnessPage", payload, {"witnesses"})
-        return cls(
-            witnesses=tuple(
-                WitnessInfo.from_json_dict(info)
-                for info in _field(payload, "witnesses", list, default=[])
-            )
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WitnessPage":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 @dataclass(frozen=True)
-class WitnessPayload:
+class WitnessPayload(Contract):
     """One witness with its portable payload, base64-encoded.
 
     The body of ``GET /v1/witnesses/<digest>`` and of ``PUT /v1/witnesses``
@@ -1589,45 +950,12 @@ class WitnessPayload:
     """
 
     payload: str
-    info: Optional[WitnessInfo] = None
+    info: Optional[WitnessInfo] = _omit_at_default(None)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not isinstance(self.payload, str) or not self.payload:
             raise invalid_request("witness payload must be a non-empty base64 string")
-
-    def to_json_dict(self) -> Dict[str, object]:
-        body: Dict[str, object] = {"payload": self.payload}
-        if self.info is not None:
-            body["info"] = self.info.to_json_dict()
-        return body
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessPayload":
-        _check_fields("WitnessPayload", payload, {"payload", "info"})
-        info = payload.get("info")
-        return cls(
-            payload=_field(payload, "payload", str),
-            info=WitnessInfo.from_json_dict(info) if info is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WitnessPayload":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-def _parse_json_object(text) -> Mapping[str, object]:
-    try:
-        payload = json.loads(text)
-    except (ValueError, TypeError) as exc:
-        raise invalid_request(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, Mapping):
-        raise invalid_request(
-            f"request body must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
 
 
 #: Every serializable contract type, for the round-trip property tests.

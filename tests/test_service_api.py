@@ -361,6 +361,40 @@ def test_mistyped_fields_are_rejected():
         with pytest.raises(api.ApiError) as excinfo:
             api.SynthesizeRequest.from_json_dict(payload)
         assert excinfo.value.code == "invalid_request"
+    for cls, payload in (
+        (api.ProblemInfo, {"name": "p", "description": "d", "tags": [1, {"x": 2}]}),
+        (api.SweepResponse, {"wall_seconds": 0.1, "processes": 1, "counts": {"ok": "many"}}),
+        (api.SweepResponse, {"wall_seconds": 0.1, "processes": 1, "counts": {"ok": True}}),
+        (api.SweepOutcome, {"name": "p", "status": "ok", "seconds": 0.1, "stage_seconds": {"a": "1"}}),
+        (api.SweepRequest, {"problems": ["a", 7]}),
+        (api.TraceInfo, {"trace_id": "t", "spans": [3]}),
+    ):
+        with pytest.raises(api.ApiError) as excinfo:
+            cls.from_json_dict(payload)
+        assert excinfo.value.code == "invalid_request"
+
+
+def test_non_finite_numbers_are_invalid_requests():
+    for body in (
+        '{"problem": "p", "timeout": NaN}',
+        '{"problem": "p", "timeout": Infinity}',
+        '{"problem": "p", "timeout": -Infinity}',
+        '{"problem": "p", "timeout": 1e999}',
+    ):
+        with pytest.raises(api.ApiError) as excinfo:
+            api.SynthesizeRequest.from_json(body)
+        assert excinfo.value.code == "invalid_request"
+    for timeout in (float("nan"), float("inf")):
+        with pytest.raises(api.ApiError, match="finite"):
+            api.SynthesizeRequest(problem="p", timeout=timeout)
+        with pytest.raises(api.ApiError, match="finite"):
+            api.SweepSubmitRequest(timeout=timeout)
+    # An int inside a float-valued map is kept as an int: its bytes round-trip.
+    outcome = api.SweepOutcome.from_json(
+        '{"name": "p", "status": "ok", "seconds": 1, "stage_seconds": {"validate": 2}}'
+    )
+    assert outcome.seconds == 1.0 and isinstance(outcome.seconds, float)
+    assert '"validate": 2\n' in outcome.to_json()
 
 
 def test_request_invariants_hold_at_construction():

@@ -284,6 +284,15 @@ def test_http_error_taxonomy(server):
     assert code == 504 and body["error"]["code"] == "timeout"
 
 
+def test_non_finite_timeout_is_a_400(server):
+    # json.dumps writes float("nan") as the bare token NaN.
+    code, body = http_error(
+        http_post, server.url + "/v1/synthesize", {"problem": "union_view", "timeout": float("nan")}
+    )
+    assert code == 400 and body["error"]["code"] == "invalid_request"
+    assert "NaN" in body["error"]["message"]
+
+
 def test_corrupt_disk_entry_does_not_serve_warm_inline(tmp_path):
     """A peeked-but-unreadable cache entry must fall back to the job queue,
     never to an inline cold synthesis on the event loop."""

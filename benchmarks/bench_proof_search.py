@@ -17,10 +17,8 @@ Two roles:
   on CI (``benchmarks/compare_bench.py``).  The ISSUE 6 acceptance floor —
   ≥1.5× cold on the ``pair_tower`` family and ``intersection_of_3_views`` —
   is asserted here so a regression fails the benchmark run itself, not just
-  the comparison gate.  Non-ratio sections record the shared-tables reuse
-  across a parametric family and the persisted-program warm resynthesize
-  (fresh cache instance over the same disk tier must report a
-  ``persisted`` formula-compile source in its :class:`PipelineReport`).
+  the comparison gate.  A non-ratio section records the shared-tables reuse
+  across a parametric family.
 
 Usage::
 
@@ -29,7 +27,6 @@ Usage::
 
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -209,55 +206,6 @@ def measure_shared_tables() -> dict:
     }
 
 
-def measure_persisted_programs() -> dict:
-    """Warm-process resynthesize against a populated program store.
-
-    A second pipeline over a **fresh** cache instance (empty memory tier,
-    same disk directory — i.e. a new worker process) must report a
-    ``persisted`` formula-compile source: the compiled program is loaded
-    from the store instead of being re-generated.
-    """
-    from repro.service.cache import SynthesisCache
-    from repro.service.pipeline import STAGE_FORMULA_COMPILE, SynthesisPipeline
-
-    from repro.core.interning import intern
-
-    problem = examples.union_view()
-    instances = examples.multi_union_view_instances(2, 12)
-    with tempfile.TemporaryDirectory(prefix="bench_proof_search_cache") as disk_dir:
-        cold_pipeline = SynthesisPipeline(
-            cache=SynthesisCache(disk_dir=disk_dir),
-            search_factory=lambda: ProofSearch(max_depth=12),
-        )
-        cold = cold_pipeline.run(problem, instances)
-        assert cold.result is not None and not cold.cache_hit
-        cold_compile = cold.stage(STAGE_FORMULA_COMPILE)
-
-        # Simulate the fresh worker: drop the in-process compiled-program
-        # node cache so the warm pipeline can only be served by the disk
-        # store (a new process starts with no node caches at all).
-        intern(problem.phi).__dict__.pop("_fprogs", None)
-
-        warm_pipeline = SynthesisPipeline(
-            cache=SynthesisCache(disk_dir=disk_dir),
-            search_factory=lambda: ProofSearch(max_depth=12),
-        )
-        warm = warm_pipeline.run(problem, instances)
-        assert warm.cache_hit, "expected the disk tier to serve the resynthesize"
-        warm_compile = warm.stage(STAGE_FORMULA_COMPILE)
-        assert warm_compile.detail["source"] == "persisted", warm_compile.detail
-        assert warm.verification is not None and warm.verification.ok
-    return {
-        "problem": "union_view",
-        "cold_compile_source": cold_compile.detail["source"],
-        "cold_compile_seconds": cold_compile.seconds,
-        "warm_cache_tier": warm.cache_tier,
-        "warm_compile_source": warm_compile.detail["source"],
-        "warm_compile_seconds": warm_compile.seconds,
-        "warm_rows_seeded": warm_compile.detail["rows_seeded"],
-    }
-
-
 def measure() -> dict:
     report = {
         "harness": "benchmarks/_bench_core_timing.py (best-of wall clock, seconds)",
@@ -265,7 +213,6 @@ def measure() -> dict:
         "acceptance_floor": ACCEPTANCE_FLOOR,
         **measure_cold_speedups(),
         "shared_tables_reuse": measure_shared_tables(),
-        "persisted_programs": measure_persisted_programs(),
     }
     for name in GATED:
         measured = report["measured_speedup"][name]

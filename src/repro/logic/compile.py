@@ -33,16 +33,16 @@ re-evaluation.  Rows lacking a free variable fall back to the lazy
 :class:`~repro.nr.columns.LazyColumns` path so "unbound only fails if
 actually demanded" is preserved exactly.
 
+Both caches — the program on the formula node and its row memo — live only
+in the process that built them.  Nothing is written to disk: a fresh process
+compiles each formula again.
+
 The per-assignment :func:`repro.logic.semantics.eval_formula` remains the
 differential-testing oracle for every backend (``tests/test_formula_compile.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import marshal
-import types
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,12 +78,8 @@ from repro.nr.columns import (
 __all__ = [
     "BACKENDS",
     "FormulaProgram",
-    "PROGRAM_FORMAT_VERSION",
     "compile_formula",
-    "compiler_fingerprint",
     "eval_formula_columns",
-    "export_program",
-    "import_program",
 ]
 
 #: Backend names accepted by :func:`compile_formula` (``None`` = auto).
@@ -132,8 +128,6 @@ def _unbound_var(var: Var) -> None:
     _F_ALL,
     _F_ANY,
 ) = range(16)
-
-_N_OPCODES = _F_ANY + 1
 
 _Instr = Tuple[int, object]
 
@@ -330,14 +324,18 @@ class _Region:
         self.base_cache: Dict[Var, str] = {}
 
 
-def _codegen_consts() -> dict:
-    """The static globals of every generated runner.
-
-    Factored out so :func:`import_program` can rebuild the namespace of a
-    persisted code object without re-generating source; only ``Var`` consts
-    (``v<i>`` entries) vary per program and travel in the payload.
-    """
-    return {
+def _generate_source(program: List[_Instr]) -> Tuple[str, dict]:
+    lines: List[str] = [
+        "def _compiled(base, interner, nrows):",
+        "    _pc = interner.pair_column",
+        "    _pj = interner.proj_column",
+        "    _mb = interner.member",
+        "    _uid = interner.unit_id",
+        "    _ex = interner.explode_sets",
+    ]
+    # The static globals of every generated runner; ``const`` adds the
+    # per-program ``Var`` entries.
+    consts: dict = {
         "_cmp": compose_rowmap,
         "_gc": gather_column,
         "_gb": gather_base_column_flat,
@@ -351,18 +349,6 @@ def _codegen_consts() -> dict:
         "zip": zip,
         "enumerate": enumerate,
     }
-
-
-def _generate_source(program: List[_Instr]) -> Tuple[str, dict]:
-    lines: List[str] = [
-        "def _compiled(base, interner, nrows):",
-        "    _pc = interner.pair_column",
-        "    _pj = interner.proj_column",
-        "    _mb = interner.member",
-        "    _uid = interner.unit_id",
-        "    _ex = interner.explode_sets",
-    ]
-    consts: dict = _codegen_consts()
     counter = [0]
 
     def fresh(prefix: str) -> str:
@@ -544,11 +530,9 @@ class FormulaProgram:
         "backend",
         "free_vars",
         "runner",
-        "instructions",
         "stats",
         "_memo",
         "_memo_interner",
-        "_seed_rows",
     )
 
     def __init__(
@@ -557,33 +541,26 @@ class FormulaProgram:
         backend: str,
         free_vars: Tuple[Var, ...],
         runner: Callable,
-        instructions: List[_Instr],
     ) -> None:
         self.formula = formula
         self.backend = backend
         self.free_vars = free_vars
         self.runner = runner
-        self.instructions = instructions
         #: ``rows`` counts rows submitted, ``row_hits`` rows answered from the
         #: memo, ``rows_run`` distinct rows the program actually executed on
         #: (in-family duplicates collapse before execution), ``runs`` program
-        #: executions, ``rows_seeded`` memo entries primed from a persisted
-        #: payload (:func:`import_program`).
+        #: executions.
         self.stats: Dict[str, int] = {
             "rows": 0,
             "row_hits": 0,
             "rows_run": 0,
             "runs": 0,
-            "rows_seeded": 0,
         }
         self._memo: Dict[Tuple[int, ...], bool] = {}
         # A *weak* reference: programs live as long as their (hash-consed)
         # formula nodes, so a strong reference here would pin a rotated-out
         # shared interner — and its whole id space — until the next eval.
         self._memo_interner: Optional[weakref.ref] = None
-        # Persisted verification rows as *Values* (interner-independent);
-        # re-interned lazily whenever the memo rebinds to a new interner.
-        self._seed_rows: List[Tuple[Tuple, bool]] = []
 
     def run_columns(self, base, nrows: int, interner: ValueInterner) -> List[bool]:
         """Run the compiled program over prepared base columns."""
@@ -618,12 +595,6 @@ class FormulaProgram:
             if memo_interner is None or memo_interner() is not interner:
                 self._memo_interner = weakref.ref(interner)
                 self._memo = {}
-                seeds = self._seed_rows
-                if seeds:
-                    memo_seed = self._memo
-                    for values, ok in seeds:
-                        memo_seed[tuple(intern_value(v) for v in values)] = ok
-                    self.stats["rows_seeded"] += len(seeds)
             memo = self._memo
         else:
             memo = {}
@@ -674,7 +645,7 @@ def _build_program(formula: Formula, backend: Optional[str]) -> FormulaProgram:
 
     else:
         raise ValueError(f"unknown formula backend {backend!r} (expected one of {BACKENDS})")
-    return FormulaProgram(formula, resolved, free_vars, runner, program)
+    return FormulaProgram(formula, resolved, free_vars, runner)
 
 
 def compile_formula(formula: Formula, backend: Optional[str] = None) -> FormulaProgram:
@@ -711,133 +682,6 @@ def compile_formula(formula: Formula, backend: Optional[str] = None) -> FormulaP
             object.__setattr__(formula, "_fprogs", alias)
         alias[backend] = program
     return program
-
-
-# =====================================================================
-# Persistence: compiled programs across processes
-# =====================================================================
-#
-# A payload is a plain picklable dict; the service cache stores it in the
-# disk tier so fresh worker processes skip compile *and* the verification
-# rows the fleet has already evaluated.  Everything is guarded by
-# :func:`compiler_fingerprint` — any skew in the program format, the codegen
-# limits or the interpreter's bytecode magic invalidates old payloads, and
-# :func:`import_program` answers ``None`` for anything it cannot trust, so
-# the worst case is always a clean recompile.
-
-#: Bump on any change to the instruction format or generated-source shape.
-PROGRAM_FORMAT_VERSION = 1
-
-
-def compiler_fingerprint() -> str:
-    """Version stamp baked into every persisted program payload."""
-    parts = (
-        f"format={PROGRAM_FORMAT_VERSION}",
-        f"opcodes={_N_OPCODES}",
-        f"depth={MAX_CODEGEN_DEPTH}",
-        f"nodes={MAX_CODEGEN_NODES}",
-        f"magic={importlib.util.MAGIC_NUMBER.hex()}",
-    )
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-
-#: Cap on persisted verification rows per program: enough to cover a
-#: registry family's witness tables, small enough to keep payloads cheap.
-MAX_PERSISTED_ROWS = 512
-
-
-def export_program(program: FormulaProgram, max_rows: int = MAX_PERSISTED_ROWS) -> dict:
-    """A picklable payload for ``program``: code, consts and row memo.
-
-    Codegen programs ship their compiled code object (``marshal``) plus the
-    per-program ``Var`` consts, so importing skips source generation *and*
-    ``compile()``; the structured instruction list rides along as the
-    rebuild fallback and as the interpreter backend's whole payload.  Up to
-    ``max_rows`` verified rows are externed to interner-independent
-    :class:`~repro.nr.values.Value` tuples.
-    """
-    runner = program.runner
-    code_blob = None
-    const_vars = None
-    if program.backend == "codegen":
-        code_blob = marshal.dumps(runner.__code__)
-        const_vars = {
-            name: obj for name, obj in runner.__globals__.items() if isinstance(obj, Var)
-        }
-    rows: List[Tuple[Tuple, bool]] = []
-    memo_ref = program._memo_interner
-    interner = memo_ref() if memo_ref is not None else None
-    if interner is not None and program._memo:
-        extern = interner.extern
-        for key, ok in program._memo.items():
-            rows.append((tuple(extern(vid) for vid in key), ok))
-            if len(rows) >= max_rows:
-                break
-    return {
-        "fingerprint": compiler_fingerprint(),
-        "formula": str(program.formula),
-        "backend": program.backend,
-        "free_vars": program.free_vars,
-        "instructions": program.instructions,
-        "code": code_blob,
-        "const_vars": const_vars,
-        "rows": rows,
-    }
-
-
-def import_program(payload: dict, formula: Formula) -> Optional[FormulaProgram]:
-    """Rebuild a program from a persisted payload, or ``None`` to recompile.
-
-    ``None`` — never an exception — on fingerprint mismatch, formula
-    mismatch, or any corruption in the payload: the caller falls back to
-    :func:`compile_formula` and the stale payload is simply overwritten on
-    the next store.  A successful import installs the program in the
-    hash-consed node cache exactly like a fresh compile, so subsequent
-    :func:`compile_formula` calls in the process hit it.
-    """
-    try:
-        if payload["fingerprint"] != compiler_fingerprint():
-            return None
-        if payload["formula"] != str(formula):
-            return None
-        resolved = payload["backend"]
-        if resolved not in BACKENDS:
-            return None
-        canonical = intern(formula)
-        cache = canonical.__dict__.get("_fprogs")
-        if cache is None:
-            cache = {}
-            object.__setattr__(canonical, "_fprogs", cache)
-        existing = cache.get(resolved)
-        if existing is not None:
-            # The process already compiled this formula; at most adopt the
-            # persisted rows if it has not verified anything itself yet.
-            if not existing._seed_rows and not existing._memo:
-                existing._seed_rows = list(payload["rows"])
-            return existing
-        instructions = list(payload["instructions"])
-        free_vars = tuple(payload["free_vars"])
-        runner: Optional[Callable] = None
-        if resolved == "codegen":
-            code_blob = payload.get("code")
-            if code_blob is not None:
-                namespace = _codegen_consts()
-                namespace.update(payload.get("const_vars") or {})
-                runner = types.FunctionType(marshal.loads(code_blob), namespace, "_compiled")
-            else:
-                runner = _compile_codegen(instructions)
-        else:
-
-            def runner(base, interner, nrows, _program=instructions):
-                return _run_program(_program, None, base, interner, nrows)
-
-        program = FormulaProgram(canonical, resolved, free_vars, runner, instructions)
-        program._seed_rows = list(payload["rows"])
-        cache[resolved] = program
-        cache.setdefault(None, program)
-        return program
-    except Exception:
-        return None
 
 
 def eval_formula_columns(

@@ -17,7 +17,8 @@ This module provides the columnar substrate the batched backends share:
 * set algebra runs as **linear merges over the sorted id arrays**
   (:func:`merge_union`, :func:`merge_diff`, :func:`merge_many` — the
   sorted-sequence merge style used by big-BWT construction), never touching
-  per-row Python ``frozenset`` objects;
+  per-row Python ``frozenset`` objects.  The kernels are plain Python with
+  no optional dependency, so every interned id is the same on every install;
 * binary operations are memoized on operand ids, so the massive value
   sharing of enumerated assignment families collapses duplicated work
   across rows into single dictionary hits;
@@ -33,7 +34,6 @@ returned by :func:`shared_interner`.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from heapq import merge as _heapq_merge
@@ -53,17 +53,13 @@ _EMPTY_ARRAY = array("q")
 # Sorted-id-array merge kernels
 # =====================================================================
 #
-# The merge algebra is deliberately a *narrow interface*: three functions over
-# canonical (sorted, duplicate-free) ``array('q')`` id arrays.  The pure-Python
-# kernels below are the reference semantics; an optional numpy backend
-# (:func:`set_merge_backend`) can be swapped in behind the same three names.
-# Both backends produce identical canonical arrays — set union/difference of
-# sorted unique sequences has exactly one sorted unique answer — so every
-# downstream interned id is the same under either backend, and the
-# ``BATCH_EVALUATORS`` differential harness locks them together.
+# The merge algebra is deliberately a *narrow interface*: three pure-Python
+# functions over canonical (sorted, duplicate-free) ``array('q')`` id arrays.
+# Set union/difference of sorted unique sequences has exactly one sorted
+# unique answer, so every downstream interned id is fixed by these kernels.
 
 
-def _merge_union_python(left: array, right: array) -> array:
+def merge_union(left: array, right: array) -> array:
     """Union of two sorted duplicate-free id arrays, one linear pass."""
     if not left:
         return right
@@ -92,7 +88,7 @@ def _merge_union_python(left: array, right: array) -> array:
     return out
 
 
-def _merge_diff_python(left: array, right: array) -> array:
+def merge_diff(left: array, right: array) -> array:
     """Difference ``left \\ right`` of sorted duplicate-free id arrays."""
     if not left or not right:
         return left
@@ -115,14 +111,14 @@ def _merge_diff_python(left: array, right: array) -> array:
     return out
 
 
-def _merge_many_python(arrays: Sequence[array]) -> array:
+def merge_many(arrays: Sequence[array]) -> array:
     """K-way union of sorted duplicate-free id arrays (heap merge + dedup)."""
     if not arrays:
         return _EMPTY_ARRAY
     if len(arrays) == 1:
         return arrays[0]
     if len(arrays) == 2:
-        return _merge_union_python(arrays[0], arrays[1])
+        return merge_union(arrays[0], arrays[1])
     out = array("q")
     append = out.append
     previous = None
@@ -131,122 +127,6 @@ def _merge_many_python(arrays: Sequence[array]) -> array:
             append(vid)
             previous = vid
     return out
-
-
-def _merge_union_numpy(left: array, right: array) -> array:
-    if not left:
-        return right
-    if not right:
-        return left
-    np = _NUMPY
-    merged = np.union1d(np.frombuffer(left, dtype=np.int64), np.frombuffer(right, dtype=np.int64))
-    out = array("q")
-    out.frombytes(merged.tobytes())
-    return out
-
-
-def _merge_diff_numpy(left: array, right: array) -> array:
-    if not left or not right:
-        return left
-    np = _NUMPY
-    kept = np.setdiff1d(
-        np.frombuffer(left, dtype=np.int64),
-        np.frombuffer(right, dtype=np.int64),
-        assume_unique=True,
-    )
-    out = array("q")
-    out.frombytes(kept.tobytes())
-    return out
-
-
-def _merge_many_numpy(arrays: Sequence[array]) -> array:
-    if not arrays:
-        return _EMPTY_ARRAY
-    if len(arrays) == 1:
-        return arrays[0]
-    np = _NUMPY
-    merged = np.unique(
-        np.concatenate([np.frombuffer(a, dtype=np.int64) for a in arrays if len(a)] or
-                       [np.empty(0, dtype=np.int64)])
-    )
-    out = array("q")
-    out.frombytes(merged.tobytes())
-    return out
-
-
-_NUMPY = None
-_MERGE_BACKEND = "python"
-
-#: The active kernel triple (union, diff, many).  The public ``merge_*``
-#: functions below are *stable* dispatchers over this slot, so references
-#: imported anywhere — including the ``repro.nr`` re-exports — follow a
-#: backend switch instead of freezing the kernel that was active at import.
-_KERNELS = (_merge_union_python, _merge_diff_python, _merge_many_python)
-
-
-def merge_union(left: array, right: array) -> array:
-    """Union of two sorted duplicate-free id arrays (active backend)."""
-    return _KERNELS[0](left, right)
-
-
-def merge_diff(left: array, right: array) -> array:
-    """Difference ``left \\ right`` of sorted id arrays (active backend)."""
-    return _KERNELS[1](left, right)
-
-
-def merge_many(arrays: Sequence[array]) -> array:
-    """K-way union of sorted duplicate-free id arrays (active backend)."""
-    return _KERNELS[2](arrays)
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy merge backend can be activated."""
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy  # noqa: PLC0415 — optional dependency, gated import
-        except ImportError:
-            return False
-        _NUMPY = numpy
-    return True
-
-
-def merge_backend() -> str:
-    """The active merge backend name (``"python"`` or ``"numpy"``)."""
-    return _MERGE_BACKEND
-
-
-def set_merge_backend(name: str) -> str:
-    """Select the sorted-id merge kernels; returns the previous backend name.
-
-    ``"python"`` — the reference linear-merge kernels (always available);
-    ``"numpy"`` — vectorized ``union1d``/``setdiff1d``/``unique`` over
-    zero-copy ``int64`` views of the id arrays (raises :class:`RuntimeError`
-    when numpy is not installed); ``"auto"`` — numpy when available, python
-    otherwise.  Both backends return identical canonical arrays, so switching
-    mid-process never changes any interned id.
-    """
-    global _MERGE_BACKEND, _KERNELS
-    if name == "auto":
-        name = "numpy" if numpy_available() else "python"
-    if name == "numpy":
-        if not numpy_available():
-            raise RuntimeError("numpy merge backend requested but numpy is not installed")
-        kernels = (_merge_union_numpy, _merge_diff_numpy, _merge_many_numpy)
-    elif name == "python":
-        kernels = (_merge_union_python, _merge_diff_python, _merge_many_python)
-    else:
-        raise ValueError(f"unknown merge backend {name!r} (expected 'python', 'numpy' or 'auto')")
-    previous = _MERGE_BACKEND
-    _MERGE_BACKEND = name
-    _KERNELS = kernels
-    return previous
-
-
-# Opt-in via environment (CI smoke forces the backend on and off around one
-# cold synthesize); the default stays the pure-Python reference kernels.
-if os.environ.get("REPRO_MERGE_BACKEND"):
-    set_merge_backend(os.environ["REPRO_MERGE_BACKEND"])
 
 
 # =====================================================================

@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.interning import clear_intern_cache, intern, intern_cache_stats
-from repro.logic.compile import FormulaProgram, export_program, import_program
 from repro.logic.formulas import Formula
 from repro.logic.terms import Var
 from repro.nr.columns import reset_shared_interner, shared_interner_stats
@@ -68,9 +67,6 @@ DEFAULT_INTERNER_ID_BOUND = 1_000_000
 DEFAULT_DISK_ENTRY_BOUND = 1024
 DEFAULT_DISK_PAYLOAD_BOUND = 256 * 1024 * 1024
 
-#: Default bound on persisted compiled programs (``programs/*.pkl``).
-DEFAULT_PROGRAM_ENTRY_BOUND = 1024
-
 
 @dataclass(frozen=True)
 class SpecKey:
@@ -85,11 +81,6 @@ class SpecKey:
 def spec_key(problem: ImplicitDefinitionProblem) -> SpecKey:
     """Content key of ``problem`` (the formula component is hash-consed)."""
     return SpecKey(intern(problem.phi), problem.inputs, problem.output, problem.auxiliaries)
-
-
-def formula_digest(phi: Formula) -> str:
-    """Stable hex content address of a bare formula (for the program store)."""
-    return hashlib.sha256(str(phi).encode("utf-8")).hexdigest()
 
 
 def spec_digest(problem: ImplicitDefinitionProblem) -> str:
@@ -122,11 +113,6 @@ class CacheStats:
     disk_hits: int = 0
     disk_stores: int = 0
     disk_evictions: int = 0
-    program_hits: int = 0
-    program_misses: int = 0
-    program_stores: int = 0
-    program_mismatches: int = 0
-    program_evictions: int = 0
     intern_table_clears: int = 0
     interner_rotations: int = 0
     manifest_skew_drops: int = 0
@@ -180,7 +166,6 @@ class SynthesisCache:
         interner_id_bound: int = DEFAULT_INTERNER_ID_BOUND,
         disk_entry_bound: Optional[int] = DEFAULT_DISK_ENTRY_BOUND,
         disk_payload_bound: Optional[int] = DEFAULT_DISK_PAYLOAD_BOUND,
-        program_entry_bound: Optional[int] = DEFAULT_PROGRAM_ENTRY_BOUND,
         node_id: str = "",
     ) -> None:
         if capacity < 1:
@@ -191,7 +176,6 @@ class SynthesisCache:
         self.interner_id_bound = interner_id_bound
         self.disk_entry_bound = disk_entry_bound
         self.disk_payload_bound = disk_payload_bound
-        self.program_entry_bound = program_entry_bound
         self.node_id = node_id
         self.stats = CacheStats()
         self._lru: "OrderedDict[SpecKey, SynthesisResult]" = OrderedDict()
@@ -346,64 +330,6 @@ class SynthesisCache:
         """
         self._memory_store(spec_key(problem), result)
 
-    # ----------------------------------------------------- compiled programs
-    #: Subdirectory of ``disk_dir`` holding persisted compiled programs.  A
-    #: separate directory keeps the ``*.json`` sidecar scan of the result
-    #: tier (and its eviction policy) blind to program payloads.
-    PROGRAM_SUBDIR = "programs"
-
-    def _program_path(self, phi: Formula) -> Optional[Path]:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / self.PROGRAM_SUBDIR / f"{formula_digest(phi)}.pkl"
-
-    def store_program(self, program: FormulaProgram) -> bool:
-        """Persist ``program`` (code + verified rows) into the disk tier.
-
-        The payload is versioned by :func:`repro.logic.compile.
-        compiler_fingerprint`; see :func:`~repro.logic.compile.export_program`.
-        Returns ``False`` when no disk tier is configured.
-        """
-        path = self._program_path(program.formula)
-        if path is None:
-            return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = pickle.dumps(export_program(program), protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(path, blob)
-        self.stats.program_stores += 1
-        self._disk_dirty = True
-        return True
-
-    def load_program(self, phi: Formula) -> Optional[FormulaProgram]:
-        """A persisted compiled program for ``phi``, or ``None`` to recompile.
-
-        Every failure mode — no disk tier, no payload, torn pickle,
-        fingerprint mismatch — is a miss; a fingerprint mismatch additionally
-        drops the stale payload so it is rewritten by the next store.
-        """
-        path = self._program_path(phi)
-        if path is None:
-            return None
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.stats.program_misses += 1
-            return None
-        try:
-            payload = pickle.loads(blob)
-            program = import_program(payload, phi) if isinstance(payload, dict) else None
-        except Exception:
-            program = None
-        if program is None:
-            self.stats.program_mismatches += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.program_hits += 1
-        return program
-
     def _memory_store(self, key: SpecKey, result: SynthesisResult) -> None:
         lru = self._lru
         if key in lru:
@@ -441,7 +367,6 @@ class SynthesisCache:
         if self._disk_dirty:
             self._disk_dirty = False
             self._evict_cheapest_disk_entries()
-            self._evict_oldest_programs()
         if self.witnesses is not None:
             self.witnesses.maintain()
 
@@ -480,38 +405,6 @@ class SynthesisCache:
             # the generation so their next lookup drops and re-warms.
             self._announce_evictions()
 
-    def _evict_oldest_programs(self) -> None:
-        """Bound ``programs/``, oldest payloads first, announcing via manifest.
-
-        Program payloads have no sidecar (cost metadata lives with the result
-        tier), so the policy is plain FIFO by mtime.  Evictions are announced
-        through the shared manifest exactly like result evictions — peer nodes
-        may hold the dropped programs' rows in warm memo structures, and must
-        observe the bump to re-derive rather than trust a stale memo.
-        """
-        if self.disk_dir is None or not self.program_entry_bound:
-            return
-        program_dir = self.disk_dir / self.PROGRAM_SUBDIR
-        payloads = []
-        for path in program_dir.glob("*.pkl"):
-            try:
-                payloads.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        excess = len(payloads) - self.program_entry_bound
-        if excess <= 0:
-            return
-        evicted = 0
-        for _, path in sorted(payloads)[:excess]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self.stats.program_evictions += 1
-            evicted += 1
-        if evicted:
-            self._announce_evictions()
-
     def _announce_evictions(self) -> None:
         """Bump the shared manifest so peers drop memory copies of evictees."""
         if self.manifest is None:
@@ -530,7 +423,6 @@ class SynthesisCache:
         cutoff = time.time() - self.STALE_TMP_SECONDS
         for tmp in (
             list(self.disk_dir.glob("*.tmp"))
-            + list(self.disk_dir.glob(f"{self.PROGRAM_SUBDIR}/*.tmp"))
             + list(self.disk_dir.glob(f"{WITNESS_SUBDIR}/*.tmp"))
         ):
             try:

@@ -334,30 +334,15 @@ class SynthesisPipeline:
         elif result is None:
             report.source = SOURCE_COLD
 
-        # -------- formula-compile: persisted program, node cache, or fresh.
+        # -------- formula-compile: node cache or fresh.
         # The compiled specification backs the verification stage (and any
-        # later eval); surfacing *where* it came from makes the persisted-
-        # program tier observable — "persisted" means this process skipped
-        # source generation and bytecode compilation entirely.
+        # later eval); "node-cache" means this process already held the
+        # program on the hash-consed formula node.
         with _timed_stage(stages, STAGE_FORMULA_COMPILE) as detail:
-            phi_program = None
-            program_source = "compiled"
-            if self.cache is not None:
-                phi_program = self.cache.load_program(problem.phi)
-                if phi_program is not None:
-                    program_source = "persisted"
-            if phi_program is None:
-                node_cache = problem.phi.__dict__.get("_fprogs")
-                if node_cache and node_cache.get(None) is not None:
-                    program_source = "node-cache"
-                phi_program = compile_formula(problem.phi)
-            detail.update(
-                {
-                    "source": program_source,
-                    "backend": phi_program.backend,
-                    "rows_seeded": len(phi_program._seed_rows),
-                }
-            )
+            node_cache = problem.phi.__dict__.get("_fprogs")
+            program_source = "node-cache" if node_cache and node_cache.get(None) else "compiled"
+            phi_program = compile_formula(problem.phi)
+            detail.update({"source": program_source, "backend": phi_program.backend})
 
         subresults: List[SynthesisResult] = []
         if result is None:
@@ -473,13 +458,6 @@ class SynthesisPipeline:
 
         # -------- cache-store + bounded-memory maintenance.
         if self.cache is not None:
-            # Write the compiled program (with whatever rows verification
-            # just added to its memo) through to the disk tier, so the next
-            # fresh process reports "persisted" above.  Re-storing a program
-            # this process itself imported would be a no-op rewrite; skip it.
-            program_stored = False
-            if program_source != "persisted":
-                program_stored = self.cache.store_program(phi_program)
             if not report.cache_hit:
                 with _timed_stage(stages, STAGE_CACHE_STORE) as detail:
                     self.cache.store(
@@ -488,12 +466,7 @@ class SynthesisPipeline:
                         digest=report.digest,
                         cost_seconds=report.synthesis_seconds,
                     )
-                    detail.update(
-                        {
-                            "disk": self.cache.disk_dir is not None,
-                            "program_stored": program_stored,
-                        }
-                    )
+                    detail["disk"] = self.cache.disk_dir is not None
             self.cache.maintain()
         get_registry().counter(
             "repro_pipeline_runs_total",

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
+from repro.core.subst import replace_subtree
 from repro.errors import SynthesisError
 from repro.interpolation.delta0 import interpolate
 from repro.interpolation.partition import LEFT, RIGHT, Partition, Side
@@ -59,7 +60,6 @@ from repro.nrc.compose import nrc_free_vars
 from repro.nrc.expr import (
     NBigUnion,
     NEmpty,
-    NPair,
     NProj,
     NRCExpr,
     NSingleton,
@@ -165,8 +165,8 @@ def _collect(node: ProofNode, partition: Partition, goal: CollectionGoal) -> Tup
         inner = remapped.for_premise(premise.sequent)
         expr, theta = _collect(premise, inner, goal.replaced(var, pair))
         theta = replace_term(replace_term(theta, fresh1, Proj(1, var)), fresh2, Proj(2, var))
-        expr = _replace_nrc(expr, NVar(fresh1.name, fresh1.typ), NProj(1, NVar(var.name, var.typ)))
-        expr = _replace_nrc(expr, NVar(fresh2.name, fresh2.typ), NProj(2, NVar(var.name, var.typ)))
+        expr = replace_subtree(expr, NVar(fresh1.name, fresh1.typ), NProj(1, NVar(var.name, var.typ)))
+        expr = replace_subtree(expr, NVar(fresh2.name, fresh2.typ), NProj(2, NVar(var.name, var.typ)))
         return expr, theta
     if rule == "prod_beta":
         pair: PairTerm = meta["pair"]
@@ -295,7 +295,7 @@ def _collect_neq(node: ProofNode, partition: Partition, goal: CollectionGoal) ->
             return expr, And(theta, EqUr(neq.left, neq.right))
         return expr, Or(theta, NeqUr(neq.left, neq.right))
     theta = replace_term(theta, neq.right, neq.left)
-    expr = _replace_nrc(expr, term_to_nrc(neq.right), term_to_nrc(neq.left))
+    expr = replace_subtree(expr, term_to_nrc(neq.right), term_to_nrc(neq.left))
     return expr, theta
 
 
@@ -370,30 +370,3 @@ def _rep_term(term: Term, old: Term, new: Term) -> Term:
     from repro.logic.free_vars import replace_term_in_term
 
     return replace_term_in_term(term, old, new)
-
-
-def _replace_nrc(expr: NRCExpr, old: NRCExpr, new: NRCExpr) -> NRCExpr:
-    """Structural replacement of a subexpression inside an NRC expression."""
-    if expr == old:
-        return new
-    if isinstance(expr, (NVar,)):
-        return expr
-    from repro.nrc.expr import NDiff, NGet, NProj as P, NSingleton as S, NUnit, NEmpty as E
-
-    if isinstance(expr, (NUnit, E)):
-        return expr
-    if isinstance(expr, NPair):
-        return NPair(_replace_nrc(expr.left, old, new), _replace_nrc(expr.right, old, new))
-    if isinstance(expr, NUnion):
-        return NUnion(_replace_nrc(expr.left, old, new), _replace_nrc(expr.right, old, new))
-    if isinstance(expr, NDiff):
-        return NDiff(_replace_nrc(expr.left, old, new), _replace_nrc(expr.right, old, new))
-    if isinstance(expr, P):
-        return P(expr.index, _replace_nrc(expr.arg, old, new))
-    if isinstance(expr, S):
-        return S(_replace_nrc(expr.arg, old, new))
-    if isinstance(expr, NGet):
-        return NGet(_replace_nrc(expr.arg, old, new))
-    if isinstance(expr, NBigUnion):
-        return NBigUnion(_replace_nrc(expr.body, old, new), expr.var, _replace_nrc(expr.source, old, new))
-    return expr

@@ -8,8 +8,7 @@ sort their members (:class:`repro.proofs.sequents.Sequent.__str__`), so the
 address is deterministic across processes and machines, exactly like the
 result tier's :func:`repro.service.cache.spec_digest`.
 
-Durability follows the persisted-program playbook of
-:mod:`repro.logic.compile`:
+Durability rules:
 
 * every payload embeds :func:`witness_fingerprint` — bump
   :data:`WITNESS_FORMAT_VERSION` on any change to the payload shape or the
@@ -65,8 +64,8 @@ DEFAULT_WITNESS_MEMORY_BOUND = 32
 def witness_fingerprint() -> str:
     """Version stamp baked into every persisted witness payload.
 
-    Mirrors :func:`repro.logic.compile.compiler_fingerprint`: any skew in the
-    payload format or the rule inventory of the focused calculus invalidates
+    A SHA-256 over :data:`WITNESS_FORMAT_VERSION`, the rule inventory of the
+    focused calculus and the pickle protocol.  Any skew in these invalidates
     old payloads, and the read path answers ``None`` for anything it cannot
     trust, so the worst case is always a clean cold proof search.
     """

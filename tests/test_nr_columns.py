@@ -9,14 +9,11 @@ from hypothesis import given
 from repro.errors import EvaluationError
 from repro.nr.columns import (
     ValueInterner,
-    merge_backend,
     merge_diff,
     merge_many,
     merge_union,
-    numpy_available,
     reduce_segments_all,
     reduce_segments_any,
-    set_merge_backend,
     shared_interner,
 )
 from repro.nr.values import pair, ur, unit, vset
@@ -127,61 +124,6 @@ def test_reduce_segments_any_matches_sliced_any(segments):
 def test_reduce_segments_empty_segments_are_vacuous():
     assert reduce_segments_all([], [0, 0]) == [True, True]
     assert reduce_segments_any([], [0, 0]) == [False, False]
-
-
-# ------------------------------------------------------ numpy merge backend
-def test_merge_backend_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        set_merge_backend("fortran")
-    assert merge_backend() == "python"
-
-
-def test_auto_backend_never_raises():
-    try:
-        previous = set_merge_backend("auto")
-        assert previous == "python"
-        assert merge_backend() == ("numpy" if numpy_available() else "python")
-    finally:
-        set_merge_backend("python")
-
-
-@given(left=sorted_ids, right=sorted_ids, arrays=st.lists(sorted_ids, max_size=5))
-def test_numpy_kernels_match_python_kernels(left, right, arrays):
-    """ISSUE 6 differential lock: the optional vectorized backend must be
-    indistinguishable from the reference python kernels — same element
-    order, same array typecode — on every input."""
-    pytest.importorskip("numpy")
-    py_union = merge_union(left, right)
-    py_diff = merge_diff(left, right)
-    py_many = merge_many(arrays)
-    try:
-        set_merge_backend("numpy")
-        assert merge_union(left, right) == py_union
-        assert merge_diff(left, right) == py_diff
-        assert merge_many(arrays) == py_many
-        assert merge_union(left, right).typecode == py_union.typecode
-    finally:
-        set_merge_backend("python")
-
-
-def test_interner_results_identical_across_backends():
-    pytest.importorskip("numpy")
-    sets = [vset([ur(i), ur(i + 1), ur(2 * i)]) for i in range(6)]
-
-    def fold(interner):
-        ids = [interner.intern(s) for s in sets]
-        out = ids[0]
-        for vid in ids[1:]:
-            out = interner.union_id(out, vid)
-        return interner.extern(out)
-
-    python_result = fold(ValueInterner())
-    try:
-        set_merge_backend("numpy")
-        numpy_result = fold(ValueInterner())
-    finally:
-        set_merge_backend("python")
-    assert python_result == numpy_result
 
 
 # ------------------------------------------------- wide-segment union memo

@@ -22,6 +22,7 @@ from repro.service.cache import (
     spec_digest,
     spec_key,
 )
+from repro.service.pipeline import STAGE_FORMULA_COMPILE, SynthesisPipeline
 from repro.specs import examples
 from repro.synthesis import synthesize
 
@@ -118,6 +119,31 @@ def test_disk_entries_metadata(tmp_path):
     # The sidecar is valid standalone JSON.
     raw = json.loads((tmp_path / f"{digest}.json").read_text())
     assert raw["name"] == "union_view"
+
+
+def test_compiled_programs_stay_in_process(tmp_path):
+    """A run with a disk tier writes no compiled program to disk, so a fresh
+    process serving the result from disk compiles φ again to verify it."""
+    problem = examples.union_view()
+    instances = examples.multi_union_view_instances(2, 12)
+
+    def run():
+        pipeline = SynthesisPipeline(
+            cache=SynthesisCache(disk_dir=tmp_path),
+            search_factory=lambda: ProofSearch(**SEARCH),
+        )
+        return pipeline.run(problem, instances)
+
+    assert not run().cache_hit
+    assert not (tmp_path / "programs").exists()
+    # A fresh process holds no program on the hash-consed formula node.
+    for node in (problem.phi, intern(problem.phi)):
+        node.__dict__.pop("_fprogs", None)
+    warm = run()
+    assert warm.cache_tier == "disk"
+    assert warm.stage(STAGE_FORMULA_COMPILE).detail["source"] == "compiled"
+    assert warm.verification is not None and warm.verification.ok
+    assert not (tmp_path / "programs").exists()
 
 
 def test_stale_tmp_files_are_reaped_on_open(tmp_path):

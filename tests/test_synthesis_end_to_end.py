@@ -216,3 +216,41 @@ def test_parameter_collection_standalone():
         env_common = {nc: inst[c], nB: inst[B]}
         value_common = eval_nrc(expr, env_common)
         assert lam_set in value_common.elements, f"Λ={lam_set} not found in E={value_common}"
+
+
+def test_parameter_collection_prod_eta_leaves_shadowed_occurrences_alone(monkeypatch):
+    """×η maps its fresh components back to projections of the pair variable.
+    An occurrence under a binder of the same name is a different variable:
+    replacing x by π1(p) in {x} ∪ ⋃{ {x} | x ∈ S } keeps the bound x."""
+    from repro.nr.types import prod
+    from repro.nrc.expr import NBigUnion, NProj, NSingleton, NUnion
+    from repro.proofs.prooftree import ProofNode
+    from repro.proofs.sequents import Sequent
+    from repro.synthesis import parameter_collection as collection
+
+    c = Var("c", set_of(UR))
+    A = Var("A", set_of(UR))
+    D = Var("D", set_of(set_of(UR)))
+    z = Var("z", UR)
+    y = Var("y", set_of(UR))
+    p = Var("p", prod(UR, UR))
+    x, w = Var("x", UR), Var("w", UR)
+    goal_formula = Exists(y, D, Forall(z, c, iff(member_hat(z, A), member_hat(z, y))))
+    goal = CollectionGoal(goal_formula, c, z, member_hat(z, A))
+    sequent = Sequent.of((), [goal_formula])
+    premise = ProofNode("top", sequent)
+    node = ProofNode("prod_eta", sequent, (premise,), {"var": p, "fresh": (x, w)})
+
+    nx, S = NVar("x", UR), NVar("S", set_of(UR))
+    collected = NUnion(NSingleton(nx), NBigUnion(NSingleton(nx), nx, S))
+    collect = collection._collect
+
+    def collect_premise(proof, partition, goal_):
+        if proof is premise:
+            return collected, goal_formula
+        return collect(proof, partition, goal_)
+
+    monkeypatch.setattr(collection, "_collect", collect_premise)
+    expr, _ = parameter_collection(node, Partition(), goal)
+    projected = NProj(1, NVar("p", p.typ))
+    assert expr == NUnion(NSingleton(projected), NBigUnion(NSingleton(nx), nx, S))

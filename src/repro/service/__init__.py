@@ -10,8 +10,9 @@
   and provenance (:class:`PipelineReport`).
 * :mod:`repro.service.registry` — named, discoverable problems: the paper's
   examples plus parametric scenario families.
-* :mod:`repro.service.workers`  — the parallel scenario runner (per-job
-  process isolation and timeouts) and the typed-request worker entry point.
+* :mod:`repro.service.workers`  — the one job runner: typed synthesize
+  requests inline or in an isolated, deadlined worker process, and sweeps
+  as batches of those requests.
 * :mod:`repro.service.server`   — :class:`SynthesisService` (cache +
   registry + bounded async job engine) and the stdlib asyncio HTTP
   front-end (``python -m repro serve``).
@@ -37,7 +38,7 @@ from repro.service.registry import (
     default_registry,
 )
 from repro.service.server import BackgroundServer, SynthesisService, serve
-from repro.service.workers import JobOutcome, SweepSummary, run_sweep
+from repro.service.workers import SweepSummary, run_sweep
 
 __all__ = [
     "API_VERSION",
@@ -61,7 +62,6 @@ __all__ = [
     "BackgroundServer",
     "SynthesisService",
     "serve",
-    "JobOutcome",
     "SweepSummary",
     "run_sweep",
 ]

@@ -703,7 +703,12 @@ class JobStatus(Contract):
 
 @dataclass(frozen=True)
 class SweepOutcome(Contract):
-    """Flat wire record of one sweep job (mirrors ``workers.JobOutcome``)."""
+    """Flat wire record of one sweep job: the problem's synthesis outcome.
+
+    ``status`` is ``"ok"``, ``"error"`` or ``"timeout"``; ``expected`` is the
+    registry expectation of the entry, so a failure on an entry that is not
+    expected to synthesize does not fail the sweep.
+    """
 
     name: str
     status: str
@@ -716,6 +721,15 @@ class SweepOutcome(Contract):
     verified: Optional[bool] = None
     error: Optional[str] = None
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    @property
+    def unexpected_failure(self) -> bool:
+        """A failure on an entry that was expected to synthesize cleanly."""
+        return self.status != "ok" and self.expected == "ok"
 
     def to_stable_json_dict(self) -> Dict[str, object]:
         """The deterministic projection: everything except timings/placement.

@@ -11,11 +11,16 @@ cannot drift apart.
 Job engine invariants
 =====================
 
+* **One job table.**  Synthesize jobs and sweep jobs share one ``_Job``
+  record, one table and one run/finish/wait path; the request type tells
+  them apart.  Their ids stay in separate namespaces (``/v1/jobs/<sweep-id>``
+  is ``unknown_job``), finished-job retention is per kind, and one
+  ``queue_limit`` bounds both.
 * **The event loop never blocks on proof search.**  Each job runs in its own
   worker process (:func:`repro.service.workers.run_request_in_process` — the
-  same spawn/poll/terminate machinery as the sweep pool), awaited through an
-  executor thread.  The loop stays free to answer ``/healthz``, job polls and
-  further submissions while searches run.
+  runner sweeps use too), awaited through an executor thread.  The loop
+  stays free to answer ``/healthz``, job polls and further submissions
+  while searches run.
 * **Warm-cache submissions never enter the queue.**  ``submit`` peeks the
   cache first (:meth:`SynthesisCache.peek` — no stats mutation); a hit is
   served inline as an already-``done`` job, concurrent hits cost a dict
@@ -72,7 +77,8 @@ Sweeps are first-class fleet jobs: ``submit_sweep`` plans shards with a
 ``worker_nodes`` (or the submission's ``nodes``, or the local pool), runs
 the blocking coordinator on an executor thread, and publishes per-shard
 progress snapshots for ``GET /v1/sweeps/<id>`` as the coordinator reports
-transitions.
+transitions.  A local shard runs each problem as one synthesize request
+through :func:`repro.service.workers.run_sweep`.
 """
 
 from __future__ import annotations
@@ -117,16 +123,25 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8075
 #: Bound on jobs queued + running; past it ``submit`` fails with queue_full.
 DEFAULT_QUEUE_LIMIT = 64
-#: Finished jobs retained for polling before the oldest are forgotten.
+#: Finished jobs of each kind (synthesize, sweep) retained for polling
+#: before the oldest are forgotten.
 FINISHED_JOB_RETENTION = 256
 
 
 @dataclass
 class _Job:
-    """Mutable engine-side record of one async job (snapshots go out typed)."""
+    """Mutable engine-side record of one async job (snapshots go out typed).
+
+    The request type tells the two kinds apart: a
+    :class:`~repro.service.api.SynthesizeRequest` job answers
+    :class:`~repro.service.api.JobStatus` snapshots, a
+    :class:`~repro.service.api.SweepSubmitRequest` job answers
+    :class:`~repro.service.api.SweepJobStatus` snapshots with per-shard
+    progress.
+    """
 
     id: str
-    request: api.SynthesizeRequest
+    request: Union[api.SynthesizeRequest, api.SweepSubmitRequest]
     state: str
     #: Wall-clock timestamps — *display only* (they go out on the wire).
     #: All ordering/duration arithmetic uses the ``*_mono`` fields so a
@@ -136,10 +151,12 @@ class _Job:
     finished_at: Optional[float] = None
     submitted_mono: float = 0.0
     finished_mono: Optional[float] = None
-    #: The resolved registry entry (a synthetic one for ``spec_text`` jobs,
-    #: whose requests carry no registry name).
+    #: The resolved registry entry of a synthesize job (a synthetic one for
+    #: ``spec_text`` jobs, whose requests carry no registry name).
     entry: Optional[RegistryEntry] = None
-    result: Optional[api.SynthesisResult] = None
+    #: A sweep job's shard snapshots, published by its coordinator.
+    shards: Tuple[api.ShardInfo, ...] = ()
+    result: Union[api.SynthesisResult, api.SweepResponse, None] = None
     error: Optional[api.ErrorInfo] = None
     task: Optional[asyncio.Task] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
@@ -147,32 +164,12 @@ class _Job:
     trace_id: Optional[str] = None
 
     @property
-    def problem_name(self) -> str:
-        return self.entry.name if self.entry is not None else self.request.problem
+    def is_sweep(self) -> bool:
+        return isinstance(self.request, api.SweepSubmitRequest)
 
     @property
-    def active(self) -> bool:
-        return self.state in (api.JOB_QUEUED, api.JOB_RUNNING)
-
-
-@dataclass
-class _SweepJob:
-    """Mutable engine-side record of one async *sweep* job."""
-
-    id: str
-    request: api.SweepSubmitRequest
-    state: str
-    submitted_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    submitted_mono: float = 0.0
-    finished_mono: Optional[float] = None
-    shards: Tuple[api.ShardInfo, ...] = ()
-    result: Optional[api.SweepResponse] = None
-    error: Optional[api.ErrorInfo] = None
-    task: Optional[asyncio.Task] = None
-    done_event: Optional[asyncio.Event] = None
-    trace_id: Optional[str] = None
+    def problem_name(self) -> str:
+        return self.entry.name if self.entry is not None else self.request.problem
 
     @property
     def active(self) -> bool:
@@ -213,7 +210,7 @@ class SynthesisService:
                 self.cache = SynthesisCache(disk_dir=self.cache_dir, node_id=self.node_id)
             except OSError as exc:
                 raise api.invalid_request(
-                    f"cannot use cache dir {self.cache_dir!r}: {exc}"
+                    f"cannot use cache dir {self.cache_dir!r}: {type(exc).__name__}: {exc}"
                 ) from exc
         self.max_workers = max_workers or (os.cpu_count() or 2)
         self.queue_limit = queue_limit
@@ -221,8 +218,8 @@ class SynthesisService:
         self.jobs_enqueued = 0
         self.warm_submissions = 0
         self.sweeps_enqueued = 0
+        #: Synthesize and sweep jobs, keyed by id (``job-…`` / ``sweep-…``).
         self._jobs: Dict[str, _Job] = {}
-        self._sweep_jobs: Dict[str, _SweepJob] = {}
         self._ids = itertools.count(1)
         self._worker_slots: Optional[asyncio.Semaphore] = None
         _register_service_collectors(self)
@@ -424,18 +421,14 @@ class SynthesisService:
         )
 
     def queue_depth(self) -> int:
-        """Jobs currently queued or running (sync jobs + sweep jobs)."""
-        return sum(1 for job in self._jobs.values() if job.active) + sum(
-            1 for job in self._sweep_jobs.values() if job.active
-        )
+        """Jobs currently queued or running (synthesize jobs + sweep jobs)."""
+        return sum(1 for job in self._jobs.values() if job.active)
 
     def health(self) -> Dict[str, object]:
         counts = {state: 0 for state in api.JOB_STATES}
-        for job in self._jobs.values():
-            counts[job.state] += 1
         sweep_counts = {state: 0 for state in api.JOB_STATES}
-        for sweep_job in self._sweep_jobs.values():
-            sweep_counts[sweep_job.state] += 1
+        for job in self._jobs.values():
+            (sweep_counts if job.is_sweep else counts)[job.state] += 1
         registry = get_registry()
         return {
             "status": "ok",
@@ -461,26 +454,53 @@ class SynthesisService:
         }
 
     # ------------------------------------------------------------- job engine
-    def _snapshot(self, job: _Job) -> api.JobStatus:
-        return api.JobStatus(
+    def _snapshot(self, job: _Job) -> Union[api.JobStatus, api.SweepJobStatus]:
+        common = dict(
             id=job.id,
             state=job.state,
-            problem=job.problem_name,
             submitted_at=job.submitted_at,
             started_at=job.started_at,
             finished_at=job.finished_at,
             result=job.result,
             error=job.error,
         )
+        if job.is_sweep:
+            return api.SweepJobStatus(shards=job.shards, **common)
+        return api.JobStatus(problem=job.problem_name, **common)
 
-    def _get_job(self, job_id: str) -> _Job:
+    def _get_job(self, job_id: str, sweep: bool = False) -> _Job:
+        """The job ``job_id`` of the given kind; the kinds' ids never cross."""
         job = self._jobs.get(job_id)
-        if job is None:
+        if job is None or job.is_sweep != sweep:
             raise api.unknown_job(job_id)
         return job
 
-    def _prune_finished(self) -> None:
-        finished = [job for job in self._jobs.values() if not job.active]
+    def _new_job(self, job_id: str, request, **values) -> _Job:
+        context = get_tracer().current()
+        return _Job(
+            id=job_id,
+            request=request,
+            state=api.JOB_QUEUED,
+            submitted_at=time.time(),
+            submitted_mono=time.monotonic(),
+            trace_id=context.trace_id if context is not None else None,
+            **values,
+        )
+
+    def _add(self, job: _Job) -> None:
+        self._jobs[job.id] = job
+        self._prune_finished(job.is_sweep)
+
+    def _prune_finished(self, sweep: bool = False) -> None:
+        """Forget the oldest finished jobs of one kind past the retention bound.
+
+        Retention is per kind, so a burst of one kind never evicts the other.
+        """
+        if len(self._jobs) <= FINISHED_JOB_RETENTION:
+            return  # no kind can be over the bound: skip the table scan
+        finished = [
+            job for job in self._jobs.values() if not job.active and job.is_sweep == sweep
+        ]
         if len(finished) <= FINISHED_JOB_RETENTION:
             return
         # Monotonic ordering: a backwards wall-clock step must not make a
@@ -488,6 +508,14 @@ class SynthesisService:
         finished.sort(key=lambda job: job.finished_mono or job.submitted_mono)
         for job in finished[: len(finished) - FINISHED_JOB_RETENTION]:
             del self._jobs[job.id]
+
+    def _enqueue(self, job: _Job, work, span_name: str, **span_attributes) -> None:
+        """Queue ``job``; ``work(trace_context)`` runs it on an executor thread."""
+        if self._worker_slots is None:
+            self._worker_slots = asyncio.Semaphore(self.max_workers)
+        job.done_event = asyncio.Event()
+        job.task = asyncio.create_task(self._run_job(job, work, span_name, span_attributes))
+        self._add(job)
 
     def _warm_response(
         self, request: api.SynthesizeRequest, entry: RegistryEntry
@@ -527,50 +555,54 @@ class SynthesisService:
         """
         entry = resolve_request_entry(request, self.registry)
         job_id = f"job-{next(self._ids):06d}"
-        now = time.time()
-        mono = time.monotonic()
-        context = get_tracer().current()
-        trace_id = context.trace_id if context is not None else None
+        job = self._new_job(job_id, request, entry=entry)
         warm = self._warm_response(request, entry)
         if warm is not None:
             self.warm_submissions += 1
-            job = _Job(
-                id=job_id,
-                request=request,
-                state=api.JOB_DONE,
-                submitted_at=now,
-                started_at=now,
-                finished_at=time.time(),
-                submitted_mono=mono,
-                finished_mono=time.monotonic(),
-                entry=entry,
-                result=warm,
-                trace_id=trace_id,
-            )
-            self._jobs[job_id] = job
-            self._prune_finished()
+            job.started_at = job.submitted_at
+            self._finish(job, api.JOB_DONE, result=warm)
+            self._add(job)
             return self._snapshot(job)
         if self.queue_depth() >= self.queue_limit:
             raise api.queue_full(self.queue_limit)
-        job = _Job(
-            id=job_id,
-            request=request,
-            state=api.JOB_QUEUED,
-            submitted_at=now,
-            submitted_mono=mono,
-            entry=entry,
-            done_event=asyncio.Event(),
-            trace_id=trace_id,
-        )
-        self._jobs[job_id] = job
         self.jobs_enqueued += 1
-        if self._worker_slots is None:
-            self._worker_slots = asyncio.Semaphore(self.max_workers)
-        job.task = asyncio.create_task(self._run_job(job))
-        self._prune_finished()
+
+        def work(trace_context):
+            return run_request_in_process(
+                request,
+                cache_dir=request.cache_dir or self.cache_dir,
+                timeout=request.timeout or self.default_job_timeout,
+                cancel=job.cancel_event,
+                trace_context=trace_context,
+            )
+
+        self._enqueue(job, work, "job", problem=job.problem_name)
         return self._snapshot(job)
 
-    async def _run_job(self, job: _Job) -> None:
+    async def submit_sweep(self, request: api.SweepSubmitRequest) -> api.SweepJobStatus:
+        """Enqueue a sweep as one pollable fleet job (``POST /v1/sweeps``)."""
+        if self.queue_depth() >= self.queue_limit:
+            raise api.queue_full(self.queue_limit)
+        job = self._new_job(f"sweep-{next(self._ids):06d}", request)
+
+        def _on_update(shards: Tuple[api.ShardInfo, ...]) -> None:
+            # Called from the coordinator's executor thread; a tuple
+            # assignment is atomic, so pollers always see a consistent set.
+            job.shards = shards
+
+        coordinator, sweep_request, names = self._coordinator_for(request, _on_update)
+        self.sweeps_enqueued += 1
+
+        def work(trace_context):
+            try:
+                return coordinator.run(sweep_request, names, trace_context)
+            finally:
+                job.shards = coordinator.shard_snapshots()
+
+        self._enqueue(job, work, "sweep.job", problems=len(names))
+        return self._snapshot(job)
+
+    async def _run_job(self, job: _Job, work, span_name: str, span_attributes) -> None:
         try:
             async with self._worker_slots:
                 if job.cancel_event.is_set():
@@ -583,19 +615,11 @@ class SynthesisService:
                 # The span closes (and is recorded) before this coroutine
                 # yields after ``_finish``, so ``wait``-ers that resume on the
                 # done event always see the complete job span.
-                with tracer.span("job", job_id=job.id, problem=job.problem_name) as job_span:
+                with tracer.span(span_name, job_id=job.id, **span_attributes) as job_span:
                     if job_span.context is not None:
                         job.trace_id = job_span.context.trace_id
-                    runner = partial(
-                        run_request_in_process,
-                        job.request,
-                        cache_dir=job.request.cache_dir or self.cache_dir,
-                        timeout=job.request.timeout or self.default_job_timeout,
-                        cancel=job.cancel_event,
-                        trace_context=tracer.current(),
-                    )
                     try:
-                        response, result = await loop.run_in_executor(None, runner)
+                        result = await loop.run_in_executor(None, work, tracer.current())
                     except api.ApiError as exc:
                         job_span.set_attribute("error", exc.code)
                         state = api.JOB_CANCELLED if exc.code == "cancelled" else api.JOB_FAILED
@@ -609,8 +633,10 @@ class SynthesisService:
                             error=api.ApiError("internal", f"{type(exc).__name__}: {exc}").info,
                         )
                         return
-                    self._adopt_result(job, result)
-                    self._finish(job, api.JOB_DONE, result=response)
+                    if not job.is_sweep:
+                        result, synthesized = result
+                        self._adopt_result(job, synthesized)
+                    self._finish(job, api.JOB_DONE, result=result)
         except asyncio.CancelledError:
             if not job.finished_at:
                 self._finish(job, api.JOB_CANCELLED, error=api.job_cancelled(job.id).info)
@@ -645,15 +671,26 @@ class SynthesisService:
     async def job_status(self, job_id: str) -> api.JobStatus:
         return self._snapshot(self._get_job(job_id))
 
-    async def wait(self, job_id: str, timeout: Optional[float] = None) -> api.JobStatus:
+    async def sweep_status(self, job_id: str) -> api.SweepJobStatus:
+        return self._snapshot(self._get_job(job_id, sweep=True))
+
+    async def wait(
+        self, job_id: str, timeout: Optional[float] = None, sweep: bool = False
+    ) -> Union[api.JobStatus, api.SweepJobStatus]:
         """Block until the job finishes (or ``timeout`` elapses), then snapshot."""
-        job = self._get_job(job_id)
+        job = self._get_job(job_id, sweep)
         if job.active and job.done_event is not None:
             try:
                 await asyncio.wait_for(job.done_event.wait(), timeout)
             except asyncio.TimeoutError:
                 pass  # return the still-running snapshot
         return self._snapshot(job)
+
+    async def wait_sweep(
+        self, job_id: str, timeout: Optional[float] = None
+    ) -> api.SweepJobStatus:
+        """:meth:`wait` for a sweep job."""
+        return await self.wait(job_id, timeout, sweep=True)
 
     async def cancel(self, job_id: str) -> api.JobStatus:
         job = self._get_job(job_id)
@@ -667,33 +704,6 @@ class SynthesisService:
             # process and resolves the job as cancelled.
             job.cancel_event.set()
         return self._snapshot(job)
-
-    # ------------------------------------------------------- sweep job engine
-    def _sweep_snapshot(self, job: _SweepJob) -> api.SweepJobStatus:
-        return api.SweepJobStatus(
-            id=job.id,
-            state=job.state,
-            submitted_at=job.submitted_at,
-            started_at=job.started_at,
-            finished_at=job.finished_at,
-            shards=job.shards,
-            result=job.result,
-            error=job.error,
-        )
-
-    def _get_sweep_job(self, job_id: str) -> _SweepJob:
-        job = self._sweep_jobs.get(job_id)
-        if job is None:
-            raise api.unknown_job(job_id)
-        return job
-
-    def _prune_finished_sweeps(self) -> None:
-        finished = [job for job in self._sweep_jobs.values() if not job.active]
-        if len(finished) <= FINISHED_JOB_RETENTION:
-            return
-        finished.sort(key=lambda job: job.finished_mono or job.submitted_mono)
-        for job in finished[: len(finished) - FINISHED_JOB_RETENTION]:
-            del self._sweep_jobs[job.id]
 
     def _coordinator_for(
         self, request: api.SweepSubmitRequest, on_update
@@ -719,103 +729,6 @@ class SynthesisService:
             )
         return coordinator, sweep_request, resolve_sweep_names(sweep_request, self.registry)
 
-    async def submit_sweep(self, request: api.SweepSubmitRequest) -> api.SweepJobStatus:
-        """Enqueue a sweep as one pollable fleet job (``POST /v1/sweeps``)."""
-        if self.queue_depth() >= self.queue_limit:
-            raise api.queue_full(self.queue_limit)
-        job_id = f"sweep-{next(self._ids):06d}"
-        context = get_tracer().current()
-        job = _SweepJob(
-            id=job_id,
-            request=request,
-            state=api.JOB_QUEUED,
-            submitted_at=time.time(),
-            submitted_mono=time.monotonic(),
-            done_event=asyncio.Event(),
-            trace_id=context.trace_id if context is not None else None,
-        )
-
-        def _on_update(shards: Tuple[api.ShardInfo, ...]) -> None:
-            # Called from the coordinator's executor thread; a tuple
-            # assignment is atomic, so pollers always see a consistent set.
-            job.shards = shards
-
-        coordinator, sweep_request, names = self._coordinator_for(request, _on_update)
-        self._sweep_jobs[job_id] = job
-        self.sweeps_enqueued += 1
-        if self._worker_slots is None:
-            self._worker_slots = asyncio.Semaphore(self.max_workers)
-        job.task = asyncio.create_task(
-            self._run_sweep_job(job, coordinator, sweep_request, names)
-        )
-        self._prune_finished_sweeps()
-        return self._sweep_snapshot(job)
-
-    async def _run_sweep_job(
-        self,
-        job: _SweepJob,
-        coordinator: SweepCoordinator,
-        sweep_request: api.SweepRequest,
-        names: List[str],
-    ) -> None:
-        try:
-            async with self._worker_slots:
-                job.state = api.JOB_RUNNING
-                job.started_at = time.time()
-                loop = asyncio.get_running_loop()
-                tracer = get_tracer()
-                with tracer.span("sweep.job", job_id=job.id, problems=len(names)) as sweep_span:
-                    if sweep_span.context is not None:
-                        job.trace_id = sweep_span.context.trace_id
-                    try:
-                        result = await loop.run_in_executor(
-                            None, coordinator.run, sweep_request, names, tracer.current()
-                        )
-                    except api.ApiError as exc:
-                        sweep_span.set_attribute("error", exc.code)
-                        job.shards = coordinator.shard_snapshots()
-                        self._finish_sweep(job, api.JOB_FAILED, error=exc.info)
-                        return
-                    except Exception as exc:  # noqa: BLE001 - engine must survive
-                        sweep_span.set_attribute("error", type(exc).__name__)
-                        self._finish_sweep(
-                            job,
-                            api.JOB_FAILED,
-                            error=api.ApiError("internal", f"{type(exc).__name__}: {exc}").info,
-                        )
-                        return
-                    job.shards = coordinator.shard_snapshots()
-                    self._finish_sweep(job, api.JOB_DONE, result=result)
-        except asyncio.CancelledError:
-            if not job.finished_at:
-                self._finish_sweep(
-                    job, api.JOB_CANCELLED, error=api.job_cancelled(job.id).info
-                )
-
-    def _finish_sweep(self, job: _SweepJob, state: str, result=None, error=None) -> None:
-        job.state = state
-        job.result = result
-        job.error = error
-        job.finished_at = time.time()
-        job.finished_mono = time.monotonic()
-        if job.done_event is not None:
-            job.done_event.set()
-
-    async def sweep_status(self, job_id: str) -> api.SweepJobStatus:
-        return self._sweep_snapshot(self._get_sweep_job(job_id))
-
-    async def wait_sweep(
-        self, job_id: str, timeout: Optional[float] = None
-    ) -> api.SweepJobStatus:
-        """Block until the sweep finishes (or ``timeout``), then snapshot."""
-        job = self._get_sweep_job(job_id)
-        if job.active and job.done_event is not None:
-            try:
-                await asyncio.wait_for(job.done_event.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass  # return the still-running snapshot
-        return self._sweep_snapshot(job)
-
     # -------------------------------------------------------------- telemetry
     def job_trace(self, job_id: str) -> api.TraceInfo:
         """Spans recorded so far for a (sweep) job — ``GET /v1/jobs/<id>/trace``.
@@ -824,7 +737,7 @@ class SynthesisService:
         whatever spans have closed so far.  Jobs submitted while tracing was
         disabled have no trace and answer the structured ``no_trace`` error.
         """
-        job = self._jobs.get(job_id) or self._sweep_jobs.get(job_id)
+        job = self._jobs.get(job_id)
         if job is None:
             raise api.unknown_job(job_id)
         if job.trace_id is None:
@@ -1077,7 +990,7 @@ async def _route(service: SynthesisService, request: _HttpRequest) -> Tuple[int,
             payload = status.result.to_json_dict()
             # Hand the caller this node's spans for the sweep so a remote
             # coordinator can stitch one fleet-wide trace across HTTP hops.
-            job = service._sweep_jobs.get(status.id)
+            job = service._jobs.get(status.id)
             spans = service.trace_spans(job.trace_id if job is not None else None)
             if spans:
                 payload["spans"] = [span.to_json_dict() for span in spans]

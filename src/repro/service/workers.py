@@ -1,25 +1,29 @@
-"""Parallel scenario runner: sweep many registry problems concurrently.
+"""One job runner: typed synthesize requests, inline or in a worker process.
 
-Each job runs in its **own worker process** (one process per job, up to
-``processes`` concurrent), which buys two properties a shared pool cannot
-give:
+:func:`execute_synthesize_request` is the single execution body: the CLI's
+in-process service calls it directly, and :func:`run_request_in_process` runs
+it in a **worker process of its own**, which buys two properties a shared
+pool cannot give:
 
 * *failure isolation* — a crashing or memory-exploding job takes down only
-  its process; the sweep records the failure and keeps going;
+  its process; the caller records the failure and keeps going;
 * *per-job timeouts* — a stuck proof search (the ``"hard"`` registry entries
   would search for hours) is ``terminate()``-d at its deadline instead of
   wedging a pool worker forever.
 
-Jobs cross the process boundary as registry *names* plus a small options
-dict, and come back as flat :class:`JobOutcome` records (strings and numbers
-only) — no AST pickling on the hot path.  Workers share results through the
-cache's persistent disk tier when ``cache_dir`` is set: the first worker to
-synthesize a specification stores it; every later worker (and the parent
-process) gets a disk hit.
+Requests cross the process boundary as their JSON dicts and come back as the
+wire response plus the synthesized AST — the HTTP job engine and sweeps use
+the same runner.  :func:`run_sweep` turns each problem name into one
+:class:`~repro.service.api.SynthesizeRequest` and runs it through that runner,
+at most ``processes`` at a time, recording one flat
+:class:`~repro.service.api.SweepOutcome` per name.  Workers share results
+through the cache's persistent disk tier when ``cache_dir`` is set: the first
+worker to synthesize a specification stores it; every later worker (and the
+parent process) gets a disk hit.
 
-``processes=1`` (or a single job) runs inline in the calling process — same
-code path, no multiprocessing — which is also the mode the test-suite uses
-for determinism.
+A timeout-less sweep with ``processes=1`` (or a single job) runs inline in the
+calling process — same execution body, no multiprocessing — which is also the
+mode the test-suite uses for determinism.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.nrc.expr import expr_size
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, export_obs_state, get_tracer, install_child_obs
 from repro.proofs.prooftree import ProofNode
@@ -52,52 +56,10 @@ DEFAULT_VERIFY_SCALE = api.DEFAULT_VERIFY_SCALE
 
 
 @dataclass
-class JobOutcome:
-    """Flat, picklable record of one sweep job."""
-
-    name: str
-    status: str  # "ok" | "error" | "timeout"
-    seconds: float
-    expected: str = EXPECTED_OK
-    cache_tier: str = "off"
-    expression: Optional[str] = None
-    expression_size: Optional[int] = None
-    proof_size: Optional[int] = None
-    verified: Optional[bool] = None
-    error: Optional[str] = None
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Telemetry riding home from a worker child: finished span dicts and a
-    #: counter/histogram snapshot.  Absorbed (and cleared) by the parent's
-    #: tracer/registry as soon as the outcome crosses the pipe — they never
-    #: reach the ``SweepOutcome`` wire contract.
-    spans: List[Dict[str, object]] = field(default_factory=list)
-    metrics: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def unexpected_failure(self) -> bool:
-        """A failure on an entry that was expected to synthesize cleanly."""
-        return self.status != "ok" and self.expected == EXPECTED_OK
-
-    def to_api(self) -> api.SweepOutcome:
-        """The typed wire rendering of this outcome (:mod:`repro.service.api`)."""
-        payload = dict(self.__dict__)
-        payload.pop("spans", None)
-        payload.pop("metrics", None)
-        return api.SweepOutcome(**payload)
-
-    def as_dict(self) -> Dict[str, object]:
-        return self.to_api().to_json_dict()
-
-
-@dataclass
 class SweepSummary:
     """All job outcomes plus aggregate counters."""
 
-    outcomes: List[JobOutcome]
+    outcomes: List[api.SweepOutcome]
     wall_seconds: float
     processes: int
 
@@ -113,7 +75,7 @@ class SweepSummary:
         return sum(1 for o in self.outcomes if o.cache_tier in ("memory", "disk"))
 
     @property
-    def unexpected_failures(self) -> List[JobOutcome]:
+    def unexpected_failures(self) -> List[api.SweepOutcome]:
         return [o for o in self.outcomes if o.unexpected_failure]
 
     @property
@@ -128,11 +90,8 @@ class SweepSummary:
             counts=self.counts,
             cache_hits=self.cache_hits,
             ok=self.ok,
-            jobs=tuple(outcome.to_api() for outcome in self.outcomes),
+            jobs=tuple(self.outcomes),
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return self.to_api().to_json_dict()
 
 
 # ----------------------------------------------------- warm-start transposition
@@ -226,7 +185,8 @@ def execute_synthesize_request(
 
     The single execution body behind every transport: the CLI's
     :class:`~repro.service.server.SynthesisService` calls it in-process,
-    worker processes call it via :func:`run_request_in_process`.  Failures
+    worker processes (HTTP jobs, sweeps with a timeout or several processes)
+    call it via :func:`run_request_in_process`.  Failures
     surface as the structured :class:`~repro.service.api.ApiError` taxonomy —
     never raw registry ``KeyError`` or :class:`~repro.errors.ReproError`.
 
@@ -240,7 +200,7 @@ def execute_synthesize_request(
             cache = SynthesisCache(disk_dir=request.cache_dir)
         except OSError as exc:
             raise api.invalid_request(
-                f"cannot use cache dir {request.cache_dir!r}: {exc}"
+                f"cannot use cache dir {request.cache_dir!r}: {type(exc).__name__}: {exc}"
             ) from exc
     depth = entry.max_depth if request.max_depth is None else request.max_depth
     pipeline = SynthesisPipeline(cache=cache, search_factory=warmed_search_factory(depth, cache))
@@ -299,9 +259,8 @@ def run_request_in_process(
 ) -> Tuple[api.SynthesisResult, Optional[SynthesisResult]]:
     """Run ``request`` in its own worker process; block until it resolves.
 
-    Designed to be called from an executor thread by the async job engine:
-    proof search happens in a killable child (same isolation properties as
-    the sweep pool), while this thread polls the result pipe, the optional
+    Called from an executor thread by the async job engine and from the sweep
+    pool: proof search happens in a killable child, while this thread polls the result pipe, the optional
     ``cancel`` event (any object with ``is_set()``) and the deadline.  On
     timeout/cancellation the child is ``terminate()``-d and the matching
     structured :class:`~repro.service.api.ApiError` is raised.
@@ -333,7 +292,7 @@ def run_request_in_process(
             if not process.is_alive():
                 # The child may have sent its result and exited between the
                 # poll above and this liveness check; drain before declaring
-                # it dead (same race the sweep loop handles).
+                # it dead.
                 if parent_conn.poll(0.5):
                     try:
                         message = parent_conn.recv()
@@ -351,106 +310,18 @@ def run_request_in_process(
         parent_conn.close()
     if message is None:
         raise api.ApiError("internal", f"worker died with exit code {process.exitcode}")
-    _absorb_child_obs(message[-2], message[-1])
+    # Merge the child's exported telemetry into this process.
+    spans, metrics = message[-2:]
+    if isinstance(spans, list) and spans:
+        get_tracer().adopt(spans)
+    if isinstance(metrics, dict) and metrics:
+        get_registry().merge_snapshot(metrics)
     kind = message[0]
     if kind == "ok":
         return api.SynthesisResult.from_json_dict(message[1]), message[2]
     if kind == "api_error":
         raise api.ApiError.from_json_dict(message[1])
     raise api.ApiError("internal", str(message[1]))
-
-
-def _absorb_child_obs(spans: object, metrics: object) -> None:
-    """Merge a worker child's exported telemetry into this process."""
-    if isinstance(spans, list) and spans:
-        get_tracer().adopt(spans)
-    if isinstance(metrics, dict) and metrics:
-        get_registry().merge_snapshot(metrics)
-
-
-# ---------------------------------------------------------------- job bodies
-def pipeline_for_entry(
-    entry: RegistryEntry,
-    cache_dir: Optional[str] = None,
-    max_depth: Optional[int] = None,
-    memory_cache: bool = False,
-) -> SynthesisPipeline:
-    """The one cache+search policy shared by sweep workers and the CLI.
-
-    With ``cache_dir`` the pipeline uses the persistent disk tier (shared
-    across processes); otherwise ``memory_cache`` selects between a
-    process-local LRU and no cache at all — sweep workers run one problem per
-    process, where an in-memory tier could never be hit, so they pass
-    ``False`` and the report shows the truthful ``"off"``.
-    """
-    cache = None
-    if cache_dir:
-        cache = SynthesisCache(disk_dir=cache_dir)
-    elif memory_cache:
-        cache = SynthesisCache()
-    depth = entry.max_depth if max_depth is None else max_depth
-    return SynthesisPipeline(cache=cache, search_factory=warmed_search_factory(depth, cache))
-
-
-def _execute_job(name: str, options: Dict[str, object]) -> JobOutcome:
-    """Run one registry problem through a fresh pipeline (any process)."""
-    registry = default_registry()
-    start = time.perf_counter()
-    try:
-        entry = registry.get(name)
-    except KeyError as exc:
-        return JobOutcome(name, "error", time.perf_counter() - start, error=str(exc))
-    try:
-        # Everything after the name lookup is isolated: a failing cache dir,
-        # instance generator or synthesis stage becomes one "error" outcome.
-        pipeline = pipeline_for_entry(
-            entry,
-            cache_dir=options.get("cache_dir"),
-            max_depth=options.get("max_depth"),
-        )
-        scale = int(options.get("verify_scale") or 0)
-        assignments = None
-        if scale and entry.instances is not None:
-            assignments = entry.instances(scale)
-        report = pipeline.run(entry.problem(), assignments)
-    except Exception as exc:  # noqa: BLE001 - isolation is the whole point
-        return JobOutcome(
-            name,
-            "error",
-            time.perf_counter() - start,
-            expected=entry.expected,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    result = report.result
-    verification = report.verification
-    return JobOutcome(
-        name=name,
-        status="ok" if verification is None or verification.ok else "error",
-        seconds=time.perf_counter() - start,
-        expected=entry.expected,
-        cache_tier=report.cache_tier,
-        expression=str(result.expression),
-        expression_size=expr_size(result.expression),
-        proof_size=result.proof_size,
-        verified=None if verification is None else verification.ok,
-        error=None if verification is None or verification.ok else "verification mismatches",
-        stage_seconds={k: round(v, 6) for k, v in report.stage_seconds().items()},
-    )
-
-
-def _job_child(name: str, options: Dict[str, object], conn) -> None:
-    """Worker-process entry point: run the job, ship the outcome back.
-
-    The outcome carries the child's finished spans and metric snapshot; the
-    parent's sweep loop absorbs them into its own tracer/registry.
-    """
-    install_child_obs(options.get("obs"))
-    with get_tracer().span("worker.job", problem=name, pid=os.getpid()):
-        outcome = _execute_job(name, options)
-    outcome.spans = get_tracer().export_all()
-    outcome.metrics = get_registry().snapshot()
-    conn.send(outcome)
-    conn.close()
 
 
 def resolve_sweep_names(
@@ -483,10 +354,12 @@ def run_sweep(
 ) -> SweepSummary:
     """Sweep ``names`` (default: every entry expected to synthesize) in parallel.
 
+    Each name runs as one :class:`~repro.service.api.SynthesizeRequest`.
     ``timeout`` is per job, in seconds; a job past its deadline is terminated
     and recorded as ``"timeout"``.  Enforcing a deadline requires a killable
-    process, so any sweep with a timeout takes the one-process-per-job path
-    even for a single job; only timeout-less sweeps run inline.
+    process, so any sweep with a timeout runs every job through
+    :func:`run_request_in_process` (at most ``processes`` at a time) even for
+    a single job; only timeout-less one-process sweeps run inline.
     ``verify_scale`` > 0 additionally runs the batched verification stage on
     that many generated instances per problem (entries without an instance
     builder skip verification).
@@ -495,92 +368,75 @@ def run_sweep(
     if names is None:
         names = [entry.name for entry in registry.sweepable()]
     names = list(names)
-    options: Dict[str, object] = {
-        "cache_dir": cache_dir,
-        "max_depth": max_depth,
-        "verify_scale": verify_scale,
-        # Trace parentage for worker children: the sweep runs under whatever
-        # span is current here (e.g. a fleet shard span).
-        "obs": export_obs_state(),
-    }
     if processes is None:
         processes = min(len(names), os.cpu_count() or 1) or 1
     processes = max(1, min(processes, len(names) or 1))
     start = time.perf_counter()
 
-    if timeout is None and (processes <= 1 or len(names) <= 1):
-        outcomes = [_execute_job(name, options) for name in names]
-        return SweepSummary(outcomes, time.perf_counter() - start, 1)
+    if timeout is None and processes == 1:
 
-    ctx = multiprocessing.get_context()
-    # Jobs are tracked by position, not name, so sweeping the same name twice
-    # keeps both outcomes.  pop() takes jobs in submission order.
-    pending = list(reversed(list(enumerate(names))))
-    running: Dict[object, tuple] = {}
-    outcomes_by_index: Dict[int, JobOutcome] = {}
+        def run(request: api.SynthesizeRequest) -> api.SynthesisResult:
+            return execute_synthesize_request(request, registry=registry)[0]
 
-    def _drain(conn, grace: float = 0.5) -> Optional[JobOutcome]:
-        try:
-            if conn.poll(grace):
-                return conn.recv()
-        except (EOFError, OSError):
-            pass
-        return None
+    else:
+        # Worker threads do not inherit this thread's current span, so the
+        # children's trace parent (e.g. a fleet shard span) is passed by hand.
+        context = get_tracer().current()
 
-    while pending or running:
-        while pending and len(running) < processes:
-            index, name = pending.pop()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            process = ctx.Process(target=_job_child, args=(name, options, child_conn), daemon=True)
-            process.start()
-            child_conn.close()
-            deadline = None if timeout is None else time.monotonic() + timeout
-            running[process] = (index, name, parent_conn, deadline)
+        def run(request: api.SynthesizeRequest) -> api.SynthesisResult:
+            return run_request_in_process(request, timeout=timeout, trace_context=context)[0]
 
-        for process in list(running):
-            index, name, conn, deadline = running[process]
-            outcome: Optional[JobOutcome] = None
-            if conn.poll(0):
-                try:
-                    outcome = conn.recv()
-                except (EOFError, OSError):
-                    outcome = None
-                if outcome is None:
-                    outcome = JobOutcome(name, "error", 0.0, error="worker sent no outcome")
-            elif not process.is_alive():
-                # Exited without reporting: crashed hard (segfault, OOM kill).
-                outcome = _drain(conn) or JobOutcome(
-                    name,
-                    "error",
-                    0.0,
-                    expected=_expected_of(registry, name),
-                    error=f"worker died with exit code {process.exitcode}",
-                )
-            elif deadline is not None and time.monotonic() > deadline:
-                process.terminate()
-                outcome = JobOutcome(
-                    name,
-                    "timeout",
-                    timeout or 0.0,
-                    expected=_expected_of(registry, name),
-                    error=f"exceeded per-job timeout of {timeout:.1f}s",
-                )
-            if outcome is not None:
-                _absorb_child_obs(outcome.spans, outcome.metrics)
-                outcome.spans = []
-                outcome.metrics = {}
-                process.join()
-                conn.close()
-                del running[process]
-                outcomes_by_index[index] = outcome
-        time.sleep(0.01)
+    def outcome(name: str) -> api.SweepOutcome:
+        return _sweep_outcome(name, run, registry, cache_dir, max_depth, verify_scale)
 
-    ordered = [outcomes_by_index[index] for index in range(len(names))]
-    return SweepSummary(ordered, time.perf_counter() - start, processes)
+    if processes == 1:
+        outcomes = [outcome(name) for name in names]
+    else:
+        with ThreadPoolExecutor(max_workers=processes) as pool:
+            outcomes = list(pool.map(outcome, names))
+    return SweepSummary(outcomes, time.perf_counter() - start, processes)
 
 
-def _expected_of(registry: ProblemRegistry, name: str) -> str:
+def _sweep_outcome(
+    name: str,
+    run: Callable[[api.SynthesizeRequest], api.SynthesisResult],
+    registry: ProblemRegistry,
+    cache_dir: Optional[str],
+    max_depth: Optional[int],
+    verify_scale: int,
+) -> api.SweepOutcome:
+    """Run one sweep job through ``run``; every failure becomes its outcome."""
+    start = time.perf_counter()
     try:
-        return registry.get(name).expected
+        expected = registry.get(name).expected
     except KeyError:
-        return EXPECTED_OK
+        expected = EXPECTED_OK
+    try:
+        request = api.SynthesizeRequest(
+            problem=name, max_depth=max_depth, verify_scale=verify_scale, cache_dir=cache_dir
+        )
+        response = run(request)
+    except Exception as exc:  # noqa: BLE001 - isolation is the whole point
+        structured = isinstance(exc, api.ApiError)
+        return api.SweepOutcome(
+            name,
+            "timeout" if structured and exc.code == "timeout" else "error",
+            time.perf_counter() - start,
+            expected=expected,
+            error=exc.message if structured else f"{type(exc).__name__}: {exc}",
+        )
+    verified = None if response.verification is None else response.verification.ok
+    return api.SweepOutcome(
+        name=name,
+        status="error" if verified is False else "ok",
+        seconds=time.perf_counter() - start,
+        expected=expected,
+        # Without a cache dir the sweep runs no shared cache tier at all.
+        cache_tier=response.cache_tier if cache_dir else "off",
+        expression=response.expression,
+        expression_size=response.expression_size,
+        proof_size=response.proof_size,
+        verified=verified,
+        error="verification mismatches" if verified is False else None,
+        stage_seconds={stage.name: stage.seconds for stage in response.stages},
+    )

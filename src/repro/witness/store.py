@@ -3,10 +3,11 @@
 A *witness* is a focused proof of a determinacy sequent (Theorem 2's input).
 The store keeps one pickle payload per witness under a ``witnesses/`` disk
 subdirectory, addressed by :func:`witness_digest` — a SHA-256 over the
-canonical rendering of the proof's conclusion sequent.  Sequent renderings
-sort their members (:class:`repro.proofs.sequents.Sequent.__str__`), so the
-address is deterministic across processes and machines, exactly like the
-result tier's :func:`repro.service.cache.spec_digest`.
+canonical rendering of the proof's conclusion sequent and the types of its
+free variables.  Sequent renderings sort their members
+(:class:`repro.proofs.sequents.Sequent.__str__`), so the address is
+deterministic across processes and machines, exactly like the result tier's
+:func:`repro.service.cache.spec_digest`.
 
 Durability rules:
 
@@ -31,7 +32,7 @@ import pickle
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +40,7 @@ from repro.errors import ProofError
 from repro.obs.metrics import get_registry
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import FOCUSED_RULES, ProofNode, proof_size
-from repro.proofs.sequents import Sequent
+from repro.proofs.sequents import Sequent, sequent_free_vars
 from repro.specs.problems import ImplicitDefinitionProblem
 
 _log = logging.getLogger("repro.witness")
@@ -47,8 +48,9 @@ _log = logging.getLogger("repro.witness")
 #: Subdirectory (of a cache ``disk_dir``) holding witness payloads.
 WITNESS_SUBDIR = "witnesses"
 
-#: Bump on any change to the payload dict shape or the proof-tree format.
-WITNESS_FORMAT_VERSION = 1
+#: Bump on any change to the payload dict shape, the proof-tree format or
+#: the address scheme of :func:`witness_digest`.
+WITNESS_FORMAT_VERSION = 2
 
 #: Default bound on stored witnesses per store (cost of a witness is one
 #: pickle; the bound exists so interactive editing sessions cannot grow the
@@ -78,9 +80,15 @@ def witness_fingerprint() -> str:
 
 
 def witness_digest(sequent: Sequent) -> str:
-    """Stable hex content address of a witness: SHA-256 of the canonical
-    rendering of its conclusion sequent (cross-process, cross-machine)."""
-    return hashlib.sha256(f"sequent={sequent}".encode("utf-8")).hexdigest()
+    """Stable hex content address of a witness (cross-process, cross-machine).
+
+    A SHA-256 of the canonical rendering of its conclusion sequent plus the
+    sorted ``name:type`` of every free variable.  Variables render by name
+    only, so two goals that differ only in an input's type render alike;
+    the typed variable list keeps their addresses apart.
+    """
+    typed = ",".join(sorted(f"{var.name}:{var.typ}" for var in sequent_free_vars(sequent)))
+    return hashlib.sha256(f"sequent={sequent}|vars={typed}".encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -366,8 +374,7 @@ class WitnessStore:
             if not isinstance(proof, ProofNode):
                 self._corrupt(digest, "truncated", f"{source}: payload proof is not a ProofNode")
                 return None
-            expected = hashlib.sha256(f"sequent={sequent_text}".encode("utf-8")).hexdigest()
-            if claimed != expected or (digest is not None and claimed != digest):
+            if claimed != witness_digest(proof.sequent) or (digest is not None and claimed != digest):
                 self._corrupt(digest, "digest", f"{source}: content address mismatch")
                 return None
             if str(proof.sequent) != sequent_text:

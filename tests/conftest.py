@@ -31,13 +31,13 @@ def in_process_definition():
     entry's instance family, so callers comparing a CLI or HTTP answer
     against it check behaviour rather than the query's syntactic shape.
     """
-    from repro.service.registry import default_registry
-    from repro.service.workers import pipeline_for_entry
+    from repro.service.api import SynthesizeRequest
+    from repro.service.workers import execute_synthesize_request
 
     def definition(name):
-        entry = default_registry().get(name)
-        report = pipeline_for_entry(entry).run(entry.problem(), entry.instances(8))
+        request = SynthesizeRequest(problem=name, verify_scale=8)
+        _, result, report = execute_synthesize_request(request)
         assert report.verification is not None and report.verification.ok
-        return str(report.result.expression)
+        return str(result.expression)
 
     return definition

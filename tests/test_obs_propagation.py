@@ -77,8 +77,8 @@ def test_fleet_sweep_stitches_one_trace_across_process_and_http_hops(traced):
     assert {span["attributes"]["node"] for span in top_shards} == {"local", "remote"}
 
     # Both hops shipped their worker-process spans home: every synthesized
-    # problem ran inside a worker.job span that chains back to a shard.
-    worker_jobs = [span for span in spans if span["name"] == "worker.job"]
+    # problem ran inside a worker.request span that chains back to a shard.
+    worker_jobs = [span for span in spans if span["name"] == "worker.request"]
     assert len(worker_jobs) == len(NAMES)
 
     def _chains_to_shard(span):

@@ -103,14 +103,15 @@ def test_selection_view_xfail_is_seed_stable():
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = (
+        "from repro.service.api import ApiError, SynthesizeRequest\n"
         "from repro.service.registry import default_registry\n"
-        "from repro.service.workers import pipeline_for_entry\n"
+        "from repro.service.workers import execute_synthesize_request\n"
         "entry = default_registry().get('selection_view')\n"
         "assert entry.max_depth <= 6, entry.max_depth\n"
         "try:\n"
-        "    pipeline_for_entry(entry).run(entry.problem())\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
+        "    execute_synthesize_request(SynthesizeRequest(problem='selection_view'))\n"
+        "except ApiError as exc:\n"
+        "    print(exc.detail['error_type'])\n"
     )
     for seed in ("11", "12"):  # the seeds that historically hung
         proc = subprocess.run(

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.service.api import SweepOutcome
 from repro.service.registry import default_registry
-from repro.service.workers import JobOutcome, run_sweep
+from repro.service.workers import run_sweep
 
 FAST_NAMES = ["identity_view", "union_view", "unique_element"]
 
@@ -103,11 +104,11 @@ def test_default_population_is_the_sweepable_registry():
 
 
 def test_job_outcome_flags():
-    ok = JobOutcome("p", "ok", 0.1)
+    ok = SweepOutcome("p", "ok", 0.1)
     assert ok.ok and not ok.unexpected_failure
-    failed = JobOutcome("p", "error", 0.1, expected="xfail")
+    failed = SweepOutcome("p", "error", 0.1, expected="xfail")
     assert not failed.ok and not failed.unexpected_failure
-    unexpected = JobOutcome("p", "timeout", 0.1)
+    unexpected = SweepOutcome("p", "timeout", 0.1)
     assert unexpected.unexpected_failure
     with pytest.raises(TypeError):
-        JobOutcome()  # name/status/seconds are required
+        SweepOutcome()  # name/status/seconds are required

@@ -45,7 +45,8 @@ from repro.nrc.macros import (
 from repro.nrc.simplify import simplify
 from repro.nrc.typing import infer_type
 from repro.service.registry import default_registry
-from repro.service.workers import pipeline_for_entry
+from repro.service.api import SynthesizeRequest
+from repro.service.workers import execute_synthesize_request
 
 ELEMENT_TYPES = (UR, ProdType(UR, UR), SetType(UR))
 
@@ -231,9 +232,8 @@ FLAT_QUERIES = {
 
 @pytest.mark.parametrize("name", sorted(FLAT_QUERIES))
 def test_flat_registry_queries_simplify_to_set_algebra(name):
-    entry = default_registry().get(name)
-    expression = pipeline_for_entry(entry).run(entry.problem()).result.expression
-    assert str(expression) == FLAT_QUERIES[name]
+    _, result, _ = execute_synthesize_request(SynthesizeRequest(problem=name))
+    assert str(result.expression) == FLAT_QUERIES[name]
 
 
 def test_registry_queries_keep_no_scans():
@@ -241,8 +241,10 @@ def test_registry_queries_keep_no_scans():
     for entry in default_registry().sweepable():
         if entry.name in ("unique_element", "copy_chain_3"):
             continue
-        expression = pipeline_for_entry(entry).run(entry.problem()).result.expression
-        assert not any(isinstance(node, NBigUnion) for node in subexpressions(expression)), entry.name
+        _, result, _ = execute_synthesize_request(SynthesizeRequest(problem=entry.name))
+        assert not any(
+            isinstance(node, NBigUnion) for node in subexpressions(result.expression)
+        ), entry.name
 
 
 def _dump(count=120):

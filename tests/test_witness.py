@@ -373,3 +373,31 @@ def test_run_fuzz_mutate_mode():
 def test_run_fuzz_mutate_rejects_remote():
     with pytest.raises(ValueError):
         run_fuzz(seed=0, count=1, mutate=True, url="http://localhost:1")
+
+
+def test_witness_address_distinguishes_input_types(tmp_path):
+    """Specs whose goals differ only in a free variable's type get two witnesses.
+
+    ``generate_spec(7, 60)`` has ``I1 : Set(Ur)`` and ``generate_spec(7, 83)``
+    has ``I1 : Set((Ur x Ur))``; their sequents render identically, so an
+    address over the rendering alone would replay the first spec's proof for
+    the second.
+    """
+    from repro.specs.fuzz import generate_spec
+
+    first, second = generate_spec(7, 60), generate_spec(7, 83)
+    assert str(first.problem.determinacy_goal()) == str(second.problem.determinacy_goal())
+    replay_failures = get_registry().counter(
+        "repro_witness_replay_failures_total",
+        "Witness-assisted synthesis runs that fell back to cold",
+    )
+    before = replay_failures.value()
+    cache = SynthesisCache(disk_dir=tmp_path)
+    for spec in (first, second):
+        report = SynthesisPipeline(cache=cache).run(spec.problem, spec.instances)
+        assert report.source == "cold", spec.problem.name
+    assert replay_failures.value() == before
+    assert len(cache.witnesses.list()) == 2
+    assert witness_digest(first.problem.determinacy_goal()) != witness_digest(
+        second.problem.determinacy_goal()
+    )

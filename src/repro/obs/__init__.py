@@ -1,7 +1,7 @@
 """Dependency-free telemetry: trace spans, a metrics registry, exposition.
 
 Two pillars live here, deliberately isolated from the rest of ``repro`` so
-every layer (logic core, proof search, service, fleet) can import them
+every layer (logic core, proof search, service) can import them
 without cycles:
 
 - :mod:`repro.obs.trace` — hierarchical spans with explicit

@@ -132,13 +132,6 @@ class Span:
             payload["parent_id"] = self.parent_id
         return payload
 
-    def snapshot(self) -> Dict[str, object]:
-        """An in-flight view: like :meth:`to_dict` but with elapsed-so-far."""
-        payload = self.to_dict()
-        if not self._finished:
-            payload["seconds"] = time.perf_counter() - self._start_perf
-        return payload
-
     def finish(self) -> None:
         if self._finished:
             return
@@ -183,9 +176,6 @@ class _NoopSpan:
     def to_dict(self) -> Dict[str, object]:
         return {}
 
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
     def finish(self) -> None:
         pass
 
@@ -221,7 +211,7 @@ class Tracer:
 
         ``parent`` overrides the contextvar-derived parent; pass it when the
         span is opened in a thread that did not inherit the caller's context
-        (e.g. fleet shard dispatch on an executor thread).
+        (e.g. a sweep's worker threads).
         """
         if not self.enabled:
             return NOOP_SPAN
@@ -269,8 +259,8 @@ class Tracer:
                 self._seen[trace_id] = set()
             seen = self._seen[trace_id]
             if span_id in seen:
-                # Same span arriving twice (a node adopting its own loopback
-                # response, or a retry re-shipping a shard's spans) is a no-op.
+                # Same span arriving twice (a process adopting spans it
+                # already recorded) is a no-op.
                 return
             if len(bucket) >= self.MAX_SPANS_PER_TRACE:
                 self.dropped_spans += 1

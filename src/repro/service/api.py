@@ -11,8 +11,7 @@ Contracts
 =========
 
 * Requests — :class:`SynthesizeRequest`, :class:`VerifyRequest`,
-  :class:`SweepRequest`, :class:`SweepSubmitRequest` (the async fleet
-  submission).  Validation happens at construction (and again in
+  :class:`SweepRequest`.  Validation happens at construction (and again in
   :meth:`~Contract.from_json_dict`, which additionally rejects unknown and
   mistyped fields), so a malformed request is an :class:`ApiError` with code
   ``invalid_request`` *before* any synthesis machinery runs.
@@ -20,10 +19,9 @@ Contracts
   per-stage timings, the synthesized definition, an optional verification
   summary), :class:`ProblemInfo` (one registry entry), :class:`SweepResponse`
   / :class:`SweepOutcome` (a parallel sweep), :class:`JobStatus` (one async
-  job's lifecycle), :class:`SweepJobStatus` / :class:`ShardInfo` (an async
-  sweep's per-shard progress), :class:`ProblemPage` (paginated listings),
-  and the cache-stats pair :class:`DiskCacheStats` /
-  :class:`ProcessCacheStats`.
+  job's lifecycle), :class:`SweepJobStatus` (an async sweep's lifecycle),
+  :class:`ProblemPage` (paginated listings), and the cache-stats pair
+  :class:`DiskCacheStats` / :class:`ProcessCacheStats`.
 * Errors — :class:`ApiError`, a structured taxonomy (:data:`ERROR_CODES`)
   with an HTTP status per code and a JSON rendering, so the CLI and the HTTP
   server map the same failure to the same message.
@@ -74,19 +72,6 @@ JOB_DONE = "done"
 JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
-
-#: Shard lifecycle states (see :class:`ShardInfo`).  A shard whose node dies
-#: goes back to ``pending`` (with ``retries`` incremented) until retries are
-#: exhausted, so ``failed`` always means "every attempt failed", never "a
-#: node happened to die".
-SHARD_PENDING = "pending"
-SHARD_RUNNING = "running"
-SHARD_DONE = "done"
-SHARD_FAILED = "failed"
-SHARD_STATES = (SHARD_PENDING, SHARD_RUNNING, SHARD_DONE, SHARD_FAILED)
-
-#: Default retry budget per shard (attempts = 1 + DEFAULT_SHARD_RETRIES).
-DEFAULT_SHARD_RETRIES = 2
 
 
 # ------------------------------------------------------------------ the codec
@@ -308,7 +293,6 @@ ERROR_CODES: Dict[str, int] = {
     "timeout": 504,  # the job exceeded its per-job deadline
     "cancelled": 409,  # the job was cancelled before it finished
     "queue_full": 429,  # the bounded job queue rejected the submission
-    "node_unavailable": 503,  # a fleet node stayed unreachable past the retry budget
     "internal": 500,  # anything unexpected (worker crash, server bug)
 }
 
@@ -408,10 +392,6 @@ def job_timeout(seconds: float) -> ApiError:
 
 def job_cancelled(job_id: str) -> ApiError:
     return ApiError("cancelled", f"job {job_id!r} was cancelled", {"job_id": job_id})
-
-
-def node_unavailable(message: str, **detail: object) -> ApiError:
-    return ApiError("node_unavailable", message, detail)
 
 
 def synthesis_failure(exc: BaseException, expected: str = "ok") -> ApiError:
@@ -518,6 +498,8 @@ class VerifyRequest(Contract):
 class SweepRequest(Contract):
     """Run many registry problems through the parallel worker pool.
 
+    The body of ``POST /v1/sweeps`` and of the CLI's in-process sweep.
+
     An empty ``problems`` tuple sweeps the default population (every entry
     expected to synthesize) unless ``include_all`` asks for the full registry.
     """
@@ -543,54 +525,6 @@ class SweepRequest(Contract):
             raise invalid_request("verify_scale must be non-negative")
         if self.max_depth is not None and self.max_depth < 1:
             raise invalid_request("max_depth must be at least 1")
-
-
-@dataclass(frozen=True)
-class SweepSubmitRequest(Contract):
-    """Submit a sweep as one async fleet job (``POST /v1/sweeps``).
-
-    The problem-selection fields mirror :class:`SweepRequest` (an empty
-    ``problems`` tuple sweeps the default population); the fleet fields
-    describe how the coordinator shards the work:
-
-    * ``nodes`` — worker base URLs (``http://host:port``).  Empty means run
-      every shard on the coordinator's own local pool.
-    * ``shard_size`` — problems per shard; defaults to striping one shard per
-      node (or one shard total when local-only).
-    * ``max_retries`` — how many times a shard is re-queued after its node
-      fails before the shard is marked ``failed``.
-    """
-
-    problems: Tuple[str, ...] = _omit_at_default(())
-    include_all: bool = _omit_at_default(False)
-    processes: Optional[int] = _omit_at_default(None)
-    timeout: Optional[float] = _omit_at_default(None)
-    verify_scale: int = _omit_at_default(0)
-    cache_dir: Optional[str] = _omit_at_default(None)
-    max_depth: Optional[int] = _omit_at_default(None)
-    nodes: Tuple[str, ...] = _omit_at_default(())
-    shard_size: Optional[int] = _omit_at_default(None)
-    max_retries: int = _omit_at_default(DEFAULT_SHARD_RETRIES)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # Shared selection/execution fields obey SweepRequest's rules.
-        self.to_sweep_request()
-        if any(not isinstance(node, str) or not node for node in self.nodes):
-            raise invalid_request("nodes must be non-empty worker base URLs")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise invalid_request("shard_size must be at least 1")
-        if self.max_retries < 0:
-            raise invalid_request("max_retries must be non-negative")
-
-    def to_sweep_request(self) -> SweepRequest:
-        """The equivalent single-node request (what each shard executes)."""
-        return SweepRequest(**{spec.name: getattr(self, spec.name) for spec in fields(SweepRequest)})
-
-    @classmethod
-    def from_sweep_request(cls, request: SweepRequest, **fleet: object) -> "SweepSubmitRequest":
-        shared = {spec.name: getattr(request, spec.name) for spec in fields(SweepRequest)}
-        return cls(**shared, **fleet)
 
 
 # ------------------------------------------------------------------ responses
@@ -735,9 +669,9 @@ class SweepOutcome(Contract):
         """The deterministic projection: everything except timings/placement.
 
         Two runs of the same problem must render byte-identically here no
-        matter which node ran them or how warm its caches were — the fleet's
-        "merged results are byte-identical to a single-node run" acceptance
-        check compares exactly this projection.
+        matter which runner ran them or how warm its caches were — the
+        inline-vs-process and CLI-vs-HTTP sweep parity checks compare exactly
+        this projection.
         """
         payload = self.to_json_dict()
         for key in ("seconds", "cache_tier", "stage_seconds"):
@@ -782,10 +716,6 @@ class SweepResponse(Contract):
     cache_hits: int = 0
     ok: bool = True
     jobs: Tuple[SweepOutcome, ...] = ()
-    #: Trace spans covering this sweep (coordinator + remote nodes), attached
-    #: only by tracing-enabled servers answering ``?wait=1``; omitted from the
-    #: JSON rendering when empty so pre-telemetry payloads are unchanged.
-    spans: Tuple[SpanInfo, ...] = _omit_at_default(())
 
     def to_stable_json_dict(self) -> Dict[str, object]:
         """Deterministic projection of the whole sweep (see ``SweepOutcome``)."""
@@ -800,39 +730,12 @@ class SweepResponse(Contract):
 
 
 @dataclass(frozen=True)
-class ShardInfo(Contract):
-    """One sweep shard's placement and lifecycle snapshot.
-
-    ``node`` is the display name of the node the shard last ran on (empty
-    while pending and never dispatched).  ``retries`` counts re-queues after
-    node failures; ``error`` is set when the shard exhausted its retries.
-    """
-
-    index: int
-    state: str
-    problems: Tuple[str, ...] = ()
-    node: str = ""
-    retries: int = 0
-    error: Optional[ErrorInfo] = _omit_at_default(None)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.state not in SHARD_STATES:
-            raise invalid_request(f"unknown shard state {self.state!r}")
-        if self.index < 0:
-            raise invalid_request("shard index must be non-negative")
-        if self.retries < 0:
-            raise invalid_request("shard retries must be non-negative")
-
-
-@dataclass(frozen=True)
 class SweepJobStatus(Contract):
-    """One asynchronous *sweep* job's lifecycle + per-shard progress.
+    """One asynchronous *sweep* job's lifecycle.
 
     The sweep-level analogue of :class:`JobStatus`: ``state`` walks the same
-    ``queued → running → done | failed | cancelled`` lattice, ``shards``
-    reports placement/retry progress while running, ``result`` carries the
-    merged :class:`SweepResponse` on ``done`` and ``error`` the terminal
+    ``queued → running → done | failed | cancelled`` lattice, ``result``
+    carries the :class:`SweepResponse` on ``done`` and ``error`` the terminal
     failure otherwise.
     """
 
@@ -841,7 +744,6 @@ class SweepJobStatus(Contract):
     submitted_at: float
     started_at: Optional[float] = _omit_at_default(None)
     finished_at: Optional[float] = _omit_at_default(None)
-    shards: Tuple[ShardInfo, ...] = ()
     result: Optional[SweepResponse] = _omit_at_default(None)
     error: Optional[ErrorInfo] = _omit_at_default(None)
 
@@ -896,10 +798,6 @@ class DiskCacheStats(Contract):
     entries: Tuple[CacheEntryInfo, ...] = ()
     total_payload_bytes: int = 0
     next_cursor: Optional[str] = _omit_at_default(None)
-    #: Shared-cache manifest provenance (generation, node_id, updated_at,
-    #: plus the serving process's bump/skew-drop counters when available);
-    #: omitted from the JSON rendering when the directory has no manifest.
-    manifest: Mapping[str, object] = _omit_at_default(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -978,7 +876,6 @@ CONTRACT_TYPES = (
     SynthesizeRequest,
     VerifyRequest,
     SweepRequest,
-    SweepSubmitRequest,
     ProblemInfo,
     ProblemPage,
     StageReport,
@@ -989,7 +886,6 @@ CONTRACT_TYPES = (
     SpanInfo,
     TraceInfo,
     SweepResponse,
-    ShardInfo,
     SweepJobStatus,
     CacheEntryInfo,
     DiskCacheStats,

@@ -50,7 +50,6 @@ from repro.nr.columns import reset_shared_interner, shared_interner_stats
 from repro.nrc.expr import expr_size
 from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.trace import get_tracer
-from repro.service.manifest import MANIFEST_NAME, CacheManifest
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import SynthesisResult
 from repro.witness.store import WITNESS_SUBDIR, WitnessStore
@@ -115,8 +114,6 @@ class CacheStats:
     disk_evictions: int = 0
     intern_table_clears: int = 0
     interner_rotations: int = 0
-    manifest_skew_drops: int = 0
-    manifest_bumps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -166,7 +163,6 @@ class SynthesisCache:
         interner_id_bound: int = DEFAULT_INTERNER_ID_BOUND,
         disk_entry_bound: Optional[int] = DEFAULT_DISK_ENTRY_BOUND,
         disk_payload_bound: Optional[int] = DEFAULT_DISK_PAYLOAD_BOUND,
-        node_id: str = "",
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
@@ -176,72 +172,17 @@ class SynthesisCache:
         self.interner_id_bound = interner_id_bound
         self.disk_entry_bound = disk_entry_bound
         self.disk_payload_bound = disk_payload_bound
-        self.node_id = node_id
         self.stats = CacheStats()
         self._lru: "OrderedDict[SpecKey, SynthesisResult]" = OrderedDict()
         self._disk_dirty = False
-        self.manifest: Optional[CacheManifest] = None
-        self._manifest_generation = 0
-        self._manifest_stamp: Optional[Tuple[int, int]] = None
         self.witnesses: Optional[WitnessStore] = None
         if self.disk_dir is not None:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
             self._sweep_stale_tmp_files()
-            self.manifest = CacheManifest(self.disk_dir)
-            self._manifest_generation = self.manifest.generation()
-            self._manifest_stamp = self.manifest.stamp()
-            self.witnesses = WitnessStore(
-                self.disk_dir / WITNESS_SUBDIR, node_id=node_id, manifest=self.manifest
-            )
+            self.witnesses = WitnessStore(self.disk_dir / WITNESS_SUBDIR)
 
     def __len__(self) -> int:
         return len(self._lru)
-
-    # -------------------------------------------------------------- manifest
-    def _check_manifest(self) -> None:
-        """Drop the memory tier when another node bumped the shared manifest.
-
-        The fleet's cooperative-invalidation contract: disk entries are
-        content-addressed and can never be wrong, but this node's private LRU
-        was warmed under a specific manifest generation — if a peer bumped it
-        since, every memory-tier entry is presumptively stale and the LRU is
-        cleared (the next lookups re-warm from disk).  The hot path pays one
-        ``os.stat`` per call: the generation is only re-read when the
-        manifest file's ``(st_mtime_ns, st_ino)`` stamp changed.
-        """
-        if self.manifest is None:
-            return
-        stamp = self.manifest.stamp()
-        if stamp == self._manifest_stamp:
-            return
-        self._manifest_stamp = stamp
-        generation = self.manifest.generation()
-        if generation != self._manifest_generation:
-            self._manifest_generation = generation
-            if self._lru:
-                self._lru.clear()
-                self.stats.manifest_skew_drops += 1
-
-    def manifest_generation(self) -> int:
-        """The manifest generation this node's memory tier was warmed under."""
-        self._check_manifest()
-        return self._manifest_generation
-
-    def invalidate(self) -> int:
-        """Drop this node's memory tier and signal the whole fleet to follow.
-
-        Bumps the shared manifest generation (a no-op signal without a disk
-        tier); every peer's next ``lookup``/``peek`` observes the bump and
-        drops its own memory tier.  Returns the new generation.
-        """
-        self._lru.clear()
-        if self.manifest is None:
-            return 0
-        state = self.manifest.bump(self.node_id)
-        self._manifest_generation = state.generation
-        self._manifest_stamp = self.manifest.stamp()
-        self.stats.manifest_bumps += 1
-        return state.generation
 
     # ---------------------------------------------------------------- lookup
     def lookup(
@@ -256,7 +197,6 @@ class SynthesisCache:
     def _lookup(
         self, problem: ImplicitDefinitionProblem
     ) -> Tuple[Optional[SynthesisResult], str]:
-        self._check_manifest()
         key = spec_key(problem)
         result = self._lru.get(key)
         if result is not None:
@@ -281,11 +221,8 @@ class SynthesisCache:
 
         The async front-end uses this to decide whether a submission can be
         answered inline (warm) instead of entering the job queue; a peek must
-        therefore never mutate LRU order or hit/miss counters.  (Manifest
-        skew *is* honoured — serving a stale memory entry inline would break
-        the fleet's invalidation contract.)
+        therefore never mutate LRU order or hit/miss counters.
         """
-        self._check_manifest()
         if spec_key(problem) in self._lru:
             return "memory"
         if self.disk_dir is not None:
@@ -389,7 +326,6 @@ class SynthesisCache:
             return
         by_cost = sorted(entries, key=lambda entry: (entry.synthesis_seconds, entry.created))
         count = len(entries)
-        evicted = 0
         for victim in by_cost:
             over_entries = self.disk_entry_bound and count > self.disk_entry_bound
             over_bytes = self.disk_payload_bound and total_bytes > self.disk_payload_bound
@@ -399,20 +335,6 @@ class SynthesisCache:
             self.stats.disk_evictions += 1
             count -= 1
             total_bytes -= victim.payload_bytes
-            evicted += 1
-        if evicted:
-            # Peers may hold memory-tier copies of the evicted entries; bump
-            # the generation so their next lookup drops and re-warms.
-            self._announce_evictions()
-
-    def _announce_evictions(self) -> None:
-        """Bump the shared manifest so peers drop memory copies of evictees."""
-        if self.manifest is None:
-            return
-        state = self.manifest.bump(self.node_id)
-        self._manifest_generation = state.generation
-        self._manifest_stamp = self.manifest.stamp()
-        self.stats.manifest_bumps += 1
 
     # ------------------------------------------------------------- disk tier
     #: A worker SIGTERMed mid-write (the sweep's per-job timeout) can leave a
@@ -502,8 +424,6 @@ def disk_entries(disk_dir: os.PathLike) -> List[DiskEntry]:
     """Read every JSON sidecar under ``disk_dir`` (tolerating corrupt ones)."""
     entries = []
     for meta_path in sorted(Path(disk_dir).glob("*.json")):
-        if meta_path.name == MANIFEST_NAME:
-            continue
         try:
             raw = json.loads(meta_path.read_text())
             entries.append(DiskEntry(**raw))

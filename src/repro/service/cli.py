@@ -13,15 +13,13 @@ Subcommands::
     python -m repro sweep       [NAME ...] [--all] [--processes N]
                                 [--timeout S] [--verify-scale N]
                                 [--cache-dir D] [--max-depth N]
-                                [--url U] [--node U ...] [--shard-size N]
-                                [--max-retries N] [--json]
+                                [--url U] [--json]
     python -m repro cache-stats [--cache-dir D] [--json]
     python -m repro witness     list|show|import|export|handwritten ...
                                 [--cache-dir D | --url U] [--json]
     python -m repro serve       [--host H] [--port P] [--cache-dir D]
                                 [--max-workers N] [--queue-limit N]
-                                [--job-timeout S] [--node-id ID]
-                                [--worker-node U ...]
+                                [--job-timeout S]
     python -m repro client      [--url U] health|list|synthesize|job|cancel|
                                 cache-stats|metrics|trace ...
 
@@ -33,13 +31,11 @@ response; ``client`` sends the same requests to a running ``repro serve``
 over HTTP and renders the same responses, so local and remote output match.
 
 ``sweep`` is a **submit-then-poll client** of the async sweep engine: it
-submits a :class:`~repro.service.api.SweepSubmitRequest` (to the in-process
-service, or with ``--url`` to a running coordinator over ``POST
-/v1/sweeps``), polls per-shard progress until the job is terminal, and
-renders the merged :class:`~repro.service.api.SweepResponse` exactly as the
-old inline sweep did — same text, same ``--json`` document.  ``--node``
-registers remote worker nodes for the sweep; ``serve --worker-node`` does
-the same for every sweep a server coordinates.
+submits a :class:`~repro.service.api.SweepRequest` (to the in-process
+service, or with ``--url`` to a running ``repro serve`` over ``POST
+/v1/sweeps``), polls until the job is terminal, and renders its
+:class:`~repro.service.api.SweepResponse` — the same text and the same
+``--json`` document either way.
 
 Everything prints human-readable text by default; ``--json`` switches every
 subcommand to a machine-readable JSON document on stdout (one object).
@@ -195,23 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--url",
         default=None,
-        help="submit to a running `repro serve` coordinator instead of in-process",
-    )
-    sweep_parser.add_argument(
-        "--node",
-        action="append",
-        dest="nodes",
-        metavar="URL",
-        help="worker node base URL to shard across (repeatable)",
-    )
-    sweep_parser.add_argument(
-        "--shard-size", type=int, default=None, help="problems per shard"
-    )
-    sweep_parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=api.DEFAULT_SHARD_RETRIES,
-        help="re-queues per shard after node failures (default: %(default)s)",
+        help="submit to a running `repro serve` instead of in-process",
     )
     sweep_parser.add_argument(
         "--poll-interval",
@@ -286,16 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--job-timeout", type=float, default=None, help="default per-job seconds"
-    )
-    serve_parser.add_argument(
-        "--node-id", default=None, help="stable node identity (default: hostname-pid)"
-    )
-    serve_parser.add_argument(
-        "--worker-node",
-        action="append",
-        dest="worker_nodes",
-        metavar="URL",
-        help="worker node base URL this server coordinates sweeps across (repeatable)",
     )
 
     client_parser = subparsers.add_parser(
@@ -618,7 +588,7 @@ def _write_fuzz_artifacts(directory: str, document: dict, report) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    request = api.SweepSubmitRequest(
+    request = api.SweepRequest(
         problems=tuple(args.names),
         include_all=bool(args.all and not args.names),
         processes=args.processes,
@@ -626,9 +596,6 @@ def _cmd_sweep(args) -> int:
         verify_scale=args.verify_scale,
         cache_dir=args.cache_dir,
         max_depth=args.max_depth,
-        nodes=tuple(args.nodes or ()),
-        shard_size=args.shard_size,
-        max_retries=args.max_retries,
     )
     if args.url:
         response = _remote_sweep(args.url, request, args.poll_interval)
@@ -637,7 +604,7 @@ def _cmd_sweep(args) -> int:
     return _render_sweep(response, args.as_json)
 
 
-def _local_sweep(request: api.SweepSubmitRequest) -> api.SweepResponse:
+def _local_sweep(request: api.SweepRequest) -> api.SweepResponse:
     """Submit-then-poll against an in-process service (no server needed)."""
     import asyncio
 
@@ -656,9 +623,9 @@ def _local_sweep(request: api.SweepSubmitRequest) -> api.SweepResponse:
 
 
 def _remote_sweep(
-    url: str, request: api.SweepSubmitRequest, poll_interval: float
+    url: str, request: api.SweepRequest, poll_interval: float
 ) -> api.SweepResponse:
-    """Submit to ``POST /v1/sweeps`` on a coordinator, poll until terminal."""
+    """Submit to ``POST /v1/sweeps`` on a server, poll until terminal."""
     import time
 
     base = url.rstrip("/")
@@ -853,24 +820,20 @@ def _cmd_serve(args) -> int:
 
     from repro.obs.trace import enable_tracing
 
-    # Servers always trace: spans are how a fleet debugs itself, and the
-    # in-process CLI paths (which goldens byte-compare) stay untraced.
+    # Servers always trace: spans are how a server explains its jobs, and
+    # the in-process CLI paths (which goldens byte-compare) stay untraced.
     enable_tracing(True)
     service = SynthesisService(
         cache_dir=args.cache_dir,
         max_workers=args.max_workers,
         queue_limit=args.queue_limit if args.queue_limit is not None else DEFAULT_QUEUE_LIMIT,
         default_job_timeout=args.job_timeout,
-        node_id=args.node_id,
-        worker_nodes=tuple(args.worker_nodes or ()),
     )
 
     def announce(port: int) -> None:
-        role = "coordinator" if service.worker_nodes else "worker"
         print(
             f"repro service listening on http://{args.host}:{port} "
-            f"({len(service.registry)} problems, {service.max_workers} workers, "
-            f"node {service.node_id} as {role})",
+            f"({len(service.registry)} problems, {service.max_workers} workers)",
             flush=True,
         )
 

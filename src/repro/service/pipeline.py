@@ -287,10 +287,6 @@ class SynthesisPipeline:
                 result, tier = self.cache.lookup(problem)
                 report.cache_tier = tier
                 detail["tier"] = tier
-                if self.cache.manifest is not None:
-                    # Fleet provenance: which shared-manifest generation this
-                    # lookup ran under (the lookup itself just synced it).
-                    detail["manifest_generation"] = self.cache._manifest_generation
 
         # -------- witness-lookup: replay a stored proof or seed from an
         # ancestor's.  Only on a miss — a cache hit already has the finished

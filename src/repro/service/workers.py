@@ -98,7 +98,7 @@ class SweepSummary:
 #: Per-process snapshot of witness-derived success entries, keyed by witness
 #: store root.  Warmed once per (process, store) from the disk tier, then
 #: copied into every fresh search's tables — so a worker assigned a problem
-#: any fleet peer already proved starts with those subproofs in hand.
+#: any earlier worker already proved starts with those subproofs in hand.
 _WARM_SUCCESSES: Dict[str, Dict[Sequent, ProofNode]] = {}
 
 
@@ -265,9 +265,9 @@ def run_request_in_process(
     timeout/cancellation the child is ``terminate()``-d and the matching
     structured :class:`~repro.service.api.ApiError` is raised.
 
-    ``trace_context`` parents the child's spans explicitly — executor
-    threads do not inherit the submitting task's contextvars, so the job
-    engine passes its job span's context by hand.
+    ``trace_context`` parents the child's spans explicitly — a child process
+    does not inherit the caller's contextvars, so callers pass their current
+    context by hand.
     """
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -329,8 +329,8 @@ def resolve_sweep_names(
 ) -> List[str]:
     """The concrete problem list a sweep request selects.
 
-    Centralized so the inline sweep, the async sweep engine and the fleet
-    coordinator shard over *exactly* the same population — explicit names
+    Centralized so the inline sweep and the async sweep engine run
+    *exactly* the same population — explicit names
     verbatim (duplicates preserved), ``include_all`` the full registry,
     neither the default sweepable population.
     """
@@ -380,7 +380,7 @@ def run_sweep(
 
     else:
         # Worker threads do not inherit this thread's current span, so the
-        # children's trace parent (e.g. a fleet shard span) is passed by hand.
+        # children's trace parent (e.g. a sweep job span) is passed by hand.
         context = get_tracer().current()
 
         def run(request: api.SynthesizeRequest) -> api.SynthesisResult:

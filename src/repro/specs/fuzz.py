@@ -424,18 +424,18 @@ class DifferentialChecker:
             body = exc.read().decode("utf-8", "replace")
             return self._failure(spec, "remote", f"HTTP {exc.code}: {body[:300]}")
         except (urllib.error.URLError, OSError) as exc:
-            return self._failure(spec, "remote", f"fleet unreachable: {exc}")
+            return self._failure(spec, "remote", f"server unreachable: {exc}")
         result = document.get("result") or {}
         error = document.get("error")
         if error is not None:
-            return self._failure(spec, "remote", f"fleet error: {error}")
+            return self._failure(spec, "remote", f"server error: {error}")
         remote_expression = result.get("expression")
         local_expression = getattr(self, "_local_expression", None)
         if local_expression is not None and remote_expression != local_expression:
             return self._failure(
                 spec,
                 "remote",
-                f"fleet synthesized {remote_expression!r}, local {local_expression!r}",
+                f"server synthesized {remote_expression!r}, local {local_expression!r}",
             )
         return None
 
@@ -694,7 +694,7 @@ def run_fuzz(
     and ``("failure", FuzzFailure)`` for each (minimized) finding.
     """
     if mutate and url is not None:
-        raise ValueError("edit-mode fuzzing is local-only; it cannot target a fleet URL")
+        raise ValueError("edit-mode fuzzing is local-only; it cannot target a server URL")
     checker: DifferentialChecker | MutationChecker
     if mutate:
         checker = MutationChecker(max_depth=max_depth, instance_count=instance_count)

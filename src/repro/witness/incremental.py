@@ -13,7 +13,7 @@ starts:
   with the Figure 3 constructors, and seed every subtree that still checks.
   The new search then pays only for the proof region the edit actually
   invalidated — re-synthesizing a tweaked spec is near-warm instead of cold.
-* :func:`warm_tables_from_store` — fleet worker warm-up: seed a (process-
+* :func:`warm_tables_from_store` — worker warm-up: seed a (process-
   shared) table from the newest stored witnesses on start, so sweep workers
   share ``SearchTables`` successes across processes via the disk tier.
 
@@ -392,9 +392,9 @@ def warm_tables_from_store(
 ) -> int:
     """Seed ``tables`` from the newest stored witnesses; returns #sequents.
 
-    Worker processes call this once on start so the fleet's accumulated
-    proof work is shared through the disk tier: a worker assigned a problem
-    any peer has proved (or any subproblem whose sequents overlap) starts
+    Worker processes call this once on start so the proof work of earlier
+    workers is shared through the disk tier: a worker assigned a problem
+    any of them has proved (or any subproblem whose sequents overlap) starts
     with those successes already in its transposition table.
     """
     warmed = 0

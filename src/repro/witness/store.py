@@ -171,25 +171,15 @@ class WitnessSummary:
 
 
 class WitnessStore:
-    """The ``witnesses/`` disk tier: digest → checked proof tree.
-
-    ``manifest`` (optional, the cache's shared :class:`~repro.service.
-    manifest.CacheManifest`) is bumped whenever maintenance evicts entries,
-    so fleet peers drop memory copies warmed from evicted witnesses — the
-    same cooperative-invalidation contract the result tier follows.
-    """
+    """The ``witnesses/`` disk tier: digest → checked proof tree."""
 
     def __init__(
         self,
         root: os.PathLike,
-        node_id: str = "",
-        manifest=None,
         entry_bound: Optional[int] = DEFAULT_WITNESS_ENTRY_BOUND,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.node_id = node_id
-        self.manifest = manifest
         self.entry_bound = entry_bound
         self.memory_bound = DEFAULT_WITNESS_MEMORY_BOUND
         self.stats = WitnessStoreStats()
@@ -444,10 +434,8 @@ class WitnessStore:
     def maintain(self) -> int:
         """Bound the tier (oldest witnesses evicted first); returns #evicted.
 
-        Evictions are announced through the shared cache manifest exactly
-        like result-tier evictions, so fleet peers holding warmed copies
-        drop and re-warm.  Only runs after a store (``_dirty``) so warm
-        traffic never pays the directory scan.
+        Only runs after a store (``_dirty``) so warm traffic never pays the
+        directory scan.
         """
         if not self._dirty:
             return 0
@@ -460,8 +448,6 @@ class WitnessStore:
             victim = summaries[len(summaries) - 1 - evicted]
             self.delete(victim.digest)
             evicted += 1
-        if evicted and self.manifest is not None:
-            self.manifest.bump(self.node_id)
         return evicted
 
 

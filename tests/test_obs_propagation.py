@@ -1,22 +1,21 @@
-"""Fleet-wide trace propagation: one stitched trace across process + HTTP hops.
+"""Trace propagation: one stitched trace across process and HTTP hops.
 
-The propagation half of ISSUE 8: a sweep fanned out over a LocalNode (worker
-*processes* — spans ride home over the result pipe) and an HttpNode (spans
-ride home in the ``SweepResponse`` payload, parented via ``X-Repro-Trace``)
-must produce ONE trace whose shard spans parent correctly, and the telemetry
-endpoints must expose it.
+A sweep job runs its problems in worker *processes*, whose spans ride home
+over the result pipe and must chain to the job's ``sweep.job`` span; an
+inbound ``X-Repro-Trace`` header parents the server's ``http.request`` span;
+and the telemetry endpoints must expose the result.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs.metrics import reset_registry
-from repro.obs.trace import enable_tracing
+from repro.obs.trace import TRACE_HEADER, TraceContext, enable_tracing
 from repro.service import api
-from repro.service.fleet import HttpNode, LocalNode, SweepCoordinator
 from repro.service.server import BackgroundServer, SynthesisService
 
 NAMES = ["identity_view", "union_view", "intersection_view", "unique_element"]
@@ -50,63 +49,87 @@ def _by_id(spans):
     return {span["span_id"]: span for span in spans}
 
 
-def test_fleet_sweep_stitches_one_trace_across_process_and_http_hops(traced):
-    with BackgroundServer(SynthesisService()) as worker:
-        coordinator = SweepCoordinator(
-            nodes=[LocalNode("local"), HttpNode(worker.url, name="remote")],
-            shard_size=2,
-        )
-        with traced.span("test.sweep") as root:
-            trace_id = root.trace_id
-            response = coordinator.run(api.SweepRequest(processes=2), list(NAMES))
-    assert response.ok
+def _get(url, headers=None):
+    request = urllib.request.Request(url, headers=headers or {})
+    return json.loads(urllib.request.urlopen(request).read().decode())
 
-    spans = traced.spans_for(trace_id)
+
+def _run_sweep(server):
+    """Submit a two-process sweep of ``NAMES`` over HTTP; poll it to done."""
+    request = urllib.request.Request(
+        server.url + "/v1/sweeps",
+        data=json.dumps({"problems": NAMES, "processes": 2}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    status = api.SweepJobStatus.from_json_dict(
+        json.loads(urllib.request.urlopen(request).read().decode())
+    )
+    deadline = time.monotonic() + 120
+    while not status.finished and time.monotonic() < deadline:
+        time.sleep(0.05)
+        status = api.SweepJobStatus.from_json_dict(
+            _get(server.url + f"/v1/sweeps/{status.id}")
+        )
+    assert status.state == api.JOB_DONE, status
+    assert status.result is not None and status.result.ok
+    return status
+
+
+def test_sweep_job_stitches_one_trace_across_the_process_hop(traced):
+    with BackgroundServer(SynthesisService()) as server:
+        status = _run_sweep(server)
+        info = api.TraceInfo.from_json_dict(
+            _get(server.url + f"/v1/jobs/{status.id}/trace")
+        )
+    assert info.job_id == status.id
+    spans = [span.to_json_dict() for span in info.spans]
     by_id = _by_id(spans)
     assert len(by_id) == len(spans), "span ids are unique (no double-adoption)"
-    assert {span["trace_id"] for span in spans} == {trace_id}
+    assert {span["trace_id"] for span in spans} == {info.trace_id}
 
-    root_span = next(span for span in spans if span["name"] == "test.sweep")
-    # Shard spans were opened on executor threads: the explicit trace-context
-    # hand-off (not contextvar inheritance) parents them under the root.  (The
-    # remote server's *internal* coordinator contributes further fleet.shard
-    # spans one level deeper — stitched in, but not parented to the root.)
-    shards = [span for span in spans if span["name"] == "fleet.shard"]
-    top_shards = [s for s in shards if s["parent_id"] == root_span["span_id"]]
-    assert len(top_shards) == 2
-    assert {span["attributes"]["node"] for span in top_shards} == {"local", "remote"}
+    sweep_jobs = [span for span in spans if span["name"] == "sweep.job"]
+    assert len(sweep_jobs) == 1
+    # Every problem ran inside a worker.request span, recorded in a child
+    # process and shipped home, that chains back to the sweep job.
+    worker_requests = [span for span in spans if span["name"] == "worker.request"]
+    assert len(worker_requests) == len(NAMES)
 
-    # Both hops shipped their worker-process spans home: every synthesized
-    # problem ran inside a worker.request span that chains back to a shard.
-    worker_jobs = [span for span in spans if span["name"] == "worker.request"]
-    assert len(worker_jobs) == len(NAMES)
-
-    def _chains_to_shard(span):
+    def _chains_to_sweep_job(span):
         seen = set()
         while span is not None and span["span_id"] not in seen:
             seen.add(span["span_id"])
-            if span["name"] == "fleet.shard":
+            if span["span_id"] == sweep_jobs[0]["span_id"]:
                 return True
             span = by_id.get(span.get("parent_id"))
         return False
 
-    assert all(_chains_to_shard(span) for span in worker_jobs)
-    # The HTTP hop contributed the remote server's request + sweep spans.
-    names = {span["name"] for span in spans}
-    assert {"http.request", "sweep.job", "pipeline.proof-search"} <= names
+    assert all(_chains_to_sweep_job(span) for span in worker_requests)
+    assert {"http.request", "pipeline.proof-search"} <= {span["name"] for span in spans}
 
 
 def test_disabled_tracer_records_no_spans_anywhere(untraced):
-    with BackgroundServer(SynthesisService()) as worker:
-        coordinator = SweepCoordinator(
-            nodes=[LocalNode("local"), HttpNode(worker.url, name="remote")],
-            shard_size=2,
-        )
-        response = coordinator.run(api.SweepRequest(processes=2), list(NAMES))
-    assert response.ok
+    with BackgroundServer(SynthesisService()) as server:
+        status = _run_sweep(server)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(server.url + f"/v1/jobs/{status.id}/trace")
+        assert json.loads(excinfo.value.read().decode())["error"]["code"] == "no_trace"
     assert untraced.export_all() == []
     assert untraced.trace_count() == 0
-    assert response.spans == ()
+
+
+def test_http_request_span_parents_on_the_inbound_trace_header(traced):
+    parent = TraceContext("ab" * 16, "cd" * 8)
+    with BackgroundServer(SynthesisService()) as server:
+        _get(server.url + "/healthz", headers={TRACE_HEADER: parent.to_header()})
+        # The span is recorded once the response is written: allow the
+        # server thread a moment to close it.
+        deadline = time.monotonic() + 10
+        while not traced.spans_for(parent.trace_id) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    spans = traced.spans_for(parent.trace_id)
+    assert [span["name"] for span in spans] == ["http.request"]
+    assert spans[0]["parent_id"] == parent.span_id
+    assert spans[0]["attributes"]["endpoint"] == "/healthz"
 
 
 def test_metrics_endpoint_serves_prometheus_and_json(traced):

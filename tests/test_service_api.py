@@ -46,20 +46,6 @@ sweep_requests = st.builds(
     max_depth=st.one_of(st.none(), st.integers(1, 64)),
 )
 
-sweep_submit_requests = st.builds(
-    api.SweepSubmitRequest,
-    problems=st.lists(names, max_size=5).map(tuple),
-    include_all=st.just(False),
-    processes=st.one_of(st.none(), st.integers(1, 32)),
-    timeout=st.one_of(st.none(), positive_seconds),
-    verify_scale=st.integers(0, 100),
-    cache_dir=st.one_of(st.none(), names),
-    max_depth=st.one_of(st.none(), st.integers(1, 64)),
-    nodes=st.lists(names, max_size=3).map(tuple),
-    shard_size=st.one_of(st.none(), st.integers(1, 16)),
-    max_retries=st.integers(0, 5),
-)
-
 problem_infos = st.builds(
     api.ProblemInfo,
     name=names,
@@ -153,17 +139,6 @@ sweep_responses = st.builds(
     cache_hits=st.integers(0, 100),
     ok=st.booleans(),
     jobs=st.lists(sweep_outcomes, max_size=3).map(tuple),
-    spans=st.lists(span_infos, max_size=2).map(tuple),
-)
-
-shard_infos = st.builds(
-    api.ShardInfo,
-    index=st.integers(0, 100),
-    state=st.sampled_from(api.SHARD_STATES),
-    problems=st.lists(names, max_size=4).map(tuple),
-    node=st.one_of(st.just(""), names),
-    retries=st.integers(0, 5),
-    error=st.one_of(st.none(), error_infos),
 )
 
 sweep_job_statuses = st.builds(
@@ -173,7 +148,6 @@ sweep_job_statuses = st.builds(
     submitted_at=seconds,
     started_at=st.one_of(st.none(), seconds),
     finished_at=st.one_of(st.none(), seconds),
-    shards=st.lists(shard_infos, max_size=3).map(tuple),
     result=st.one_of(st.none(), sweep_responses),
     error=st.one_of(st.none(), error_infos),
 )
@@ -202,7 +176,6 @@ disk_cache_stats = st.builds(
     entries=st.lists(cache_entries, max_size=3).map(tuple),
     total_payload_bytes=st.integers(0, 10**9),
     next_cursor=st.one_of(st.none(), names),
-    manifest=details,
 )
 
 process_cache_stats = st.builds(
@@ -238,7 +211,6 @@ ROUNDTRIP_STRATEGIES = {
     api.SynthesizeRequest: synthesize_requests,
     api.VerifyRequest: verify_requests,
     api.SweepRequest: sweep_requests,
-    api.SweepSubmitRequest: sweep_submit_requests,
     api.ProblemInfo: problem_infos,
     api.ProblemPage: problem_pages,
     api.StageReport: stage_reports,
@@ -250,7 +222,6 @@ ROUNDTRIP_STRATEGIES = {
     api.SpanInfo: span_infos,
     api.TraceInfo: trace_infos,
     api.SweepResponse: sweep_responses,
-    api.ShardInfo: shard_infos,
     api.SweepJobStatus: sweep_job_statuses,
     api.CacheEntryInfo: cache_entries,
     api.DiskCacheStats: disk_cache_stats,
@@ -388,7 +359,7 @@ def test_non_finite_numbers_are_invalid_requests():
         with pytest.raises(api.ApiError, match="finite"):
             api.SynthesizeRequest(problem="p", timeout=timeout)
         with pytest.raises(api.ApiError, match="finite"):
-            api.SweepSubmitRequest(timeout=timeout)
+            api.SweepRequest(timeout=timeout)
     # An int inside a float-valued map is kept as an int: its bytes round-trip.
     outcome = api.SweepOutcome.from_json(
         '{"name": "p", "status": "ok", "seconds": 1, "stage_seconds": {"validate": 2}}'

@@ -121,6 +121,21 @@ def test_disk_entries_metadata(tmp_path):
     assert raw["name"] == "union_view"
 
 
+def test_leftover_manifest_file_is_not_a_cache_entry(tmp_path):
+    """Older cache directories carry a ``manifest.json`` next to the sidecars;
+    it is not an entry's sidecar and must not be listed as one."""
+    problem = examples.union_view()
+    cache = SynthesisCache(disk_dir=tmp_path)
+    cache.store(problem, _result(problem))
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"generation": 3, "node_id": "node-a", "updated_at": 1700000000.0})
+    )
+    assert [entry.name for entry in disk_entries(tmp_path)] == ["union_view"]
+    assert [entry.name for entry in SynthesisCache(disk_dir=tmp_path).disk_entries()] == [
+        "union_view"
+    ]
+
+
 def test_compiled_programs_stay_in_process(tmp_path):
     """A run with a disk tier writes no compiled program to disk, so a fresh
     process serving the result from disk compiles φ again to verify it."""

@@ -77,7 +77,7 @@ def test_finished_sweep_outlives_a_burst_of_synthesize_jobs(monkeypatch):
         service = SynthesisService()
         request = api.SynthesizeRequest(problem="identity_view")
         service.synthesize(request)  # warm: every submission below is born done
-        sweep = await service.submit_sweep(api.SweepSubmitRequest(problems=("identity_view",)))
+        sweep = await service.submit_sweep(api.SweepRequest(problems=("identity_view",)))
         sweep = await service.wait_sweep(sweep.id, timeout=120)
         assert sweep.state == api.JOB_DONE
         jobs = [await service.submit(request) for _ in range(4)]

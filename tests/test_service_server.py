@@ -380,7 +380,7 @@ def test_eight_concurrent_synthesize_requests_do_not_block_the_loop(server):
     threads = [threading.Thread(target=submit, args=(name,)) for name in problems]
     for thread in threads:
         thread.start()
-    # While the fleet runs, the loop must keep serving health checks quickly.
+    # While the jobs run, the loop must keep serving health checks quickly.
     probes = 0
     while any(thread.is_alive() for thread in threads):
         start = time.monotonic()
@@ -400,16 +400,12 @@ def test_eight_concurrent_synthesize_requests_do_not_block_the_loop(server):
         assert payload["result"]["expression"], name
 
 
-# ------------------------------------------------- fleet sweeps + pagination
+# ------------------------------------------------------ sweeps + pagination
 def test_health_reports_node_identity(server):
     status, payload = http_get(server.url + "/healthz")
     assert status == 200
-    node = payload["node"]
-    assert node["id"]  # hostname-pid by default
-    assert node["role"] == "worker"  # no standing worker_nodes configured
-    assert node["worker_nodes"] == []
-    assert node["manifest_generation"] == 0  # no disk tier on this fixture
-    assert isinstance(node["queue_depth"], int)
+    assert "node" not in payload
+    assert isinstance(payload["queue_depth"], int)
     assert "sweeps" in payload and "sweeps_enqueued" in payload
 
 
@@ -509,12 +505,6 @@ def test_sweep_submit_then_poll_over_http(server):
     assert polled.state == api.JOB_DONE
     assert polled.result is not None and polled.result.ok
     assert [job.name for job in polled.result.jobs] == ["identity_view", "unique_element"]
-    # Per-shard progress rode along and every shard landed.
-    assert polled.shards and all(s.state == "done" for s in polled.shards)
-    assert sorted(n for s in polled.shards for n in s.problems) == [
-        "identity_view",
-        "unique_element",
-    ]
 
 
 def test_sweep_wait_inline_answers_the_legacy_document(server):
@@ -537,25 +527,6 @@ def test_unknown_sweep_job_is_a_404(server):
         http_post, server.url + "/v1/sweeps", {"problems": ["x"], "shard_size": 0}
     )
     assert code == 400 and body["error"]["code"] == "invalid_request"
-
-
-def test_sweep_against_unreachable_nodes_fails_with_node_unavailable():
-    async def scenario():
-        service = SynthesisService()
-        status = await service.submit_sweep(
-            api.SweepSubmitRequest(
-                problems=("identity_view",),
-                nodes=("http://127.0.0.1:9/",),  # discard port: nothing listens
-                max_retries=0,
-            )
-        )
-        final = await service.wait_sweep(status.id, timeout=60)
-        assert final.state == api.JOB_FAILED
-        assert final.error is not None and final.error.code == "node_unavailable"
-        assert final.result is None
-        assert final.shards and final.shards[0].state == "failed"
-
-    asyncio.run(scenario())
 
 
 # ----------------------------------------------------- spec_text submissions

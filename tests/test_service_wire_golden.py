@@ -69,15 +69,6 @@ _sweep = api.SweepResponse(
     cache_hits=2,
     ok=False,
     jobs=(_outcome, api.SweepOutcome(name="pair_of_views", status="error", seconds=0.5)),
-    spans=(_span,),
-)
-_shard = api.ShardInfo(
-    index=1,
-    state=api.SHARD_FAILED,
-    problems=("union_view", "identity_view"),
-    node="127.0.0.1:8081",
-    retries=2,
-    error=_error,
 )
 _problem = api.ProblemInfo(
     name="union_view",
@@ -129,18 +120,6 @@ CASES = {
         cache_dir="cache",
         max_depth=8,
     ),
-    "SweepSubmitRequest/minimal": api.SweepSubmitRequest(),
-    "SweepSubmitRequest/full": api.SweepSubmitRequest(
-        include_all=True,
-        processes=1,
-        timeout=2.0,
-        verify_scale=4,
-        cache_dir="shared",
-        max_depth=6,
-        nodes=("http://127.0.0.1:8081", "http://127.0.0.1:8082"),
-        shard_size=2,
-        max_retries=0,
-    ),
     "ProblemInfo/minimal": api.ProblemInfo(name="union_view", description="d"),
     "ProblemInfo/full": _problem,
     "ProblemPage/minimal": api.ProblemPage(),
@@ -183,8 +162,6 @@ CASES = {
     "TraceInfo/full": api.TraceInfo(trace_id="0" * 32, job_id="job-2", spans=(_span,)),
     "SweepResponse/minimal": api.SweepResponse(wall_seconds=0.0, processes=1),
     "SweepResponse/full": _sweep,
-    "ShardInfo/minimal": api.ShardInfo(index=0, state=api.SHARD_PENDING),
-    "ShardInfo/full": _shard,
     "SweepJobStatus/minimal": api.SweepJobStatus(
         id="sweep-1", state=api.JOB_RUNNING, submitted_at=2.0
     ),
@@ -194,9 +171,8 @@ CASES = {
         submitted_at=1700000000.0,
         started_at=1700000000.125,
         finished_at=1700000003.0,
-        shards=(_shard, api.ShardInfo(index=2, state=api.SHARD_DONE, node="local")),
         result=_sweep,
-        error=api.ErrorInfo("node_unavailable", "gone", {"node": "b"}),
+        error=api.ErrorInfo("internal", "gone", {"node": "b"}),
     ),
     "CacheEntryInfo/minimal": api.CacheEntryInfo(
         digest="d", name="n", expression="E", expression_size=1, proof_size=2, created=0.5
@@ -208,7 +184,6 @@ CASES = {
         entries=(_entry,),
         total_payload_bytes=2048,
         next_cursor="c1",
-        manifest={"generation": 4, "node_id": "worker-a", "updated_at": 1700000000.0},
     ),
     "ProcessCacheStats/minimal": api.ProcessCacheStats(),
     "ProcessCacheStats/full": api.ProcessCacheStats(

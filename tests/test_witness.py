@@ -401,3 +401,22 @@ def test_witness_address_distinguishes_input_types(tmp_path):
     assert witness_digest(first.problem.determinacy_goal()) != witness_digest(
         second.problem.determinacy_goal()
     )
+
+
+def test_fuzz_goals_sharing_a_witness_address_are_structurally_equal():
+    """One witness address, one goal: over four fuzz streams, every group of
+    determinacy goals with the same ``witness_digest`` holds equal sequents
+    (types included), so a stored proof is only ever replayed for its own
+    goal."""
+    from repro.specs.fuzz import generate_spec
+
+    groups = {}
+    for seed in range(4):
+        for index in range(300):
+            goal = generate_spec(seed, index).problem.determinacy_goal()
+            groups.setdefault(witness_digest(goal), []).append((seed, index, goal))
+    assert len(groups) > 1
+    for members in groups.values():
+        _, _, first = members[0]
+        for seed, index, goal in members[1:]:
+            assert goal == first, (seed, index)

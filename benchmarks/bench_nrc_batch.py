@@ -1,14 +1,16 @@
-"""Emit ``BENCH_nrc_batch.json``: batched vs per-environment evaluation.
+"""Emit ``BENCH_nrc_batch.json``: batched vs per-assignment formula filtering.
 
-Measures the batched backends (:func:`repro.nrc.eval.eval_nrc_batch`,
-:func:`repro.logic.semantics.eval_formula_batch` and the batched
-``check_explicit_definition``) against the per-environment paths **in the same
-process on the same inputs**, so the recorded ``speedup`` ratios are
-machine-independent and gate-able on CI (see ``benchmarks/compare_bench.py``).
+Measures the compiled formula filter (:func:`repro.logic.semantics.eval_formula_batch`
+and ``check_explicit_definition``, which filters with it) against the
+per-assignment ``eval_formula`` paths **in the same process on the same
+inputs**, so the recorded ``speedup`` ratios are machine-independent and
+gate-able on CI (see ``benchmarks/compare_bench.py``).  NRC expressions are
+evaluated per environment on both sides.
 
 The headline row is ``check_explicit_definition`` over a 96-assignment family
-of the ``union_view`` problem — the synthesis pipeline's validation hot path
-that motivated batching (ISSUE 2 / ROADMAP "Evaluator batching").
+of the ``union_view`` problem — the synthesis pipeline's validation hot path.
+Plain NRC evaluation is measured end to end by the ``query_eval`` workload of
+``perfbench/run.py`` (its ``op1_ms``/``op2_ms`` rows).
 
 Usage::
 
@@ -26,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _bench_core_timing import best_of  # noqa: E402
 
 FAMILY_SIZE = 96
-EVAL_FAMILY_SIZE = 64
 
 
 def build_union_view_family(count: int):
@@ -49,29 +50,8 @@ def build_union_view_family(count: int):
     return problem, assignments
 
 
-def build_eval_family(count: int):
-    """Environments for the comprehension benchmark expression."""
-    from repro.logic.formulas import NeqUr
-    from repro.logic.terms import Var
-    from repro.nr.types import UR, set_of
-    from repro.nr.values import ur, vset
-    from repro.nrc.expr import NVar
-    from repro.nrc.macros import comprehension
-
-    source = NVar("S", set_of(UR))
-    z = NVar("z", UR)
-    comp = comprehension(source, z, NeqUr(Var("z", UR), Var("t", UR)))
-    t = NVar("t", UR)
-    envs = [
-        {source: vset([ur(i % 24) for i in range(5 + index % 20)]), t: ur(index % 8)}
-        for index in range(count)
-    ]
-    return comp, envs
-
-
 def measure() -> dict:
     from repro.logic.semantics import eval_formula, eval_formula_batch
-    from repro.nrc.eval import eval_nrc, eval_nrc_batch
     from repro.proofs.search import ProofSearch
     from repro.synthesis import check_explicit_definition, synthesize
 
@@ -101,16 +81,10 @@ def measure() -> dict:
     )
     batch[key] = best_of(lambda: eval_formula_batch(problem.phi, assignments), repeats=5, inner=2)
 
-    comp, envs = build_eval_family(EVAL_FAMILY_SIZE)
-    key = f"eval_comprehension_{EVAL_FAMILY_SIZE}_envs"
-    assert eval_nrc_batch(comp, envs) == [eval_nrc(comp, e) for e in envs]
-    per_env[key] = best_of(lambda: [eval_nrc(comp, e) for e in envs], repeats=5, inner=2)
-    batch[key] = best_of(lambda: eval_nrc_batch(comp, envs), repeats=5, inner=2)
-
     speedup = {name: round(per_env[name] / batch[name], 2) for name in per_env}
     return {
         "harness": "benchmarks/_bench_core_timing.py (best-of wall clock, seconds)",
-        "family_sizes": {"verification": FAMILY_SIZE, "eval": EVAL_FAMILY_SIZE},
+        "family_sizes": {"verification": FAMILY_SIZE},
         "per_env": per_env,
         "batch": batch,
         "speedup": speedup,

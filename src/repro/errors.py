@@ -6,6 +6,8 @@ can catch a single base class.  Subclasses are organized by subsystem.
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 
 class ReproError(Exception):
     """Base class of all errors raised by this library."""
@@ -36,7 +38,15 @@ class RuleApplicationError(ProofError):
 
 
 class ProofSearchError(ReproError):
-    """Proof search failed (exhausted its budget) or was given a bad goal."""
+    """Proof search failed (exhausted its budget) or was given a bad goal.
+
+    ``detail`` says how far an exhausted search got: the depth budgets it
+    tried, the attempts it spent and its limits.
+    """
+
+    def __init__(self, message: str, detail: Optional[Mapping[str, object]] = None) -> None:
+        super().__init__(message)
+        self.detail = dict(detail or {})
 
 
 class InterpolationError(ReproError):

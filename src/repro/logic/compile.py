@@ -10,8 +10,9 @@ node, so proof-search-driven re-verification reuses both the program and its
 per-row results.
 
 Two backends share one postfix program over interned id columns
-(:mod:`repro.nr.columns` is the substrate; frames/rowmaps are the same
-:class:`~repro.nr.columns.BatchFrame` machinery the NRC backend uses):
+(:mod:`repro.nr.columns` is the substrate; frames/rowmaps are the
+:class:`~repro.nr.columns.BatchFrame` machinery shared with
+:mod:`repro.logic.semantics`):
 
 * the primary backend generates straight-line Python source: terms become
   columnar kernel calls, atoms become fused ``zip`` comparisons, each
@@ -693,8 +694,7 @@ def eval_formula_columns(
 ) -> List[bool]:
     """Evaluate ``formula`` over base columns of already-interned ids.
 
-    The id-level composition primitive, mirroring
-    :func:`repro.nrc.eval.eval_nrc_batch_columns`: a batch's output ids (or a
+    The id-level composition primitive: a batch's output ids (or a
     deduplicated row view) can feed the formula without externing values.
     """
     program = compile_formula(formula, backend=backend)

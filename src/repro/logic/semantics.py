@@ -10,8 +10,8 @@ Satisfying-assignment enumeration over whole families goes through the
 batched path: :func:`eval_formula_batch` runs the formula *compiler*
 (:mod:`repro.logic.compile`) over a **column** of assignments at once on the
 interned-id substrate of :mod:`repro.nr.columns` (equality and membership
-become integer comparisons and binary searches; quantifiers expand rows the
-way the batched NRC evaluator expands ``NBigUnion``; ``And``/``Or``
+become integer comparisons and binary searches; a quantifier expands each
+row into one row per member of its bound; ``And``/``Or``
 short-circuit through selection masks, matching :func:`eval_formula`'s
 row-by-row laziness), and :func:`satisfying_assignments` filters a family
 with it, returning a zero-copy :class:`SatisfyingView`.  The batched path

@@ -1,30 +1,23 @@
-"""Columnar value interning for batched evaluation.
+"""Columnar value interning for the batched formula evaluators.
 
-The per-environment evaluator (:mod:`repro.nrc.eval`) manipulates immutable
-:class:`~repro.nr.values.Value` objects directly: every union builds a fresh
-``frozenset``, every equality hashes whole nested structures.  That is fine
-for one environment, but when the synthesis pipeline validates a definition
-against a *family* of satisfying assignments the same small values are
-rebuilt and re-hashed once per row.
-
-This module provides the columnar substrate the batched backends share:
+NRC expressions are evaluated per environment (:mod:`repro.nrc.eval`), but
+Δ0 formulas are filtered over whole assignment families at once
+(:mod:`repro.logic.compile`, :mod:`repro.logic.semantics`).  This module is
+the substrate those formula backends share:
 
 * a :class:`ValueInterner` assigns every distinct nested value a dense
   integer id.  Pairs are interned by their component ids, and set values are
   canonically represented as **sorted** ``array('q')`` id arrays — two sets
   are extensionally equal exactly when they receive the same id, so value
-  equality anywhere in a batched evaluator is a single ``int`` comparison;
-* set algebra runs as **linear merges over the sorted id arrays**
-  (:func:`merge_union`, :func:`merge_diff`, :func:`merge_many` — the
-  sorted-sequence merge style used by big-BWT construction), never touching
-  per-row Python ``frozenset`` objects.  The kernels are plain Python with
-  no optional dependency, so every interned id is the same on every install;
-* binary operations are memoized on operand ids, so the massive value
-  sharing of enumerated assignment families collapses duplicated work
-  across rows into single dictionary hits;
+  equality in a batched formula is a single ``int`` comparison and
+  membership is a binary search;
+* columnar kernels (pairing, projection, set explosion, short-circuiting
+  per-segment ``all``/``any``) process one id per row in tight loops;
+* :class:`BatchFrame` and the ``gather_*`` helpers align bound-variable and
+  free-variable columns with the rows a quantifier expanded;
 * :class:`LazyColumns` interns the per-variable columns of an assignment
-  family on first use, preserving the per-environment evaluator's "unbound
-  variables only fail if actually evaluated" behavior.
+  family on first use, preserving the per-row "unbound variables only fail
+  if actually evaluated" behavior.
 
 The interner is append-only; ids are never recycled.  Callers that process
 unbounded streams of fresh values should use a private interner per batch
@@ -36,7 +29,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from heapq import merge as _heapq_merge
 from itertools import repeat
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,86 +39,6 @@ from repro.nr.values import PairValue, SetValue, UnitValue, UrValue, Value
 UNIT_KIND, UR_KIND, PAIR_KIND, SET_KIND = range(4)
 
 _EMPTY_ARRAY = array("q")
-
-
-# =====================================================================
-# Sorted-id-array merge kernels
-# =====================================================================
-#
-# The merge algebra is deliberately a *narrow interface*: three pure-Python
-# functions over canonical (sorted, duplicate-free) ``array('q')`` id arrays.
-# Set union/difference of sorted unique sequences has exactly one sorted
-# unique answer, so every downstream interned id is fixed by these kernels.
-
-
-def merge_union(left: array, right: array) -> array:
-    """Union of two sorted duplicate-free id arrays, one linear pass."""
-    if not left:
-        return right
-    if not right:
-        return left
-    out = array("q")
-    append = out.append
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        a, b = left[i], right[j]
-        if a < b:
-            append(a)
-            i += 1
-        elif b < a:
-            append(b)
-            j += 1
-        else:
-            append(a)
-            i += 1
-            j += 1
-    if i < nl:
-        out.extend(left[i:])
-    if j < nr:
-        out.extend(right[j:])
-    return out
-
-
-def merge_diff(left: array, right: array) -> array:
-    """Difference ``left \\ right`` of sorted duplicate-free id arrays."""
-    if not left or not right:
-        return left
-    out = array("q")
-    append = out.append
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        a, b = left[i], right[j]
-        if a < b:
-            append(a)
-            i += 1
-        elif b < a:
-            j += 1
-        else:
-            i += 1
-            j += 1
-    if i < nl:
-        out.extend(left[i:])
-    return out
-
-
-def merge_many(arrays: Sequence[array]) -> array:
-    """K-way union of sorted duplicate-free id arrays (heap merge + dedup)."""
-    if not arrays:
-        return _EMPTY_ARRAY
-    if len(arrays) == 1:
-        return arrays[0]
-    if len(arrays) == 2:
-        return merge_union(arrays[0], arrays[1])
-    out = array("q")
-    append = out.append
-    previous = None
-    for vid in _heapq_merge(*arrays):
-        if vid != previous:
-            append(vid)
-            previous = vid
-    return out
 
 
 # =====================================================================
@@ -211,10 +123,6 @@ class ValueInterner:
         "_set_ids",
         "_by_value",
         "_value_of",
-        "_union_cache",
-        "_diff_cache",
-        "_multi_union_cache",
-        "_multi_union_clears",
         "unit_id",
         "empty_set_id",
         "true_id",
@@ -231,10 +139,6 @@ class ValueInterner:
         self._set_ids: Dict[Tuple[int, ...], int] = {}
         self._by_value: Dict[Value, int] = {}
         self._value_of: List[Optional[Value]] = []
-        self._union_cache: Dict[Tuple[int, int], int] = {}
-        self._diff_cache: Dict[Tuple[int, int], int] = {}
-        self._multi_union_cache: Dict[Tuple[int, ...], int] = {}
-        self._multi_union_clears = 0
         self.unit_id = self._new_id(UNIT_KIND, None)
         self.empty_set_id = self._new_id(SET_KIND, _EMPTY_ARRAY)
         self._set_ids[()] = self.empty_set_id
@@ -246,31 +150,14 @@ class ValueInterner:
 
     # ------------------------------------------------------------- telemetry
     def stats(self) -> Dict[str, int]:
-        """Sizes of the id space and every memo table (service telemetry)."""
+        """Sizes of the id space and its intern tables (service telemetry)."""
         return {
             "ids": len(self._kinds),
             "ur_ids": len(self._ur_ids),
             "pair_ids": len(self._pair_ids),
             "set_ids": len(self._set_ids),
             "value_memo": len(self._by_value),
-            "union_cache": len(self._union_cache),
-            "diff_cache": len(self._diff_cache),
-            "multi_union_cache": len(self._multi_union_cache),
-            "multi_union_cache_bound": self.MULTI_UNION_MEMO_BOUND,
-            "multi_union_cache_clears": self._multi_union_clears,
         }
-
-    def clear_memo_caches(self) -> None:
-        """Drop the derived-operation memo tables (union/diff/k-way results).
-
-        Ids and their payloads survive — only memoized *recomputable* results
-        are released, so this is always safe to call between batches when a
-        long-running process wants to shed memory without rotating the
-        interner (which would invalidate outstanding ids).
-        """
-        self._union_cache.clear()
-        self._diff_cache.clear()
-        self._multi_union_cache.clear()
 
     # ----------------------------------------------------------- id creation
     def _new_id(self, kind: int, payload: object) -> int:
@@ -301,15 +188,6 @@ class ValueInterner:
         vid = self._set_ids.get(key)
         if vid is None:
             vid = self._new_id(SET_KIND, array("q", key))
-            self._set_ids[key] = vid
-        return vid
-
-    def set_id_from_sorted(self, members: array) -> int:
-        """Intern a set from an already canonical (sorted, deduped) array."""
-        key = tuple(members)
-        vid = self._set_ids.get(key)
-        if vid is None:
-            vid = self._new_id(SET_KIND, members)
             self._set_ids[key] = vid
         return vid
 
@@ -405,35 +283,7 @@ class ValueInterner:
                     stack.pop()
         return value_of[vid]
 
-    # -------------------------------------------------------- id-level algebra
-    def union_id(self, left: int, right: int) -> int:
-        kinds = self._kinds
-        if kinds[left] != SET_KIND or kinds[right] != SET_KIND:
-            raise EvaluationError("union of non-set values")
-        if left == right:
-            return left
-        key = (left, right) if left < right else (right, left)
-        cached = self._union_cache.get(key)
-        if cached is None:
-            cached = self.set_id_from_sorted(merge_union(self._payloads[left], self._payloads[right]))
-            self._union_cache[key] = cached
-        return cached
-
-    def diff_id(self, left: int, right: int) -> int:
-        kinds = self._kinds
-        if kinds[left] != SET_KIND or kinds[right] != SET_KIND:
-            raise EvaluationError("difference of non-set values")
-        if left == right or left == self.empty_set_id:
-            return self.empty_set_id
-        if right == self.empty_set_id:
-            return left
-        key = (left, right)
-        cached = self._diff_cache.get(key)
-        if cached is None:
-            cached = self.set_id_from_sorted(merge_diff(self._payloads[left], self._payloads[right]))
-            self._diff_cache[key] = cached
-        return cached
-
+    # ------------------------------------------------------- id-level queries
     def member(self, elem_id: int, set_id: int) -> bool:
         """Membership test by binary search on the sorted member array."""
         members = self._payloads[set_id]
@@ -468,53 +318,13 @@ class ValueInterner:
             append(payloads[vid][component])
         return out
 
-    def singleton_column(self, column: List[int]) -> List[int]:
-        set_ids = self._set_ids
-        new = self._new_id
-        out = []
-        append = out.append
-        for elem in column:
-            key = (elem,)
-            vid = set_ids.get(key)
-            if vid is None:
-                vid = new(SET_KIND, array("q", key))
-                set_ids[key] = vid
-            append(vid)
-        return out
-
-    def union_column(self, left: List[int], right: List[int]) -> List[int]:
-        union_id = self.union_id
-        return [union_id(a, b) for a, b in zip(left, right)]
-
-    def diff_column(self, left: List[int], right: List[int]) -> List[int]:
-        diff_id = self.diff_id
-        return [diff_id(a, b) for a, b in zip(left, right)]
-
-    def get_column(self, column: List[int], default_id: Callable[[], int]) -> List[int]:
-        """``get`` per row: the unique member of a singleton, default otherwise."""
-        kinds = self._kinds
-        payloads = self._payloads
-        default = None
-        out = []
-        append = out.append
-        for vid in column:
-            if kinds[vid] != SET_KIND:
-                raise EvaluationError(f"get of non-set value {self.extern(vid)}")
-            members = payloads[vid]
-            if len(members) == 1:
-                append(members[0])
-            else:
-                if default is None:
-                    default = default_id()
-                append(default)
-        return out
-
     def explode_sets(self, column: List[int], error: str) -> Tuple[List[int], List[int], List[int]]:
         """Expand a column of set ids to ``(member_column, rowmap, lengths)``.
 
         ``member_column`` concatenates the member ids of every row's set,
         ``rowmap[j]`` is the source row of expanded row ``j`` and ``lengths``
-        holds the per-row member counts (for :meth:`union_segments`).
+        holds the per-row member counts (for :func:`reduce_segments_all` and
+        :func:`reduce_segments_any`).
         """
         kinds = self._kinds
         payloads = self._payloads
@@ -535,102 +345,19 @@ class ValueInterner:
                 extend_rowmap(repeat(row, count))
         return member_column, rowmap, lengths
 
-    #: Segment width above which :meth:`union_segments` switches from memoized
-    #: pairwise merges (which reuse work across rows) to one k-way heap merge
-    #: (repeated pairwise folding is quadratic in the segment's total size).
-    WIDE_SEGMENT = 8
-
-    #: Bound on the wide-segment memo: its ``tuple(segment)`` keys are as wide
-    #: as the segments themselves, so in a long-lived service process the
-    #: table would otherwise grow without limit.  Past the bound the memo is
-    #: dropped (it is a pure cache of recomputable k-way merges); the clear is
-    #: counted in :meth:`stats` as ``multi_union_cache_clears``.
-    MULTI_UNION_MEMO_BOUND = 16_384
-
-    def union_segments(self, column: List[int], lengths: List[int], error: str) -> List[int]:
-        """Fold each segment of a set-id column into one union per source row.
-
-        Narrow segments fold pairwise through the memoized :meth:`union_id`
-        so identical merges across rows are dictionary hits; segments wider
-        than :data:`WIDE_SEGMENT` go through one :func:`merge_many` pass.
-        """
-        kinds = self._kinds
-        payloads = self._payloads
-        union_id = self.union_id
-        empty = self.empty_set_id
-        wide = self.WIDE_SEGMENT
-        out = []
-        append = out.append
-        position = 0
-        for count in lengths:
-            if count == 0:
-                append(empty)
-                continue
-            segment = column[position : position + count]
-            position += count
-            for vid in segment:
-                if kinds[vid] != SET_KIND:
-                    raise EvaluationError(error % (self.extern(vid),) if "%s" in error else error)
-            if count > wide:
-                key = tuple(segment)
-                cached = self._multi_union_cache.get(key)
-                if cached is None:
-                    cached = self.set_id_from_sorted(merge_many([payloads[vid] for vid in segment]))
-                    if len(self._multi_union_cache) >= self.MULTI_UNION_MEMO_BOUND:
-                        self._multi_union_cache.clear()
-                        self._multi_union_clears += 1
-                    self._multi_union_cache[key] = cached
-                append(cached)
-                continue
-            accumulated = segment[0]
-            for vid in segment[1:]:
-                accumulated = union_id(accumulated, vid)
-            append(accumulated)
-        return out
-
-    def sets_from_segments(self, column: List[int], lengths: List[int]) -> List[int]:
-        """One set id per segment, built directly from element ids.
-
-        The batched counterpart of the codegen backend's singleton-body
-        peephole (``⋃{ {e} | x ∈ src }``): instead of interning a singleton
-        per expanded row and merging them pairwise, each row's result set is
-        interned straight from its segment of element ids.
-        """
-        set_ids = self._set_ids
-        new = self._new_id
-        empty = self.empty_set_id
-        out = []
-        append = out.append
-        position = 0
-        for count in lengths:
-            if count == 0:
-                append(empty)
-                continue
-            if count == 1:
-                key = (column[position],)
-            else:
-                key = tuple(sorted(set(column[position : position + count])))
-            position += count
-            vid = set_ids.get(key)
-            if vid is None:
-                vid = new(SET_KIND, array("q", key))
-                set_ids[key] = vid
-            append(vid)
-        return out
-
 
 class BatchFrame:
     """One binder/quantifier/selection level of a batched evaluation.
 
-    ``var`` is the bound variable (an ``NVar`` for the NRC backend, a logic
-    ``Var`` for the formula backend), ``column`` holds its ids for the
+    ``var`` is the bound (logic) variable, ``column`` holds its ids for the
     current (expanded) rows, ``rowmap[j]`` is the parent-level row expanded
     row ``j`` came from (``None`` = identity), and ``parent`` is the
     enclosing frame (``None`` at the base level).  *Selection* frames —
     produced by the formula compiler's short-circuit connectives — bind no
     variable (``var``/``column`` of ``None``) and contribute only their
-    rowmap.  Shared by :mod:`repro.nrc.eval` and :mod:`repro.logic.compile`
-    so the rowmap-gather machinery has exactly one implementation.
+    rowmap.  Shared by :mod:`repro.logic.compile` and
+    :mod:`repro.logic.semantics` so the rowmap-gather machinery has exactly
+    one implementation.
     """
 
     __slots__ = ("var", "column", "rowmap", "parent")
@@ -665,39 +392,13 @@ def compose_rowmap(rowmap: Optional[List[int]], step: Optional[List[int]]) -> Op
     return step if rowmap is None else [step[i] for i in rowmap]
 
 
-def dedup_rows(keys: Iterable[Tuple]) -> Optional[Tuple[List[int], List[int]]]:
-    """Group equal row keys: ``(keep, scatter)``, or ``None`` if all distinct.
-
-    ``keep`` lists the first-occurrence row of each distinct key in order and
-    ``scatter[row]`` is the index into ``keep`` for every original row, so a
-    batch evaluated over the kept rows expands back with
-    ``[results[index] for index in scatter]``.  The one implementation of the
-    duplicate-row prepass shared by the NRC env and id-column batch entry
-    points (the formula programs' row memo subsumes it: their pending-row
-    grouping is the same dedup fused with memo lookups).
-    """
-    index_of: Dict[Tuple, int] = {}
-    keep: List[int] = []
-    scatter: List[int] = []
-    for row, key in enumerate(keys):
-        index = index_of.get(key)
-        if index is None:
-            index = len(keep)
-            index_of[key] = index
-            keep.append(row)
-        scatter.append(index)
-    if len(keep) == len(scatter):
-        return None
-    return keep, scatter
-
-
 def gather_binder_column(frame: Optional["BatchFrame"], hops: int) -> List[int]:
     """The binder column ``hops`` frames up, aligned to the current rows.
 
     Crossing a frame applies its rowmap; the target frame's own column is
     gathered through the composed map.  Selection frames (``var``/``column``
     of ``None``) are counted like binder frames — they contribute only their
-    rowmap.  Shared by the batched NRC backend and the formula compiler.
+    rowmap.
     """
     rowmap: Optional[List[int]] = None
     for _ in range(hops):
@@ -825,10 +526,9 @@ class FixedColumns:
     """Base columns supplied directly as interned ids (no value interning).
 
     Duck-types the ``column``/``gather`` surface of :class:`LazyColumns` for
-    callers that already hold id columns — e.g. feeding view outputs straight
-    back in as a rewriting's inputs, or replaying deduplicated assignment
-    rows through a compiled formula program, without externing the ids to
-    values first.  ``unbound(var)`` is called (and must raise) when a column
+    callers that already hold id columns — e.g. replaying deduplicated
+    assignment rows through a compiled formula program — without externing
+    the ids to values first.  ``unbound(var)`` is called (and must raise) when a column
     is missing entirely; per-row laziness does not apply — fixed columns are
     total by construction.
     """
@@ -874,20 +574,6 @@ def shared_interner() -> ValueInterner:
         _SHARED_INTERNER = ValueInterner()
         _SHARED_ROTATIONS += 1
     return _SHARED_INTERNER
-
-
-def set_shared_interner_max_ids(limit: int) -> int:
-    """Re-bound the shared interner's rotation threshold; returns the old bound.
-
-    Long-running services tune this down to cap the columnar layer's memory;
-    the bound takes effect at the next :func:`shared_interner` call.
-    """
-    global SHARED_INTERNER_MAX_IDS
-    if limit < 1:
-        raise ValueError("shared interner bound must be positive")
-    previous = SHARED_INTERNER_MAX_IDS
-    SHARED_INTERNER_MAX_IDS = limit
-    return previous
 
 
 def shared_interner_stats() -> Dict[str, int]:

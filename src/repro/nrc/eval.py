@@ -20,12 +20,9 @@ expression node) and then runs the compiled form per environment:
   instead of copying the whole environment dict per ``NBigUnion``;
 * ``get`` defaults resolve through the memoized :func:`repro.nrc.typing.infer_type`.
 
-A third, **batched** backend (:func:`eval_nrc_batch`) runs the same compiled
-postfix program over a *column* of environments at once: values are interned
-to dense integer ids (:mod:`repro.nr.columns`), sets become sorted id arrays,
-and every instruction processes the whole environment family in one tight
-loop, so per-row cost collapses to integer indexing plus memoized sorted-array
-merges.  The per-environment backends remain the differential-testing oracle.
+There is no columnar backend: verification evaluates its candidate once per
+satisfying assignment (:mod:`repro.synthesis.verification`), and at that
+size the compiled per-environment code beats a batch over interned ids.
 """
 
 from __future__ import annotations
@@ -33,16 +30,6 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.nr.columns import (
-    BatchFrame,
-    FixedColumns,
-    LazyColumns,
-    ValueInterner,
-    dedup_rows,
-    gather_base_column,
-    gather_binder_column,
-    shared_interner,
-)
 from repro.nr.types import SetType
 from repro.nr.values import PairValue, SetValue, UnitValue, Value, default_value
 from repro.nrc.expr import (
@@ -475,117 +462,6 @@ def _run(program: List[_Instr], env) -> Value:
 
 
 # =====================================================================
-# Backend 3: columnar batch interpreter
-# =====================================================================
-#
-# The postfix program of backend 2 is reinterpreted over *columns*: each
-# instruction pops/pushes a list of interned value ids, one entry per
-# environment in the family.  ``NBigUnion`` expands the family — one expanded
-# row per (row, source element) — evaluates the body program once over the
-# expanded columns, and folds each row's segment back with memoized sorted-id
-# merges.  Dispatch therefore happens once per *node* per family instead of
-# once per node per environment.
-
-
-def _run_batch(
-    program: List[_Instr],
-    frame: Optional[BatchFrame],
-    base: LazyColumns,
-    interner: ValueInterner,
-    nrows: int,
-) -> List[int]:
-    stack: List[List[int]] = []
-    push = stack.append
-    pop = stack.pop
-    for op, arg in program:
-        if op == _LOADFAST:
-            push(gather_binder_column(frame, arg))
-        elif op == _LOADGLOBAL:
-            var, hops = arg
-            push(gather_base_column(frame, hops, base, var, nrows))
-        elif op == _PAIR:
-            right = pop()
-            push(interner.pair_column(pop(), right))
-        elif op == _PROJ1 or op == _PROJ2:
-            push(interner.proj_column(pop(), 1 if op == _PROJ1 else 2))
-        elif op == _SING:
-            push(interner.singleton_column(pop()))
-        elif op == _GET:
-            node = arg
-            push(interner.get_column(pop(), lambda _n=node: interner.intern(_get_default(_n))))
-        elif op == _UNION:
-            right = pop()
-            push(interner.union_column(pop(), right))
-        elif op == _DIFF:
-            right = pop()
-            push(interner.diff_column(pop(), right))
-        elif op == _BIGU:
-            body_program, _var, peephole = arg
-            source = pop()
-            member_column, rowmap, lengths = interner.explode_sets(
-                source, "union-bind over non-set value %s"
-            )
-            child = BatchFrame(_var, member_column, rowmap, frame)
-            body = _run_batch(body_program, child, base, interner, len(member_column))
-            if peephole:
-                push(interner.sets_from_segments(body, lengths))
-            else:
-                push(
-                    interner.union_segments(body, lengths, "union-bind body evaluated to non-set %s")
-                )
-        elif op == _UNIT_OP:
-            push([interner.unit_id] * nrows)
-        else:  # _EMPTY_OP
-            push([interner.empty_set_id] * nrows)
-    return stack[-1]
-
-
-def _batchify(program: List[_Instr]) -> List[_Instr]:
-    """Rewrite a postfix program for the batch backend (fresh copy).
-
-    ``BIGU`` operands become ``(body_program, var, peephole)``: a body ending
-    in ``SING`` (the shape ``⋃{ {e} | x ∈ src }``, which ``comprehension``
-    and ``cond_set`` produce pervasively) drops the singleton instruction and
-    sets the peephole flag so each row's result set is interned straight from
-    its segment of element ids — no per-element singleton sets, no pairwise
-    merges.
-    """
-    out: List[_Instr] = []
-    for op, arg in program:
-        if op == _BIGU:
-            body_program, var = arg
-            body_program = _batchify(body_program)
-            peephole = bool(body_program) and body_program[-1][0] == _SING
-            if peephole:
-                body_program = body_program[:-1]
-            out.append((op, (body_program, var, peephole)))
-        else:
-            out.append((op, arg))
-    return out
-
-
-def _program_globals(program: List[_Instr], out: set) -> None:
-    """Collect every free variable a program (or its binder bodies) loads."""
-    for op, arg in program:
-        if op == _LOADGLOBAL:
-            out.add(arg[0])
-        elif op == _BIGU:
-            _program_globals(arg[0], out)
-
-
-def _batch_program(expr: NRCExpr) -> Tuple[List[_Instr], Tuple[NVar, ...]]:
-    """The batch program for ``expr`` plus its free variables, cached together."""
-    cached = expr.__dict__.get("_batch_prog")
-    if cached is None:
-        program = _batchify(_compile_program(expr))
-        global_vars: set = set()
-        _program_globals(program, global_vars)
-        cached = (program, tuple(global_vars))
-        object.__setattr__(expr, "_batch_prog", cached)
-    return cached
-
-
-# =====================================================================
 # Public API
 # =====================================================================
 
@@ -614,85 +490,12 @@ def eval_nrc(expr: NRCExpr, env: NRCEnv) -> Value:
     return runner(env)
 
 
-def eval_nrc_batch_columns(
-    expr: NRCExpr, columns: Mapping[NVar, List[int]], nrows: int, interner: ValueInterner
-) -> List[int]:
-    """Evaluate ``expr`` over base columns of already-interned ids.
+def eval_nrc_batch(expr: NRCExpr, envs: Sequence[NRCEnv], interner: Optional[object] = None) -> List[Value]:
+    """Evaluate ``expr`` under each environment of ``envs``, in order.
 
-    All columns must have ``nrows`` entries of ids from ``interner``.  This
-    is the zero-copy composition primitive: one batch's output ids can be
-    the next batch's input columns (view rewritings) and a formula-filtered
-    assignment family's input ids can feed the candidate expression without
-    ever rebuilding environment dicts (fused verification).
-
-    Duplicate rows are evaluated once: because the inputs are already ids,
-    the dedup prepass is a plain tuple-key grouping over the free-variable
-    columns with results scattered back in order.  A free variable with no
-    column at all skips the dedup so the unbound error still surfaces from
-    inside evaluation, exactly as before.
+    Kept for the ``query_eval`` benchmark harness, which measures this entry
+    point by name.  It is plain per-environment :func:`eval_nrc`: at
+    verification size (tens of environments) a columnar backend over
+    interned ids lost to it.  ``interner`` is accepted and ignored.
     """
-    program, global_vars = _batch_program(expr)
-    if nrows > 1 and all(var in columns for var in global_vars):
-        key_columns = [columns[var] for var in global_vars]
-        grouped = dedup_rows(zip(*key_columns) if key_columns else [()] * nrows)
-        if grouped is not None:
-            keep, scatter = grouped
-            unique = FixedColumns(
-                {var: [columns[var][row] for row in keep] for var in global_vars}, _unbound
-            )
-            results = _run_batch(program, None, unique, interner, len(keep))
-            return [results[index] for index in scatter]
-    return _run_batch(program, None, FixedColumns(columns, _unbound), interner, nrows)
-
-
-def eval_nrc_batch_ids(
-    expr: NRCExpr, envs: Sequence[NRCEnv], interner: ValueInterner
-) -> List[int]:
-    """Evaluate ``expr`` over a family of environments, returning interned ids.
-
-    The id-level variant of :func:`eval_nrc_batch` for callers that go on to
-    compare or combine results (two results are equal iff their ids are): it
-    skips rebuilding :class:`Value` objects entirely.
-
-    Duplicate rows are evaluated once: the family is deduplicated on the
-    interned ids of the expression's *free variables* (environments differing
-    only in variables the expression never reads collapse too) and results
-    are scattered back.  The prepass interns exactly the columns evaluation
-    would intern anyway.  If some environment lacks one of the free
-    variables, the dedup is skipped entirely so the lazy per-row
-    unbound-variable behavior is preserved exactly.
-    """
-    program, global_vars = _batch_program(expr)
-    envs = list(envs)
-    nrows = len(envs)
-    if nrows > 1 and all(var in env for var in global_vars for env in envs):
-        intern = interner.intern
-        grouped = dedup_rows(
-            tuple(intern(env[var]) for var in global_vars) for env in envs
-        )
-        if grouped is not None:
-            keep, scatter = grouped
-            base = LazyColumns([envs[row] for row in keep], interner, _unbound)
-            results = _run_batch(program, None, base, interner, len(keep))
-            return [results[index] for index in scatter]
-    base = LazyColumns(envs, interner, _unbound)
-    return _run_batch(program, None, base, interner, nrows)
-
-
-def eval_nrc_batch(
-    expr: NRCExpr, envs: Sequence[NRCEnv], interner: Optional[ValueInterner] = None
-) -> List[Value]:
-    """Evaluate ``expr`` over a whole family of environments at once.
-
-    Compiles ``expr`` once (cached on the node, like :func:`eval_nrc`) and
-    runs the columnar backend; returns one value per environment, in order.
-    Agrees with mapping :func:`eval_nrc` over ``envs`` on well-formed input —
-    the per-environment path is kept precisely as the differential oracle for
-    this claim (see ``tests/test_nrc_batch.py``).
-    """
-    envs = list(envs)
-    if interner is None:
-        interner = shared_interner()
-    ids = eval_nrc_batch_ids(expr, envs, interner)
-    extern = interner.extern
-    return [extern(vid) for vid in ids]
+    return [eval_nrc(expr, env) for env in envs]

@@ -236,14 +236,29 @@ class ProofSearch:
         self.depth_schedule = tuple(depth_schedule) if depth_schedule is not None else None
         self.tables = tables if tables is not None else SearchTables()
         self.stats = SearchStats()
+        #: ``(depth budget, attempts spent)`` per round of the last search.
+        self.rounds: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------ API
     def prove(self, sequent: Sequent) -> ProofNode:
         """Find a focused proof of ``sequent`` or raise :class:`ProofSearchError`."""
         proof = self.prove_or_none(sequent)
         if proof is None:
+            budgets = [budget for budget, _ in self.rounds]
+            attempts = [spent for _, spent in self.rounds]
+            detail = {
+                "budgets": budgets,
+                "attempts_last_round": attempts[-1],
+                "attempts_total": sum(attempts),
+                "max_depth": self.max_depth,
+                "max_attempts": self.max_attempts,
+            }
             raise ProofSearchError(
-                f"no proof found within depth {self.max_depth} / {self.max_attempts} attempts for: {sequent}"
+                f"no proof found: tried depth budgets {', '.join(map(str, budgets))} "
+                f"(max_depth {self.max_depth}); the last round spent {attempts[-1]} "
+                f"attempts, {sum(attempts)} in total (at most {self.max_attempts} per round) "
+                f"for: {sequent}",
+                detail,
             )
         return proof
 
@@ -256,6 +271,7 @@ class ProofSearch:
                 budgets.append(self.max_depth)
         self.tables.maintain()
         tracer = get_tracer()
+        self.rounds = []
         for budget in budgets:
             self._attempts = 0
             with tracer.span("proof.round", budget=budget) as round_span:
@@ -266,6 +282,8 @@ class ProofSearch:
                 round_span.set_attributes(
                     {"attempts": self._attempts, "found": proof is not None}
                 )
+            # The attempt that tripped the budget was counted but never run.
+            self.rounds.append((budget, min(self._attempts, self.max_attempts)))
             if proof is not None:
                 self.stats.budget_used = budget
                 return proof

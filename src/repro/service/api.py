@@ -59,6 +59,8 @@ from collections import abc
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
+from repro.errors import ProofSearchError
+
 #: The wire-format version; every HTTP route is prefixed with it.
 API_VERSION = "v1"
 
@@ -404,11 +406,10 @@ def synthesis_failure(exc: BaseException, expected: str = "ok") -> ApiError:
     note = ""
     if expected != "ok":
         note = f" (a known limitation: this entry is marked {expected!r} in the registry)"
-    return ApiError(
-        "synthesis_failed",
-        f"{type(exc).__name__}: {exc}{note}",
-        {"error_type": type(exc).__name__, "expected": expected},
-    )
+    detail = {"error_type": type(exc).__name__, "expected": expected}
+    if isinstance(exc, ProofSearchError) and exc.detail:
+        detail["search"] = exc.detail
+    return ApiError("synthesis_failed", f"{type(exc).__name__}: {exc}{note}", detail)
 
 
 # ------------------------------------------------------------------- requests

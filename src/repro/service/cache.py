@@ -292,8 +292,9 @@ class SynthesisCache:
         caches — clearing or rotating them never changes results, it only
         resets sharing — so bounding them here keeps long-running service
         processes flat.  (Processes that drive synthesis without a pipeline
-        can instead install standing insert-time bounds via
-        ``set_intern_table_limit`` / ``set_shared_interner_max_ids``.)
+        can instead install a standing insert-time bound on the intern table
+        via ``set_intern_table_limit``; the shared interner rotates on its
+        own past ``SHARED_INTERNER_MAX_IDS``.)
         """
         if self.intern_table_bound and intern_cache_stats()["nodes"] > self.intern_table_bound:
             clear_intern_cache()

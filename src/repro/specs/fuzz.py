@@ -10,10 +10,11 @@ succeed on all of them.  Each spec then runs through a differential gauntlet:
   widths) must reproduce the exact AST;
 * the synthesis pipeline must produce a definition;
 * the simplified definition must evaluate like the raw extracted one on
-  every instance, through both ``eval_nrc`` and ``eval_nrc_batch``;
+  every instance (``eval_nrc``);
 * the synthesized definition must agree with the generating expression on
-  random instances, through both the batched and the per-environment
-  evaluator (:func:`repro.synthesis.verification.check_explicit_definition`);
+  random instances, with the specification filtered both by the compiled
+  formula program and by the per-assignment ``eval_formula``
+  (:func:`repro.synthesis.verification.check_explicit_definition`);
 * the specification itself must pass ``check_implicitly_defines`` on the
   same instances, batched and unbatched.
 
@@ -39,7 +40,7 @@ from repro.logic.terms import Var
 from repro.nr.types import ProdType, SetType, Type, UR
 from repro.nr.values import Value, pair, ur, vset
 from repro.nrc.compose import nrc_free_vars
-from repro.nrc.eval import eval_nrc, eval_nrc_batch
+from repro.nrc.eval import eval_nrc
 from repro.nrc.expr import (
     NBigUnion,
     NDiff,
@@ -344,8 +345,8 @@ class DifferentialChecker:
                 f"synthesized definition disagrees on "
                 f"{len(report.verification.mismatches)} instance(s): {result.expression}",
             )
-        # Differential: batched vs per-environment evaluation of both the
-        # synthesized definition and the specification itself.
+        # Differential: compiled vs per-assignment formula filtering, for the
+        # synthesized definition and for the specification itself.
         try:
             batched = check_explicit_definition(
                 spec.problem, result.expression, spec.instances, batched=True
@@ -387,22 +388,17 @@ class DifferentialChecker:
         ]
         try:
             raw = [eval_nrc(result.raw_expression, env) for env in envs]
-            outputs = {
-                "eval_nrc_batch(raw)": eval_nrc_batch(result.raw_expression, envs),
-                "eval_nrc(simplified)": [eval_nrc(result.expression, env) for env in envs],
-                "eval_nrc_batch(simplified)": eval_nrc_batch(result.expression, envs),
-            }
+            simplified = [eval_nrc(result.expression, env) for env in envs]
         except ReproError as exc:
             return self._failure(spec, "simplify", f"evaluator crashed: {exc}")
-        for label, values in outputs.items():
-            for index, (got, want) in enumerate(zip(values, raw)):
-                if got != want:
-                    return self._failure(
-                        spec,
-                        "simplify",
-                        f"{label} disagrees with eval_nrc(raw) on instance {index}: "
-                        f"{result.raw_expression} simplified to {result.expression}",
-                    )
+        for index, (got, want) in enumerate(zip(simplified, raw)):
+            if got != want:
+                return self._failure(
+                    spec,
+                    "simplify",
+                    f"eval_nrc(simplified) disagrees with eval_nrc(raw) on instance {index}: "
+                    f"{result.raw_expression} simplified to {result.expression}",
+                )
         return None
 
     def _check_remote(self, spec: GeneratedSpec) -> Optional[FuzzFailure]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
 from repro.core.subst import replace_subtree
-from repro.errors import SynthesisError
+from repro.errors import EvaluationError, SynthesisError
 from repro.interpolation.delta0 import interpolate
 from repro.interpolation.partition import LEFT, RIGHT, Partition, Side
 from repro.logic.formulas import (
@@ -56,6 +56,7 @@ from repro.logic.free_vars import free_vars, replace_term, substitute
 from repro.logic.macros import negate
 from repro.logic.terms import PairTerm, Proj, Term, Var, term_vars
 from repro.nr.types import SetType
+from repro.nr.values import SetValue
 from repro.nrc.compose import nrc_free_vars
 from repro.nrc.expr import (
     NBigUnion,
@@ -299,46 +300,41 @@ def _collect_neq(node: ProofNode, partition: Partition, goal: CollectionGoal) ->
     return expr, theta
 
 
-# ------------------------------------------------- batched semantic validation
+# --------------------------------------------------------- semantic validation
 def check_collection(
     goal: CollectionGoal,
     expr: NRCExpr,
     hypotheses: Sequence[Formula],
     assignments: Sequence[Mapping],
 ):
-    """Validate Theorem 8's guarantee on a family of assignments, batched.
+    """Validate Theorem 8's guarantee on a family of assignments.
 
     For every assignment satisfying all ``hypotheses``, the collected set
     ``{z ∈ c | λ(z)}`` must be a member of the candidate expression ``E``
-    (= ``expr``).  The whole family is processed columnar: the hypotheses are
-    filtered through the compiled conjunction
-    (:func:`~repro.logic.semantics.satisfying_assignments`, a zero-copy
-    view), the λ-comprehension and ``E`` are evaluated with
-    :func:`~repro.nrc.eval.eval_nrc_batch_ids`, and membership is one integer
-    binary search per satisfying assignment.  Returns a
+    (= ``expr``).  The hypotheses are filtered through the compiled
+    conjunction (:func:`~repro.logic.semantics.satisfying_assignments`, a
+    zero-copy view); the λ-comprehension and ``E`` are then evaluated per
+    satisfying assignment with :func:`~repro.nrc.eval.eval_nrc`.  Returns a
     :class:`~repro.synthesis.verification.VerificationReport`.
     """
     from repro.logic.formulas import conj
     from repro.logic.semantics import satisfying_assignments
-    from repro.nr.columns import shared_interner
-    from repro.nrc.eval import eval_nrc_batch_ids
+    from repro.nrc.eval import eval_nrc
     from repro.synthesis.verification import VerificationReport
 
     assignments = list(assignments)
-    interner = shared_interner()
-    satisfying = satisfying_assignments(conj(list(hypotheses)), assignments, interner)
-    envs = [{NVar(v.name, v.typ): value for v, value in a.items()} for a in satisfying]
+    satisfying = satisfying_assignments(conj(list(hypotheses)), assignments)
     c_nrc = NVar(goal.c.name, goal.c.typ)
     z_nrc = NVar(goal.z.name, goal.z.typ)
     lam_expr = comprehension(c_nrc, z_nrc, goal.lam)
-    lam_ids = eval_nrc_batch_ids(lam_expr, envs, interner)
-    candidate_ids = eval_nrc_batch_ids(expr, envs, interner)
-    member = interner.member
-    mismatches = [
-        assignment
-        for assignment, lam_id, candidates in zip(satisfying, lam_ids, candidate_ids)
-        if not member(lam_id, candidates)
-    ]
+    mismatches = []
+    for assignment in satisfying:
+        env = {NVar(v.name, v.typ): value for v, value in assignment.items()}
+        candidates = eval_nrc(expr, env)
+        if not isinstance(candidates, SetValue):
+            raise EvaluationError(f"membership in non-set value {candidates}")
+        if eval_nrc(lam_expr, env) not in candidates.elements:
+            mismatches.append(assignment)
     return VerificationReport(len(assignments), len(satisfying), mismatches)
 
 

@@ -6,19 +6,16 @@ and the benchmark harness): for every satisfying assignment of the
 specification, the synthesized expression evaluated on the inputs must equal
 the output value.
 
-Whole assignment families flow through the batched backends by default, with
-satisfying-row selection **fused** into evaluation: the specification is
-filtered through the compiled formula program
+:func:`check_explicit_definition` filters a family in two steps.  The
+specification goes through the compiled formula program
 (:func:`repro.logic.semantics.satisfying_assignments`, whose
-:class:`~repro.logic.semantics.SatisfyingView` never copies assignment
-dicts), the satisfying rows' input ids feed the candidate expression directly
-as id columns (:func:`repro.nrc.eval.eval_nrc_batch_columns` — no
-intermediate environment dicts are materialized), and result comparison is a
-single integer comparison per assignment.  Because the formula program
-interns whole assignment rows, repeated synthesis iterations skip every row
-they already verified.  Passing ``batched=False`` selects the original
-per-environment path, which is kept as the differential-testing oracle for
-the batched one.
+:class:`~repro.logic.semantics.SatisfyingView` never copies assignment dicts
+and whose row memo skips rows an earlier synthesis iteration already
+checked).  The candidate expression then runs once per satisfying
+assignment through :func:`repro.nrc.eval.eval_nrc`.  Passing
+``batched=False`` filters with the per-assignment
+:func:`repro.logic.semantics.eval_formula` instead; it is kept as the
+differential-testing oracle for the compiled formula filter.
 """
 
 from __future__ import annotations
@@ -28,9 +25,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.logic.semantics import eval_formula, satisfying_assignments
 from repro.logic.terms import Var
-from repro.nr.columns import shared_interner
 from repro.nr.values import Value
-from repro.nrc.eval import eval_nrc, eval_nrc_batch_columns, eval_nrc_batch_ids
+from repro.nrc.eval import eval_nrc
 from repro.nrc.expr import NRCExpr, NVar
 
 
@@ -58,38 +54,24 @@ def check_explicit_definition(
     assignments: Sequence[Mapping[Var, Value]],
     batched: bool = True,
 ) -> VerificationReport:
-    """Check ``expression`` explicitly defines the problem's output on the given assignments."""
-    assignments = list(assignments)
-    input_nvars = _nvar_mapping(problem.inputs)
-    if not batched:
-        # Per-environment oracle path (differential reference for the batch).
-        mismatches: List[Mapping[Var, Value]] = []
-        satisfying = 0
-        for assignment in assignments:
-            if not eval_formula(problem.phi, assignment):
-                continue
-            satisfying += 1
-            env = {nv: assignment[v] for v, nv in input_nvars.items()}
-            produced = eval_nrc(expression, env)
-            if produced != assignment[problem.output]:
-                mismatches.append(assignment)
-        return VerificationReport(len(assignments), satisfying, mismatches)
+    """Check ``expression`` explicitly defines the problem's output on the given assignments.
 
-    interner = shared_interner()
-    view = satisfying_assignments(problem.phi, assignments, interner)
-    intern = interner.intern
-    # Fused filter-then-evaluate: the view's satisfying rows feed the
-    # expression as id columns — no environment dicts, no assignment copies,
-    # and the ids were already interned while evaluating the mask.
-    columns = {nv: [intern(a[v]) for a in view] for v, nv in input_nvars.items()}
-    produced_ids = eval_nrc_batch_columns(expression, columns, len(view), interner)
-    output = problem.output
-    mismatches = [
-        assignment
-        for assignment, produced in zip(view, produced_ids)
-        if produced != intern(assignment[output])
-    ]
-    return VerificationReport(len(assignments), len(view), mismatches)
+    ``batched`` selects the compiled formula filter (default) or the
+    per-assignment :func:`eval_formula` oracle; the expression is evaluated
+    per satisfying assignment either way.
+    """
+    assignments = list(assignments)
+    if batched:
+        satisfying = satisfying_assignments(problem.phi, assignments)
+    else:
+        satisfying = [a for a in assignments if eval_formula(problem.phi, a)]
+    input_nvars = _nvar_mapping(problem.inputs)
+    mismatches: List[Mapping[Var, Value]] = []
+    for assignment in satisfying:
+        env = {nv: assignment[v] for v, nv in input_nvars.items()}
+        if eval_nrc(expression, env) != assignment[problem.output]:
+            mismatches.append(assignment)
+    return VerificationReport(len(assignments), len(satisfying), mismatches)
 
 
 def check_view_rewriting(
@@ -98,40 +80,17 @@ def check_view_rewriting(
     query: NRCExpr,
     rewriting: NRCExpr,
     base_instances: Sequence[Mapping[Var, Value]],
-    batched: bool = True,
 ) -> VerificationReport:
     """Check a rewriting: evaluating it on the view outputs reproduces the query output."""
     from repro.nrc.typing import infer_type
 
     base_instances = list(base_instances)
     base_nvars = _nvar_mapping(base_vars)
-    if not batched:
-        mismatches: List[Mapping[Var, Value]] = []
-        for instance in base_instances:
-            base_env = {nv: instance[v] for v, nv in base_nvars.items()}
-            view_env = {}
-            for name, view_expr in views:
-                value = eval_nrc(view_expr, base_env)
-                view_env[NVar(name, infer_type(view_expr))] = value
-            expected = eval_nrc(query, base_env)
-            produced = eval_nrc(rewriting, view_env)
-            if produced != expected:
-                mismatches.append(instance)
-        return VerificationReport(len(base_instances), len(base_instances), mismatches)
-
-    interner = shared_interner()
-    base_envs = [{nv: instance[v] for v, nv in base_nvars.items()} for instance in base_instances]
-    view_columns = {
-        NVar(name, infer_type(view_expr)): eval_nrc_batch_ids(view_expr, base_envs, interner)
-        for name, view_expr in views
-    }
-    expected_ids = eval_nrc_batch_ids(query, base_envs, interner)
-    # The rewriting consumes the view outputs as-is: feed the id columns
-    # straight back in instead of externing values only to re-intern them.
-    produced_ids = eval_nrc_batch_columns(rewriting, view_columns, len(base_instances), interner)
-    mismatches = [
-        instance
-        for instance, expected, produced in zip(base_instances, expected_ids, produced_ids)
-        if expected != produced
-    ]
+    view_nvars = [(NVar(name, infer_type(view_expr)), view_expr) for name, view_expr in views]
+    mismatches: List[Mapping[Var, Value]] = []
+    for instance in base_instances:
+        base_env = {nv: instance[v] for v, nv in base_nvars.items()}
+        view_env = {nv: eval_nrc(view_expr, base_env) for nv, view_expr in view_nvars}
+        if eval_nrc(rewriting, view_env) != eval_nrc(query, base_env):
+            mismatches.append(instance)
     return VerificationReport(len(base_instances), len(base_instances), mismatches)

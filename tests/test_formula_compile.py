@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 from test_core_property import _values_of
-from test_nrc_batch import FORMULA_VARS, S, U, families, well_typed_formulas
+from test_verification import FORMULA_VARS, S, U, families, well_typed_formulas
 
 from repro.logic import semantics as semantics_module
 from repro.logic.compile import (
@@ -168,7 +168,7 @@ def test_registry_covers_every_batch_evaluator_in_module():
 
 
 def _union_view_case():
-    from test_nrc_batch import _union_view_family
+    from test_verification import _union_view_family
 
     from repro.nrc.expr import NUnion, NVar
 

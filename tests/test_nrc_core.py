@@ -109,6 +109,18 @@ def test_eval_errors():
         eval_nrc(NUnion(x, x), {x: ur(1)})
 
 
+def test_eval_nrc_lazy_unbound_is_per_row():
+    """A free var missing only in envs whose binder source is empty must not raise."""
+    x = NVar("x", set_of(UR))
+    y = NVar("y", UR)
+    b = NVar("b", UR)
+    expr = NBigUnion(NSingleton(y), b, x)
+    assert eval_nrc(expr, {x: vset([ur(1)]), y: ur(7)}) == vset([ur(7)])
+    assert eval_nrc(expr, {x: vset([])}) == vset([])
+    with pytest.raises(EvaluationError):
+        eval_nrc(expr, {x: vset([ur(1)])})
+
+
 def test_expr_size_and_subexpressions():
     x = NVar("x", set_of(UR))
     e = NUnion(x, NDiff(x, NEmpty(UR)))

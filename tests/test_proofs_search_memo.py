@@ -15,7 +15,7 @@ from repro.logic.formulas import EqUr, NeqUr
 from repro.logic.terms import Var
 from repro.nr.types import UR
 from repro.proofs.checker import check_proof
-from repro.proofs.prooftree import ProofNode, proof_size
+from repro.proofs.prooftree import ProofNode
 from repro.proofs.reference_search import ReferenceProofSearch
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
@@ -160,3 +160,30 @@ def test_fresh_searches_do_not_share_state_by_default():
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
+
+
+def test_exhausted_search_explains_its_budgets_and_attempts():
+    """A starved search names the budgets it tried, the attempts it spent and
+    its limits, and the service's job error carries the same figures."""
+    from repro.errors import ProofSearchError
+    from repro.service.api import synthesis_failure
+
+    goal = examples.union_view().determinacy_goal()
+    with pytest.raises(ProofSearchError) as excinfo:
+        ProofSearch(max_depth=2, max_attempts=50).prove(goal)
+    detail = excinfo.value.detail
+    assert detail["budgets"] == [2]
+    assert 0 < detail["attempts_last_round"] <= 50
+    assert detail["attempts_total"] == detail["attempts_last_round"]
+    assert (detail["max_depth"], detail["max_attempts"]) == (2, 50)
+    message = str(excinfo.value)
+    assert "depth budgets 2 " in message and "at most 50 per round" in message
+    assert synthesis_failure(excinfo.value).detail["search"] == detail
+
+    # Under a depth schedule every scheduled round is named and counted.
+    with pytest.raises(ProofSearchError) as excinfo:
+        ProofSearch(max_depth=6, max_attempts=50, depth_schedule=(1, 2)).prove(goal)
+    detail = excinfo.value.detail
+    assert detail["budgets"] == [1, 2]
+    assert detail["attempts_total"] >= detail["attempts_last_round"] > 0
+    assert "depth budgets 1, 2 (max_depth 6)" in str(excinfo.value)

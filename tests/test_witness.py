@@ -420,3 +420,22 @@ def test_fuzz_goals_sharing_a_witness_address_are_structurally_equal():
         _, _, first = members[0]
         for seed, index, goal in members[1:]:
             assert goal == first, (seed, index)
+
+
+def test_fuzz_streams_never_replay_a_wrong_witness(tmp_path):
+    """Two fuzz streams through one pipeline on one disk cache: every witness
+    the store hands back replays, so no run falls back to cold."""
+    from repro.specs.fuzz import generate_spec
+
+    replay_failures = get_registry().counter(
+        "repro_witness_replay_failures_total",
+        "Witness-assisted synthesis runs that fell back to cold",
+    )
+    before = replay_failures.value()
+    pipeline = SynthesisPipeline(cache=SynthesisCache(disk_dir=tmp_path))
+    for seed in (0, 7):
+        for index in range(150):
+            spec = generate_spec(seed, index)
+            report = pipeline.run(spec.problem, spec.instances)
+            assert report.verification is not None and report.verification.ok, (seed, index)
+    assert replay_failures.value() == before

@@ -3,7 +3,7 @@
 Measures the current implementation with :mod:`benchmarks._bench_core_timing`
 and compares it against two baselines:
 
-* the **frozen seed reference implementations** (``repro.core.reference``),
+* the **frozen seed reference implementations** (``tests/reference_core.py``),
   re-measured in-process for the eval/simplify rows — an apples-to-apples
   same-machine comparison run on every invocation; and
 * the **recorded seed wall-clock numbers** (``SEED_BASELINE``) for the
@@ -23,6 +23,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The frozen reference implementation lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from _bench_core_timing import best_of, measure_all  # noqa: E402
 
@@ -40,7 +42,7 @@ SEED_BASELINE = {
 
 def measure_reference() -> dict:
     """Re-measure the frozen seed eval/simplify on the current corpus."""
-    from repro.core.reference import reference_eval_nrc
+    from reference_core import reference_eval_nrc
     from repro.nr.types import UR, prod, set_of
     from repro.nr.values import pair, ur, vset
     from repro.nrc.expr import NBigUnion, NPair, NProj, NSingleton, NVar

@@ -12,7 +12,7 @@ Two roles:
 * **script mode** emitting ``BENCH_proof_search.json``: the memoized search
   (:class:`repro.proofs.search.ProofSearch`, with its transposition tables)
   against the frozen pre-memoization implementation
-  (:mod:`repro.proofs.reference_search`) **in the same process on the same
+  (``tests/reference_search.py``) **in the same process on the same
   sequents**, so the ``speedup`` ratios are machine-independent and gate-able
   on CI (``benchmarks/compare_bench.py``).  The ISSUE 6 acceptance floor —
   ≥1.5× cold on the ``pair_tower`` family and ``intersection_of_3_views`` —
@@ -37,6 +37,8 @@ from repro.proofs.search import ProofSearch
 from repro.specs import examples
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The frozen reference implementation lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from _bench_core_timing import best_of  # noqa: E402
 
@@ -106,7 +108,7 @@ def time_cold_problem(name: str) -> dict:
     are interleaved rep-by-rep so heap state and CPU frequency affect both
     sides of the ratio equally, which keeps the ratio machine-independent.
     """
-    from repro.proofs.reference_search import ReferenceProofSearch
+    from reference_search import ReferenceProofSearch
 
     factory, depth = COLD_PROBLEMS[name]
     goal = factory().determinacy_goal()

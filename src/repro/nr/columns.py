@@ -1,9 +1,9 @@
-"""Columnar value interning for the batched formula evaluators.
+"""Columnar value interning for the batched formula evaluator.
 
 NRC expressions are evaluated per environment (:mod:`repro.nrc.eval`), but
-Δ0 formulas are filtered over whole assignment families at once
-(:mod:`repro.logic.compile`, :mod:`repro.logic.semantics`).  This module is
-the substrate those formula backends share:
+Δ0 formulas are filtered over whole assignment families at once by the
+column program of :mod:`repro.logic.compile`.  This module is its
+substrate:
 
 * a :class:`ValueInterner` assigns every distinct nested value a dense
   integer id.  Pairs are interned by their component ids, and set values are
@@ -49,8 +49,8 @@ _EMPTY_ARRAY = array("q")
 def reduce_segments_all(body: List[bool], lengths: List[int]) -> List[bool]:
     """Per-segment ``all`` over a flat Boolean column, short-circuiting.
 
-    ``body`` is the concatenation of one Boolean run per source row (the
-    compiled quantifier backends' exploded body mask) and ``lengths`` the
+    ``body`` is the concatenation of one Boolean run per source row (a
+    compiled quantifier's exploded body mask) and ``lengths`` the
     per-row run widths.  Instead of slicing each segment and folding it, the
     kernel tracks the position of the **next deciding element** (the next
     ``False``) with C-level ``list.index`` scans: a segment is decided the
@@ -126,9 +126,6 @@ class ValueInterner:
         "unit_id",
         "empty_set_id",
         "true_id",
-        # Weak-referenceable so row-memo holders (FormulaProgram) can key
-        # their caches on an interner without pinning a rotated-out instance.
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -355,9 +352,7 @@ class BatchFrame:
     enclosing frame (``None`` at the base level).  *Selection* frames —
     produced by the formula compiler's short-circuit connectives — bind no
     variable (``var``/``column`` of ``None``) and contribute only their
-    rowmap.  Shared by :mod:`repro.logic.compile` and
-    :mod:`repro.logic.semantics` so the rowmap-gather machinery has exactly
-    one implementation.
+    rowmap.
     """
 
     __slots__ = ("var", "column", "rowmap", "parent")

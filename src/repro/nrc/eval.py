@@ -56,7 +56,7 @@ _MISSING = object()
 
 #: CPython rejects functions with more than 20 statically nested blocks; stay
 #: comfortably below it (every binder is one ``for`` block in generated code).
-_MAX_CODEGEN_BINDER_DEPTH = 16
+_MAX_GENERATED_BINDER_DEPTH = 16
 
 
 def _unbound(var: NVar) -> Value:
@@ -470,7 +470,7 @@ def compile_nrc(expr: NRCExpr) -> Callable[[NRCEnv], Value]:
     """Compile ``expr`` once; returns ``run(env) -> Value`` (cached on the node)."""
     runner = expr.__dict__.get("_runner")
     if runner is None:
-        if _binder_depth(expr) <= _MAX_CODEGEN_BINDER_DEPTH:
+        if _binder_depth(expr) <= _MAX_GENERATED_BINDER_DEPTH:
             runner = _compile_codegen(expr)
         else:
             program = _compile_program(expr)

@@ -21,13 +21,13 @@ a **content address** derived from the interned specification:
   human-readable JSON sidecar used by ``python -m repro cache-stats``.
 
 Long-running services must not grow without bound; :meth:`SynthesisCache.
-maintain` size-bounds the process-global memo structures the synthesis stack
-accumulates — the hash-consing intern table (``core/interning.py``) and the
-shared columnar :class:`~repro.nr.columns.ValueInterner` (``nr/columns.py``)
-— and the **disk tier itself**, with a cost-aware policy: each sidecar
+maintain` size-bounds the hash-consing intern table (``core/interning.py``)
+and the **disk tier itself**, with a cost-aware policy: each sidecar
 records the synthesis wall-time that produced its entry, and past the bounds
 the cheapest-to-recompute entries are evicted first (a microsecond union view
-is disposable; a multi-second copy-chain proof is kept).
+is disposable; a multi-second copy-chain proof is kept).  The shared
+columnar :class:`~repro.nr.columns.ValueInterner` (``nr/columns.py``) needs
+no such hook: it rotates on its own past ``SHARED_INTERNER_MAX_IDS``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.interning import clear_intern_cache, intern, intern_cache_stats
 from repro.logic.formulas import Formula
 from repro.logic.terms import Var
-from repro.nr.columns import reset_shared_interner, shared_interner_stats
 from repro.nrc.expr import expr_size
 from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.trace import get_tracer
@@ -60,7 +59,6 @@ DEFAULT_CAPACITY = 128
 
 #: Defaults for :meth:`SynthesisCache.maintain`'s process-global bounds.
 DEFAULT_INTERN_TABLE_BOUND = 250_000
-DEFAULT_INTERNER_ID_BOUND = 1_000_000
 
 #: Defaults for the disk tier's cost-aware eviction (entries / payload bytes).
 DEFAULT_DISK_ENTRY_BOUND = 1024
@@ -113,7 +111,6 @@ class CacheStats:
     disk_stores: int = 0
     disk_evictions: int = 0
     intern_table_clears: int = 0
-    interner_rotations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -160,7 +157,6 @@ class SynthesisCache:
         capacity: int = DEFAULT_CAPACITY,
         disk_dir: Optional[os.PathLike] = None,
         intern_table_bound: int = DEFAULT_INTERN_TABLE_BOUND,
-        interner_id_bound: int = DEFAULT_INTERNER_ID_BOUND,
         disk_entry_bound: Optional[int] = DEFAULT_DISK_ENTRY_BOUND,
         disk_payload_bound: Optional[int] = DEFAULT_DISK_PAYLOAD_BOUND,
     ) -> None:
@@ -169,7 +165,6 @@ class SynthesisCache:
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.intern_table_bound = intern_table_bound
-        self.interner_id_bound = interner_id_bound
         self.disk_entry_bound = disk_entry_bound
         self.disk_payload_bound = disk_payload_bound
         self.stats = CacheStats()
@@ -284,24 +279,19 @@ class SynthesisCache:
     def maintain(self) -> None:
         """Size-bound the process-global memo structures synthesis feeds.
 
-        Called by the pipeline after every run: polls the telemetry hooks
-        (:func:`~repro.core.interning.intern_cache_stats`,
-        :func:`~repro.nr.columns.shared_interner_stats`) and applies their
-        clearing actions when this cache's bounds are exceeded.  The
-        hash-consing intern table and the shared columnar interner are pure
-        caches — clearing or rotating them never changes results, it only
-        resets sharing — so bounding them here keeps long-running service
-        processes flat.  (Processes that drive synthesis without a pipeline
-        can instead install a standing insert-time bound on the intern table
-        via ``set_intern_table_limit``; the shared interner rotates on its
+        Called by the pipeline after every run: clears the hash-consing intern
+        table once it holds more than ``intern_table_bound`` nodes
+        (:func:`~repro.core.interning.intern_cache_stats`).  The table is a
+        pure cache — clearing it never changes results, it only resets
+        sharing — so bounding it here keeps long-running service processes
+        flat.  (Processes that drive synthesis without a pipeline can instead
+        install a standing insert-time bound via ``set_intern_table_limit``.
+        The shared columnar interner needs no hook here: it rotates on its
         own past ``SHARED_INTERNER_MAX_IDS``.)
         """
         if self.intern_table_bound and intern_cache_stats()["nodes"] > self.intern_table_bound:
             clear_intern_cache()
             self.stats.intern_table_clears += 1
-        if self.interner_id_bound and shared_interner_stats()["ids"] > self.interner_id_bound:
-            reset_shared_interner()
-            self.stats.interner_rotations += 1
         if self._disk_dirty:
             self._disk_dirty = False
             self._evict_cheapest_disk_entries()

@@ -335,10 +335,9 @@ class SynthesisPipeline:
         # later eval); "node-cache" means this process already held the
         # program on the hash-consed formula node.
         with _timed_stage(stages, STAGE_FORMULA_COMPILE) as detail:
-            node_cache = problem.phi.__dict__.get("_fprogs")
-            program_source = "node-cache" if node_cache and node_cache.get(None) else "compiled"
+            program_source = "node-cache" if "_fprog" in problem.phi.__dict__ else "compiled"
             phi_program = compile_formula(problem.phi)
-            detail.update({"source": program_source, "backend": phi_program.backend})
+            detail["source"] = program_source
 
         subresults: List[SynthesisResult] = []
         if result is None:
@@ -371,8 +370,7 @@ class SynthesisPipeline:
         # -------- verification (runs on hits too: instances may be new).
         if assignments is not None:
             with _timed_stage(stages, STAGE_VERIFICATION) as detail:
-                rows_before = phi_program.stats["rows"]
-                run_before = phi_program.stats["rows_run"]
+                run_before = phi_program.rows_run
                 verification = check_explicit_definition(
                     problem, result.expression, list(assignments)
                 )
@@ -382,10 +380,7 @@ class SynthesisPipeline:
                         "checked": verification.checked,
                         "satisfying": verification.satisfying,
                         "ok": verification.ok,
-                        "formula_backend": phi_program.backend,
-                        "rows_evaluated": phi_program.stats["rows_run"] - run_before,
-                        "rows_reused": (phi_program.stats["rows"] - rows_before)
-                        - (phi_program.stats["rows_run"] - run_before),
+                        "rows_evaluated": phi_program.rows_run - run_before,
                     }
                 )
 

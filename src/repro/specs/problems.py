@@ -109,10 +109,10 @@ class ImplicitDefinitionProblem:
         from repro.nr.columns import shared_interner
 
         interner = shared_interner()
-        view = satisfying_assignments(self.phi, assignments, interner)
+        satisfying = satisfying_assignments(self.phi, assignments, interner)
         intern = interner.intern
         outputs_by_inputs: Dict[Tuple[int, ...], int] = {}
-        for assignment in view:
+        for assignment in satisfying:
             key = tuple(intern(assignment[i]) for i in self.inputs)
             output_id = intern(assignment[self.output])
             previous = outputs_by_inputs.setdefault(key, output_id)

@@ -312,8 +312,8 @@ def check_collection(
     For every assignment satisfying all ``hypotheses``, the collected set
     ``{z ∈ c | λ(z)}`` must be a member of the candidate expression ``E``
     (= ``expr``).  The hypotheses are filtered through the compiled
-    conjunction (:func:`~repro.logic.semantics.satisfying_assignments`, a
-    zero-copy view); the λ-comprehension and ``E`` are then evaluated per
+    conjunction (:func:`~repro.logic.semantics.satisfying_assignments`);
+    the λ-comprehension and ``E`` are then evaluated per
     satisfying assignment with :func:`~repro.nrc.eval.eval_nrc`.  Returns a
     :class:`~repro.synthesis.verification.VerificationReport`.
     """

@@ -8,11 +8,9 @@ the output value.
 
 :func:`check_explicit_definition` filters a family in two steps.  The
 specification goes through the compiled formula program
-(:func:`repro.logic.semantics.satisfying_assignments`, whose
-:class:`~repro.logic.semantics.SatisfyingView` never copies assignment dicts
-and whose row memo skips rows an earlier synthesis iteration already
-checked).  The candidate expression then runs once per satisfying
-assignment through :func:`repro.nrc.eval.eval_nrc`.  Passing
+(:func:`repro.logic.semantics.satisfying_assignments`, which evaluates each
+distinct assignment row once).  The candidate expression then runs once per
+satisfying assignment through :func:`repro.nrc.eval.eval_nrc`.  Passing
 ``batched=False`` filters with the per-assignment
 :func:`repro.logic.semantics.eval_formula` instead; it is kept as the
 differential-testing oracle for the compiled formula filter.

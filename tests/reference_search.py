@@ -4,7 +4,7 @@ A verbatim copy of :mod:`repro.proofs.search` as it stood before the
 transposition table, cached move enumeration and worklist equality closure
 landed.  ``benchmarks/bench_proof_search.py`` runs both implementations in
 the same process and reports the ratio, which is machine-independent and
-therefore CI-gateable — the same pattern as :mod:`repro.core.reference` for
+therefore CI-gateable — the same pattern as ``tests/reference_core.py`` for
 the evaluator benchmarks.  Never import this from library code.
 """
 

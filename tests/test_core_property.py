@@ -3,14 +3,14 @@
 Random well-typed NRC expressions are generated together with environments
 for their free variables; the compiled evaluator and the pass-pipeline
 simplifier must agree with the frozen seed reference implementations
-(:mod:`repro.core.reference`) on every one of them.
+(``tests/reference_core.py``) on every one of them.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core import map_children, transform_bottom_up
-from repro.core.reference import reference_eval_nrc, reference_simplify
+from reference_core import reference_eval_nrc, reference_simplify
 from repro.nr.types import ProdType, SetType, Type, UnitType, UR, UrType
 from repro.nr.values import PairValue, SetValue, UnitValue, ur
 from repro.nrc.eval import eval_nrc

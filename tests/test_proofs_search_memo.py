@@ -16,7 +16,7 @@ from repro.logic.terms import Var
 from repro.nr.types import UR
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode
-from repro.proofs.reference_search import ReferenceProofSearch
+from reference_search import ReferenceProofSearch
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
 from repro.specs import examples

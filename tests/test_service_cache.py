@@ -153,7 +153,7 @@ def test_compiled_programs_stay_in_process(tmp_path):
     assert not (tmp_path / "programs").exists()
     # A fresh process holds no program on the hash-consed formula node.
     for node in (problem.phi, intern(problem.phi)):
-        node.__dict__.pop("_fprogs", None)
+        node.__dict__.pop("_fprog", None)
     warm = run()
     assert warm.cache_tier == "disk"
     assert warm.stage(STAGE_FORMULA_COMPILE).detail["source"] == "compiled"
@@ -229,7 +229,7 @@ def test_maintain_bounds_intern_table():
     previous = set_intern_table_limit(None)
     try:
         clear_intern_cache()
-        cache = SynthesisCache(intern_table_bound=8, interner_id_bound=10**9)
+        cache = SynthesisCache(intern_table_bound=8)
         for index in range(32):
             intern(Var(f"bounded_{index}", set_of(UR)))
         before = intern_cache_stats()["nodes"]

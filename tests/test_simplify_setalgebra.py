@@ -23,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.reference import reference_eval_nrc
+from reference_core import reference_eval_nrc
 from repro.logic.formulas import And, Bottom, EqUr, Exists, Forall, Member, NeqUr, NotMember, Or, Top
 from repro.logic.terms import Proj, Var
 from repro.nr.types import UR, ProdType, SetType, UnitType, UrType

@@ -109,6 +109,7 @@ def make_neq(sequent: Sequent, neq: NeqUr, source: Formula, target: Formula, pre
 
 # ------------------------------------------------------------------- ∧ and ∨
 def and_premises(sequent: Sequent, principal: And) -> Tuple[Sequent, ...]:
+    _require_principal(principal, And, "∧")
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∧ rule: {principal} not in the sequent")
     rest = sequent.without_delta(principal)
@@ -123,6 +124,7 @@ def make_and(sequent: Sequent, principal: And, left: ProofNode, right: ProofNode
 
 
 def or_premises(sequent: Sequent, principal: Or) -> Tuple[Sequent, ...]:
+    _require_principal(principal, Or, "∨")
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∨ rule: {principal} not in the sequent")
     rest = sequent.without_delta(principal)
@@ -137,6 +139,7 @@ def make_or(sequent: Sequent, principal: Or, premise: ProofNode) -> ProofNode:
 
 # ------------------------------------------------------------------------- ∀
 def forall_premises(sequent: Sequent, principal: Forall, fresh: Var) -> Tuple[Sequent, ...]:
+    _require_principal(principal, Forall, "∀")
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∀ rule: {principal} not in the sequent")
     if fresh.typ != principal.var.typ:
@@ -235,6 +238,7 @@ def enumerate_max_specializations_with_bounds(
 def exists_premises(
     sequent: Sequent, principal: Exists, witnesses: Sequence[Term], require_maximal: bool = True
 ) -> Tuple[Sequent, ...]:
+    _require_principal(principal, Exists, "∃")
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∃ rule: {principal} not in the sequent")
     if not all_el(sequent.delta):
@@ -356,6 +360,16 @@ def make_weaken(sequent: Sequent, premise: ProofNode) -> ProofNode:
 
 
 # ------------------------------------------------------------------- helpers
+def _require_principal(principal: object, connective: type, rule: str) -> None:
+    # Checked before the Δ lookup: a principal read from an untrusted proof
+    # tree may be of any class (or unhashable), not only the rule's own.
+    if not isinstance(principal, connective):
+        raise RuleApplicationError(
+            f"{rule} rule: the principal {principal} is of class {type(principal).__name__}, "
+            f"not {connective.__name__}"
+        )
+
+
 def _require_premise(expected: Sequent, premise: ProofNode, rule: str) -> None:
     if premise.sequent != expected:
         raise RuleApplicationError(

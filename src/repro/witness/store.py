@@ -25,6 +25,7 @@ Durability rules:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -61,6 +62,52 @@ DEFAULT_WITNESS_ENTRY_BOUND = 512
 #: it only after validating (at write or on a disk read), so a memory hit is
 #: as trustworthy as the validation level it was admitted at.
 DEFAULT_WITNESS_MEMORY_BOUND = 32
+
+
+#: Every global an exported witness payload may name, as ``(module, name)``:
+#: the proof tree, its sequents and problem, and the formula, term and type
+#: nodes inside them.  Derived with ``pickletools.genops`` over the exported
+#: payloads of the registry and the hand-written witnesses, plus the two
+#: nodes those never contain: ``UnitType`` (a unit-typed spec) and
+#: ``PairTerm`` (the premise of a ×η step).  An imported payload naming any
+#: other global is refused before it is built (:class:`_WitnessUnpickler`).
+WITNESS_PAYLOAD_GLOBALS = frozenset(
+    {
+        ("repro.logic.formulas", "And"),
+        ("repro.logic.formulas", "Bottom"),
+        ("repro.logic.formulas", "EqUr"),
+        ("repro.logic.formulas", "Exists"),
+        ("repro.logic.formulas", "Forall"),
+        ("repro.logic.formulas", "Member"),
+        ("repro.logic.formulas", "NeqUr"),
+        ("repro.logic.formulas", "Or"),
+        ("repro.logic.formulas", "Top"),
+        ("repro.logic.terms", "PairTerm"),
+        ("repro.logic.terms", "Proj"),
+        ("repro.logic.terms", "Var"),
+        ("repro.nr.types", "ProdType"),
+        ("repro.nr.types", "SetType"),
+        ("repro.nr.types", "UnitType"),
+        ("repro.nr.types", "UrType"),
+        ("repro.proofs.prooftree", "ProofNode"),
+        ("repro.proofs.sequents", "Sequent"),
+        ("repro.specs.problems", "ImplicitDefinitionProblem"),
+    }
+)
+
+
+class _WitnessUnpickler(pickle.Unpickler):
+    """Unpickles a payload from outside the program (CLI / HTTP import).
+
+    Pickle runs whatever callable a payload names, so a plain
+    ``pickle.loads`` of foreign bytes executes the sender's code before any
+    validation sees the result.  Only :data:`WITNESS_PAYLOAD_GLOBALS` resolve.
+    """
+
+    def find_class(self, module: str, name: str) -> object:
+        if (module, name) not in WITNESS_PAYLOAD_GLOBALS:
+            raise pickle.UnpicklingError(f"global {module}.{name} is not part of a witness payload")
+        return super().find_class(module, name)
 
 
 def witness_fingerprint() -> str:
@@ -231,7 +278,7 @@ class WitnessStore:
         :class:`~repro.errors.ProofError` instead of silently vanishing.
         """
         try:
-            payload = pickle.loads(blob)
+            payload = _WitnessUnpickler(io.BytesIO(blob)).load()
         except Exception as exc:
             raise ProofError(f"witness payload does not unpickle: {exc}") from exc
         record = self._validate_payload(payload, digest=None, source="import")

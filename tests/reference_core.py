@@ -1,9 +1,9 @@
 """Frozen seed-semantics reference implementations.
 
 These are byte-for-byte ports of the *seed* recursive NRC evaluator and
-simplifier (commit 684c224), kept as the executable specification the
-optimized core is differentially tested against (``tests/test_core_property.py``)
-and benchmarked against (``benchmarks/bench_core_ir.py``).
+simplifier (commit 684c224), kept as the test oracle: the executable
+specification the optimized core is differentially tested against
+(``tests/test_core_property.py``).
 
 Do **not** optimize this module: its only job is to stay obviously equal to
 the paper's semantics.  Recursive on purpose — the production paths in

@@ -1,11 +1,11 @@
-"""Frozen pre-transposition proof search (benchmark reference only).
+"""Frozen pre-transposition proof search (test oracle only).
 
 A verbatim copy of :mod:`repro.proofs.search` as it stood before the
 transposition table, cached move enumeration and worklist equality closure
-landed.  ``benchmarks/bench_proof_search.py`` runs both implementations in
-the same process and reports the ratio, which is machine-independent and
-therefore CI-gateable — the same pattern as ``tests/reference_core.py`` for
-the evaluator benchmarks.  Never import this from library code.
+landed.  ``tests/test_proofs_search_memo.py`` checks that the memoized
+search finds the same proof tree as this one — the same pattern as
+``tests/reference_core.py`` for the evaluator.  Never import this from
+library code.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.proofs.sequents import Sequent, sequent_free_vars
 
 @dataclass
 class SearchStats:
-    """Statistics of a proof search run (used by the benchmark harness)."""
+    """Statistics of a proof search run."""
 
     attempts: int = 0
     exists_moves: int = 0

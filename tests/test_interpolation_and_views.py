@@ -31,7 +31,18 @@ def _interpolant_for(problem):
     return proof, partition, interpolate(proof, partition), phi, primed_phi, conclusion
 
 
-@pytest.mark.parametrize("factory", [examples.identity_view, examples.union_view, examples.intersection_view])
+def copy_chain_1():
+    return examples.copy_chain(1)
+
+
+def copy_chain_2():
+    return examples.copy_chain(2)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [examples.identity_view, examples.union_view, examples.intersection_view, copy_chain_1, copy_chain_2],
+)
 def test_interpolant_variable_condition_and_semantics(factory):
     problem = factory()
     proof, partition, theta, phi, primed_phi, conclusion = _interpolant_for(problem)
@@ -47,7 +58,7 @@ def test_interpolant_variable_condition_and_semantics(factory):
     for v_val in sets:
         for o_val in sets:
             assignment = {problem.inputs[0]: v_val, problem.output: o_val, primed_output: o_val}
-            for extra in problem.inputs[1:]:
+            for extra in problem.inputs[1:] + problem.auxiliaries:
                 assignment[extra] = v_val
             if eval_formula(phi, assignment):
                 assert eval_formula(theta, assignment)

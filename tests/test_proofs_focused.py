@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProofSearchError, RuleApplicationError
+from repro.errors import ProofError, ProofSearchError, RuleApplicationError
 from repro.logic.formulas import (
     And,
     Bottom,
@@ -168,6 +168,32 @@ def test_weaken_rule_and_checker_rejection():
     assert not is_valid_proof(bogus)
     bogus2 = ProofNode("unknown_rule", small, (), {})
     assert not is_valid_proof(bogus2)
+
+
+FORALL_XS = Forall(x, s, EqUr(x, x))
+AND_XY = And(EqUr(x, x), EqUr(x, y))
+
+
+@pytest.mark.parametrize(
+    "rule, principal, extra_meta",
+    [
+        ("and", FORALL_XS, {}),
+        ("or", FORALL_XS, {}),
+        ("forall", AND_XY, {"fresh": Var("x9", UR)}),
+        # An unhashable principal fails the Δ lookup itself.
+        ("exists", [FORALL_XS], {"witnesses": (x,)}),
+    ],
+    ids=["and", "or", "forall", "exists"],
+)
+def test_checker_rejects_a_principal_of_another_connective(rule, principal, extra_meta):
+    """A node whose principal is of another class (an imported proof tree can
+    name anything) is a ProofError, not a crash inside the rule."""
+    leaf = focused.make_top_axiom(Sequent.of([], [Top()]))
+    premises = (leaf, leaf) if rule == "and" else (leaf,)
+    conclusion = Sequent.of([], [Top(), FORALL_XS, AND_XY])
+    node = ProofNode(rule, conclusion, premises, {"principal": principal, **extra_meta})
+    with pytest.raises(ProofError, match="principal"):
+        check_proof(node)
 
 
 def test_proof_metrics():

@@ -29,6 +29,7 @@ EXAMPLES = {
     "unique_element": examples.unique_element,
     "pair_tower_3": lambda: examples.pair_tower(3),
     "copy_chain_1": lambda: examples.copy_chain(1),
+    "copy_chain_2": lambda: examples.copy_chain(2),
 }
 
 

@@ -1,7 +1,10 @@
 """SynthesisService core + async job engine + the HTTP front-end."""
 
 import asyncio
+import base64
 import json
+import os
+import pickle
 import threading
 import time
 import urllib.error
@@ -685,3 +688,29 @@ def test_witness_endpoints_roundtrip(tmp_path):
             http_put, handle.url + "/v1/witnesses", {"payload": "definitely-not-base64!"}
         )
         assert code == 400 and body["error"]["code"] == "invalid_request"
+
+
+class _MkdirOnLoad:
+    """Unpickles to a call of ``os.mkdir``: the shape of a code-execution payload."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def test_witness_import_refuses_a_payload_that_runs_code(tmp_path):
+    from repro.witness.store import witness_fingerprint
+
+    created = tmp_path / "created-by-the-payload"
+    blob = pickle.dumps({"fingerprint": witness_fingerprint(), "proof": _MkdirOnLoad(str(created))})
+    service = SynthesisService(cache_dir=str(tmp_path / "cache"))
+    with BackgroundServer(service) as handle:
+        code, body = http_error(
+            http_put, handle.url + "/v1/witnesses", {"payload": base64.b64encode(blob).decode("ascii")}
+        )
+    assert not created.exists()
+    assert code == 400 and body["error"]["code"] == "invalid_request"
+    assert "mkdir is not part of a witness payload" in body["error"]["message"]
+    assert len(service.cache.witnesses) == 0

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.logic.formulas import Exists, Forall
+from repro.logic.formulas import Exists, Forall, conj
 from repro.logic.macros import equivalent, iff, member_hat
 from repro.logic.semantics import eval_formula
 from repro.logic.terms import Var
@@ -168,18 +168,25 @@ def test_examples_semantic_implicit_definability():
     assert prob11.check_implicitly_defines([inst11, examples.example_1_1_instance({"a": ("a",)})])
 
 
-def test_parameter_collection_standalone():
+@pytest.mark.parametrize("distractors", [0, 2, 4])
+def test_parameter_collection_standalone(distractors):
     """Theorem 8 on a hand-built goal: λ is a left formula equivalent (modulo the
-    specification) to a parameterized right formula; the collected E contains Λ."""
+    specification) to a parameterized right formula; the collected E contains Λ.
+    ``distractors`` common sets C_i add conjuncts ∀z∈C_i. z ∈̂ C_i that the proof
+    does not need; they grow the proof but must not leak into E."""
     c = Var("c", set_of(UR))
     A = Var("A", set_of(UR))      # left-only
     B = Var("Bc", set_of(UR))     # common
     D = Var("D", set_of(set_of(UR)))  # right-only
     z = Var("z", UR)
     y = Var("y", set_of(UR))
+    commons = [Var(f"C{i}", set_of(UR)) for i in range(distractors)]
     lam = member_hat(z, A)
     rho = member_hat(z, y)
-    phi_left = Forall(z, c, iff(member_hat(z, A), member_hat(z, B)))
+    phi_left = conj(
+        [Forall(z, c, iff(member_hat(z, A), member_hat(z, B)))]
+        + [Forall(z, common, member_hat(z, common)) for common in commons]
+    )
     phi_right = member_hat(B, D)
     goal_formula = Exists(y, D, Forall(z, c, iff(lam, rho)))
 
@@ -211,6 +218,7 @@ def test_parameter_collection_standalone():
         {c: vset([]), A: vset([ur(9)]), B: vset([ur(9)]), D: vset([vset([ur(9)])])},
     ]
     for inst in instances:
+        inst.update({common: vset([ur(4)]) for common in commons})
         assert eval_formula(phi_left, inst) and eval_formula(phi_right, inst)
         lam_set = vset([e for e in inst[c].elements if e in inst[A].elements])
         env_common = {nc: inst[c], nB: inst[B]}

@@ -8,10 +8,11 @@ import pytest
 
 from repro.errors import ProofError
 from repro.logic.formulas import EqUr, NeqUr
-from repro.logic.terms import Var
-from repro.nr.types import UR, SetType
+from repro.logic.terms import PairTerm, Proj, Var
+from repro.nr.types import UNIT, UR, ProdType, SetType
 from repro.nrc.expr import NDiff, NUnion, NVar
 from repro.obs.metrics import get_registry
+from repro.proofs import focused
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.search import ProofSearch, SearchTables
@@ -110,6 +111,23 @@ def test_import_rejects_garbage(tmp_path):
     with pytest.raises(ProofError):
         store.import_payload(pickle.dumps({"fingerprint": "stale"}))
     assert len(store) == 0
+
+
+def test_import_admits_unit_types_and_pair_terms(tmp_path):
+    """The import allow-list covers the globals no registry witness names: the
+    unit type of a unit-typed spec and the pair terms of a ×η proof."""
+    unit_pairs = SetType(ProdType(UR, UNIT))
+    unit_spec = _spec(NUnion(NVar("U1", unit_pairs), NVar("U2", unit_pairs)), name="wit_unit")
+    p, a, b = Var("p", ProdType(UR, UR)), Var("a", UR), Var("b", UR)
+    conclusion = Sequent.of([], [EqUr(Proj(1, p), Proj(1, p))])
+    (premise,) = focused.prod_eta_premises(conclusion, p, a, b)
+    reflexive = EqUr(Proj(1, PairTerm(a, b)), Proj(1, PairTerm(a, b)))
+    eta_proof = focused.make_prod_eta(conclusion, p, a, b, focused.make_eq_axiom(premise, reflexive))
+    source = WitnessStore(tmp_path / "src")
+    target = WitnessStore(tmp_path / "dst")
+    for record in (source.put(_proof(unit_spec.problem), problem=unit_spec.problem), source.put(eta_proof)):
+        assert target.import_payload(source.export_payload(record.digest)).digest == record.digest
+    assert len(target) == 2
 
 
 def test_memory_tier_fronts_the_disk(tmp_path, union_spec, union_proof):

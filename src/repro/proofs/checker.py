@@ -5,6 +5,11 @@ Figure 3 (plus the structural ``weaken`` rule) using the rule constructors of
 :mod:`repro.proofs.focused`; the constructors recompute the expected premise
 sequents from the conclusion and the recorded rule parameters, so a proof
 cannot pass the checker unless every inference is a genuine rule instance.
+
+The checker also takes trees from outside the program (imported witnesses),
+so it checks each node's shape before reading it and walks the tree with an
+explicit stack: a malformed or over-deep tree fails with :class:`ProofError`,
+never with a raw ``AttributeError`` or ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -12,12 +17,53 @@ from __future__ import annotations
 from repro.errors import ProofError, RuleApplicationError
 from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
+from repro.proofs.sequents import Sequent
+
+#: The deepest proof tree the checker accepts.  The proofs search and the
+#: hand-written witnesses build are at most ~60 deep; the code that consumes
+#: a checked proof (``proof_size``, interpolation, pickling into the witness
+#: store) recurses once or more per level, and past ~250 levels pickling
+#: alone exceeds the default recursion limit.
+MAX_PROOF_DEPTH = 200
 
 
 def check_proof(node: ProofNode) -> None:
-    """Recursively validate ``node``; raise :class:`ProofError` on any violation."""
-    for premise in node.premises:
-        check_proof(premise)
+    """Validate ``node`` and every node below it; raise :class:`ProofError` on any violation.
+
+    Post-order, premises left to right before their conclusion, as a
+    recursive check would visit them.
+    """
+    stack = [(node, 1, False)]
+    while stack:
+        current, depth, premises_checked = stack.pop()
+        if premises_checked:
+            _check_rule(current)
+            continue
+        _check_shape(current, depth)
+        stack.append((current, depth, True))
+        stack.extend((premise, depth + 1, False) for premise in reversed(current.premises))
+
+
+def _check_shape(node: object, depth: int) -> None:
+    if not isinstance(node, ProofNode):
+        raise ProofError(f"a proof node is a {type(node).__name__}, not a ProofNode")
+    # getattr: an unpickled node need not carry every field.
+    rule, sequent, premises, meta = (getattr(node, name, None) for name in ("rule", "sequent", "premises", "meta"))
+    if not (
+        isinstance(rule, str)
+        and isinstance(sequent, Sequent)
+        and isinstance(premises, tuple)
+        and isinstance(meta, dict)
+    ):
+        raise ProofError(
+            f"malformed proof node: rule {type(rule).__name__}, sequent {type(sequent).__name__}, "
+            f"premises {type(premises).__name__}, meta {type(meta).__name__}"
+        )
+    if depth > MAX_PROOF_DEPTH:
+        raise ProofError(f"proof tree is deeper than {MAX_PROOF_DEPTH} levels")
+
+
+def _check_rule(node: ProofNode) -> None:
     try:
         _check_node(node)
     except RuleApplicationError as exc:

@@ -14,10 +14,12 @@
   requests inline or in an isolated, deadlined worker process, and sweeps
   as batches of those requests.
 * :mod:`repro.service.server`   — :class:`SynthesisService` (cache +
-  registry + bounded async job engine) and the stdlib asyncio HTTP
-  front-end (``python -m repro serve``).
-* :mod:`repro.service.cli`      — ``python -m repro`` subcommands, thin
-  clients of the same :class:`SynthesisService`.
+  registry + bounded async job engine), the stdlib asyncio HTTP front-end
+  (``python -m repro serve``, its operations declared once in ``ROUTES``)
+  and :class:`~repro.service.server.RemoteService`, the client of a
+  running server with the same methods.
+* :mod:`repro.service.cli`      — ``python -m repro`` subcommands, each
+  declared once and run against either service.
 """
 
 from repro.service.api import (

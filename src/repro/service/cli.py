@@ -1,61 +1,38 @@
 """``python -m repro`` — the synthesis service command line.
 
-Subcommands::
+``python -m repro --help`` lists the subcommands, ``python -m repro client
+--help`` the operations a running ``repro serve`` answers over HTTP.
 
-    python -m repro list        [--tag T] [--json]
-    python -m repro synthesize  [NAME] [--spec FILE] [--max-depth N]
-                                [--verify-scale N] [--cache-dir D]
-                                [--ancestor DIGEST] [--raw] [--json]
-    python -m repro verify      NAME [--scale N] [--max-depth N] [--json]
-    python -m repro fuzz        [--seed N] [--count N] [--max-depth N]
-                                [--mutate] [--url U] [--artifacts D]
-                                [--no-shrink] [--replay PATH ...] [--json]
-    python -m repro sweep       [NAME ...] [--all] [--processes N]
-                                [--timeout S] [--verify-scale N]
-                                [--cache-dir D] [--max-depth N]
-                                [--url U] [--json]
-    python -m repro cache-stats [--cache-dir D] [--json]
-    python -m repro witness     list|show|import|export|handwritten ...
-                                [--cache-dir D | --url U] [--json]
-    python -m repro serve       [--host H] [--port P] [--cache-dir D]
-                                [--max-workers N] [--queue-limit N]
-                                [--job-timeout S]
-    python -m repro client      [--url U] health|list|synthesize|job|cancel|
-                                cache-stats|metrics|trace ...
+Each service operation is declared once in :data:`COMMANDS`: its name, its
+arguments (some apply only in-process, some only against a server) and one
+function ``run(service, args)``.  :func:`build_parser` builds both argument
+trees from that table, the local ``repro NAME`` subcommands and the ``repro
+client NAME`` operations, and :func:`main` hands ``run`` the in-process
+:class:`~repro.service.server.SynthesisService` or, for ``client``, ``sweep
+--url`` and ``witness … --url``, a
+:class:`~repro.service.server.RemoteService` with the same methods.  Local
+and remote output therefore come from the same rendering code.
 
-Every subcommand is a thin client of the typed service API
-(:mod:`repro.service.api`): ``list``/``synthesize``/``verify``/``sweep``/
-``cache-stats`` build a request object, call the in-process
-:class:`~repro.service.server.SynthesisService`, and render the typed
-response; ``client`` sends the same requests to a running ``repro serve``
-over HTTP and renders the same responses, so local and remote output match.
-
-``sweep`` is a **submit-then-poll client** of the async sweep engine: it
-submits a :class:`~repro.service.api.SweepRequest` (to the in-process
-service, or with ``--url`` to a running ``repro serve`` over ``POST
-/v1/sweeps``), polls until the job is terminal, and renders its
-:class:`~repro.service.api.SweepResponse` — the same text and the same
-``--json`` document either way.
-
-Everything prints human-readable text by default; ``--json`` switches every
+Everything prints human-readable text by default; ``--json`` switches a
 subcommand to a machine-readable JSON document on stdout (one object).
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import sys
-from typing import List, Optional
-from urllib import error as urllib_error
-from urllib import request as urllib_request
-from urllib.parse import quote, urlencode
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.service import api
 from repro.service.server import (
     DEFAULT_HOST,
+    DEFAULT_POLL_INTERVAL,
     DEFAULT_PORT,
     DEFAULT_QUEUE_LIMIT,
+    RemoteService,
     SynthesisService,
     serve,
 )
@@ -77,251 +54,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _cli_error(exc: api.ApiError) -> CliError:
-    return CliError(exc.message, code=_EXIT_CODES.get(exc.code, 1))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Synthesize nested relational queries from implicit specifications "
-        "(Benedikt–Pradic–Wernhard, PODS 2023) — service front end.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    list_parser = subparsers.add_parser("list", help="list the registered problems")
-    list_parser.add_argument("--tag", help="only entries carrying this tag")
-    list_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    synth_parser = subparsers.add_parser(
-        "synthesize", help="run one problem through the staged pipeline"
-    )
-    synth_parser.add_argument(
-        "name", nargs="?", default=None, help="registry name (see `repro list`)"
-    )
-    synth_parser.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILE",
-        help="synthesize a textual spec file instead of a registry name ('-' = stdin)",
-    )
-    synth_parser.add_argument("--max-depth", type=int, default=None, help="proof-search depth")
-    synth_parser.add_argument(
-        "--verify-scale",
-        type=int,
-        default=0,
-        help="also verify on this many generated instances (0 = skip)",
-    )
-    synth_parser.add_argument("--cache-dir", default=None, help="persistent cache directory")
-    synth_parser.add_argument(
-        "--ancestor",
-        default=None,
-        metavar="DIGEST",
-        help="witness digest of the spec this one was edited from "
-        "(incremental resynthesis; needs --cache-dir)",
-    )
-    synth_parser.add_argument(
-        "--raw", action="store_true", help="print the unsimplified definition too"
-    )
-    synth_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    verify_parser = subparsers.add_parser(
-        "verify", help="synthesize + check the definition on generated instances"
-    )
-    verify_parser.add_argument("name")
-    verify_parser.add_argument(
-        "--scale", type=int, default=api.DEFAULT_VERIFY_SCALE, help="instance family size"
-    )
-    verify_parser.add_argument("--max-depth", type=int, default=None)
-    verify_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="generate seeded Δ0 specs and differential-check every layer"
-    )
-    fuzz_parser.add_argument("--seed", type=int, default=0, help="stream seed (deterministic)")
-    fuzz_parser.add_argument("--count", type=int, default=100, help="specs to generate")
-    fuzz_parser.add_argument("--max-depth", type=int, default=12, help="proof-search depth")
-    fuzz_parser.add_argument(
-        "--url",
-        default=None,
-        help="also submit each spec to this running `repro serve` and compare results",
-    )
-    fuzz_parser.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="write report.json plus one minimized .spec per failure here",
-    )
-    fuzz_parser.add_argument(
-        "--no-shrink", action="store_true", help="report failures unminimized (faster)"
-    )
-    fuzz_parser.add_argument(
-        "--mutate",
-        action="store_true",
-        help="edit-mode: mutate each spec in one subtree and differentially "
-        "check incremental resynthesis against a cold run",
-    )
-    fuzz_parser.add_argument(
-        "--replay",
-        nargs="+",
-        default=None,
-        metavar="PATH",
-        help="replay corpus spec files (or directories of .spec files) instead of generating",
-    )
-    fuzz_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="run many problems through the parallel pipeline"
-    )
-    sweep_parser.add_argument(
-        "names", nargs="*", help="registry names (default: every synthesizable entry)"
-    )
-    sweep_parser.add_argument(
-        "--all",
-        action="store_true",
-        help="sweep every entry, including known-xfail and hard ones (set --timeout!)",
-    )
-    sweep_parser.add_argument("--processes", type=int, default=None)
-    sweep_parser.add_argument("--timeout", type=float, default=None, help="per-job seconds")
-    sweep_parser.add_argument("--verify-scale", type=int, default=0)
-    sweep_parser.add_argument("--cache-dir", default=None)
-    sweep_parser.add_argument("--max-depth", type=int, default=None)
-    sweep_parser.add_argument(
-        "--url",
-        default=None,
-        help="submit to a running `repro serve` instead of in-process",
-    )
-    sweep_parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.2,
-        help="seconds between remote job polls (with --url)",
-    )
-    sweep_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    stats_parser = subparsers.add_parser(
-        "cache-stats", help="inspect a persistent cache directory"
-    )
-    stats_parser.add_argument("--cache-dir", default=None, help="persistent cache directory")
-    stats_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    witness_parser = subparsers.add_parser(
-        "witness", help="inspect and exchange stored proof witnesses"
-    )
-    witness_sub = witness_parser.add_subparsers(dest="witness_command", required=True)
-
-    def _witness_common(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--cache-dir", default=None, help="cache directory holding the witnesses/ tier"
-        )
-        sub_parser.add_argument(
-            "--url", default=None, help="talk to a running `repro serve` instead of a directory"
-        )
-        sub_parser.add_argument("--json", action="store_true", dest="as_json")
-
-    w_list = witness_sub.add_parser("list", help="inventory of stored witnesses (newest first)")
-    w_list.add_argument("--limit", type=int, default=None, help="show at most this many")
-    _witness_common(w_list)
-
-    w_show = witness_sub.add_parser("show", help="one stored witness's metadata")
-    w_show.add_argument("digest")
-    _witness_common(w_show)
-
-    w_export = witness_sub.add_parser("export", help="write a witness payload to a file")
-    w_export.add_argument("digest")
-    w_export.add_argument(
-        "--output", "-o", default=None, metavar="FILE", help="default: <digest>.witness"
-    )
-    _witness_common(w_export)
-
-    w_import = witness_sub.add_parser(
-        "import", help="validate and adopt exported witness payload files"
-    )
-    w_import.add_argument("paths", nargs="+", metavar="FILE")
-    _witness_common(w_import)
-
-    w_hand = witness_sub.add_parser(
-        "handwritten",
-        help="install the hand-written hard-entry witnesses (Examples 1.1/4.1) "
-        "and replay them through checker → interpolation → verification",
-    )
-    w_hand.add_argument(
-        "--scale", type=int, default=2, help="instance-family scale for replay verification"
-    )
-    _witness_common(w_hand)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="run the asyncio HTTP front-end over the synthesis service"
-    )
-    serve_parser.add_argument("--host", default=DEFAULT_HOST)
-    serve_parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    serve_parser.add_argument("--cache-dir", default=None, help="persistent cache directory")
-    serve_parser.add_argument(
-        "--max-workers", type=int, default=None, help="concurrent synthesis worker processes"
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=None, help="bound on queued + running jobs"
-    )
-    serve_parser.add_argument(
-        "--job-timeout", type=float, default=None, help="default per-job seconds"
-    )
-
-    client_parser = subparsers.add_parser(
-        "client", help="talk to a running `repro serve` over HTTP"
-    )
-    client_parser.add_argument(
-        "--url",
-        default=f"http://{DEFAULT_HOST}:{DEFAULT_PORT}",
-        help="base URL of the server (default: %(default)s)",
-    )
-    client_sub = client_parser.add_subparsers(dest="client_command", required=True)
-
-    client_sub.add_parser("health", help="GET /healthz")
-
-    client_list = client_sub.add_parser("list", help="GET /v1/problems")
-    client_list.add_argument("--tag")
-    client_list.add_argument("--json", action="store_true", dest="as_json")
-
-    client_synth = client_sub.add_parser("synthesize", help="POST /v1/synthesize")
-    client_synth.add_argument("name", nargs="?", default=None)
-    client_synth.add_argument(
-        "--spec",
-        default=None,
-        metavar="FILE",
-        help="submit a textual spec file instead of a registry name ('-' = stdin)",
-    )
-    client_synth.add_argument("--max-depth", type=int, default=None)
-    client_synth.add_argument("--verify-scale", type=int, default=0)
-    client_synth.add_argument("--timeout", type=float, default=None, help="per-job seconds")
-    client_synth.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="submit asynchronously and print the job status instead of waiting",
-    )
-    client_synth.add_argument("--json", action="store_true", dest="as_json")
-
-    client_job = client_sub.add_parser("job", help="GET /v1/jobs/<id>")
-    client_job.add_argument("job_id")
-
-    client_cancel = client_sub.add_parser("cancel", help="DELETE /v1/jobs/<id>")
-    client_cancel.add_argument("job_id")
-
-    client_stats = client_sub.add_parser("cache-stats", help="GET /v1/cache/stats")
-    client_stats.add_argument("--cache-dir", default=None)
-    client_stats.add_argument("--json", action="store_true", dest="as_json")
-
-    client_metrics = client_sub.add_parser("metrics", help="GET /v1/metrics")
-    client_metrics.add_argument(
-        "--json", action="store_true", dest="as_json", help="JSON snapshot instead of Prometheus text"
-    )
-
-    client_trace = client_sub.add_parser("trace", help="GET /v1/jobs/<id>/trace")
-    client_trace.add_argument("job_id")
-    client_trace.add_argument("--json", action="store_true", dest="as_json")
-
-    return parser
 
 
 # ----------------------------------------------------------------- rendering
@@ -401,18 +133,15 @@ def _render_sweep(response: api.SweepResponse, as_json: bool) -> int:
 
 
 def _render_cache_stats(stats, as_json: bool) -> int:
+    if as_json:
+        print(stats.to_json())
+        return 0
     if isinstance(stats, api.ProcessCacheStats):
-        if as_json:
-            print(stats.to_json())
-            return 0
         print("no --cache-dir given; showing this process's in-memory telemetry:")
         process = stats.to_json_dict()["process"]
         for name, counters in process.items():
             rendered = ", ".join(f"{key}={value}" for key, value in counters.items())
             print(f"  {name}: {rendered}")
-        return 0
-    if as_json:
-        print(stats.to_json())
         return 0
     if not stats.entries:
         print(f"{stats.cache_dir}: empty cache")
@@ -427,9 +156,39 @@ def _render_cache_stats(stats, as_json: bool) -> int:
     return 0
 
 
+def _render_trace(trace: api.TraceInfo, as_json: bool) -> int:
+    """A parent-indented tree of the trace's spans (or the JSON document)."""
+    if as_json:
+        print(trace.to_json())
+        return 0
+    if not trace.spans:
+        print(f"trace {trace.trace_id}: no spans recorded yet")
+        return 0
+    by_parent: dict = {}
+    span_ids = {span.span_id for span in trace.spans}
+    for span in trace.spans:
+        parent = span.parent_id if span.parent_id in span_ids else None
+        by_parent.setdefault(parent, []).append(span)
+
+    def _walk(parent: Optional[str], depth: int) -> None:
+        for span in sorted(by_parent.get(parent, []), key=lambda s: (s.start, s.span_id)):
+            attrs = ", ".join(f"{k}={v}" for k, v in span.attributes.items())
+            suffix = f"  [{attrs}]" if attrs else ""
+            print(f"{'  ' * depth}{span.name:<{30 - 2 * min(depth, 10)}} {span.seconds * 1000:9.2f} ms{suffix}")
+            _walk(span.span_id, depth + 1)
+
+    print(f"trace {trace.trace_id} ({len(trace.spans)} spans)")
+    _walk(None, 0)
+    return 0
+
+
 # ------------------------------------------------------------------ commands
-def _cmd_list(args) -> int:
-    service = SynthesisService()
+def _cmd_health(service, args) -> int:
+    print(json.dumps(service.health(), indent=2))
+    return 0
+
+
+def _cmd_list(service, args) -> int:
     return _render_problem_list(service.list_problems(tag=args.tag), args.as_json)
 
 
@@ -443,32 +202,33 @@ def _read_spec_file(path: str) -> str:
         raise CliError(f"cannot read spec file {path!r}: {exc}") from exc
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(service, args) -> int:
     if (args.name is None) == (args.spec is None):
         raise CliError("pass exactly one of NAME or --spec FILE")
-    if getattr(args, "ancestor", None) and not getattr(args, "cache_dir", None):
+    if args.ancestor and not args.cache_dir:
         raise CliError("--ancestor needs --cache-dir (the witness store lives there)")
-    service = SynthesisService()
     request = api.SynthesizeRequest(
         problem=args.name or "",
         spec_text=_read_spec_file(args.spec) if args.spec else None,
         max_depth=args.max_depth,
         verify_scale=args.verify_scale,
-        cache_dir=getattr(args, "cache_dir", None),
-        ancestor=getattr(args, "ancestor", None),
+        cache_dir=args.cache_dir,
+        ancestor=args.ancestor,
+        timeout=args.timeout,
         # --raw only affects the text rendering; the JSON document is the
         # stable v1 schema with or without it.
-        include_raw=bool(getattr(args, "raw", False)) and not args.as_json,
+        include_raw=args.raw and not args.as_json,
     )
-    response = service.synthesize(request)
-    return _render_synthesis(response, args.as_json, show_raw=bool(getattr(args, "raw", False)))
+    if args.no_wait:
+        status = service.submit(request)
+        print(status.to_json())
+        return 1 if status.state == api.JOB_FAILED else 0
+    return _render_synthesis(service.synthesize(request), args.as_json, show_raw=args.raw)
 
 
-def _cmd_verify(args) -> int:
-    service = SynthesisService()
+def _cmd_verify(service, args) -> int:
     request = api.VerifyRequest(problem=args.name, scale=args.scale, max_depth=args.max_depth)
-    response = service.verify(request)
-    return _render_synthesis(response, args.as_json, show_raw=False)
+    return _render_synthesis(service.verify(request), args.as_json, show_raw=False)
 
 
 def _cmd_fuzz(args) -> int:
@@ -587,7 +347,7 @@ def _write_fuzz_artifacts(directory: str, document: dict, report) -> None:
                 handle.write("\n")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(service, args) -> int:
     request = api.SweepRequest(
         problems=tuple(args.names),
         include_all=bool(args.all and not args.names),
@@ -597,222 +357,33 @@ def _cmd_sweep(args) -> int:
         cache_dir=args.cache_dir,
         max_depth=args.max_depth,
     )
-    if args.url:
-        response = _remote_sweep(args.url, request, args.poll_interval)
-    else:
-        response = _local_sweep(request)
-    return _render_sweep(response, args.as_json)
+    return _render_sweep(service.sweep(request), args.as_json)
 
 
-def _local_sweep(request: api.SweepRequest) -> api.SweepResponse:
-    """Submit-then-poll against an in-process service (no server needed)."""
-    import asyncio
-
-    service = SynthesisService()
-
-    async def _run() -> api.SweepJobStatus:
-        status = await service.submit_sweep(request)
-        return await service.wait_sweep(status.id)
-
-    status = asyncio.run(_run())
-    if status.error is not None:
-        raise api.ApiError.from_info(status.error)
-    if status.result is None:
-        raise api.ApiError("internal", f"sweep {status.id} finished without a result")
-    return status.result
-
-
-def _remote_sweep(
-    url: str, request: api.SweepRequest, poll_interval: float
-) -> api.SweepResponse:
-    """Submit to ``POST /v1/sweeps`` on a server, poll until terminal."""
-    import time
-
-    base = url.rstrip("/")
-    payload = _http(
-        f"{base}/{api.API_VERSION}/sweeps", method="POST", payload=request.to_json_dict()
-    )
-    status = api.SweepJobStatus.from_json_dict(payload)
-    while not status.finished:
-        time.sleep(max(poll_interval, 0.01))
-        payload = _http(f"{base}/{api.API_VERSION}/sweeps/{quote(status.id)}")
-        status = api.SweepJobStatus.from_json_dict(payload)
-    if status.error is not None:
-        raise _cli_error(api.ApiError.from_info(status.error))
-    if status.result is None:
-        raise CliError(f"sweep {status.id} finished without a result", code=1)
-    return status.result
-
-
-def _cmd_cache_stats(args) -> int:
-    service = SynthesisService()
-    return _render_cache_stats(service.cache_stats(cache_dir=args.cache_dir), args.as_json)
-
-
-# ----------------------------------------------------------------- witnesses
-def _witness_store_for(args):
-    if bool(args.cache_dir) == bool(args.url):
-        raise CliError("pass exactly one of --cache-dir or --url")
-    from pathlib import Path
-
-    from repro.witness.store import WITNESS_SUBDIR, WitnessStore
-
-    return WitnessStore(Path(args.cache_dir) / WITNESS_SUBDIR)
-
-
-def _render_witness_infos(infos: List[api.WitnessInfo], as_json: bool) -> int:
-    if as_json:
-        print(api.WitnessPage(witnesses=tuple(infos)).to_json())
-        return 0
-    if not infos:
-        print("no stored witnesses")
-        return 0
-    for info in infos:
-        print(
-            f"{info.digest[:16]}…  {info.name or '<unnamed>':<28} "
-            f"proof size {info.proof_size:>4}  {info.payload_bytes:>8} bytes"
-        )
-    print(f"\n{len(infos)} witnesses")
+def _cmd_job(service, args) -> int:
+    print(service.job_status(args.job_id).to_json())
     return 0
 
 
-def _witness_infos(args) -> List[api.WitnessInfo]:
-    """The (newest-first) inventory from the directory or the server."""
-    if args.url:
-        base = args.url.rstrip("/")
-        page = api.WitnessPage.from_json_dict(_http(f"{base}/{api.API_VERSION}/witnesses"))
-        return list(page.witnesses)
-    store = _witness_store_for(args)
-    return [
-        api.WitnessInfo(
-            digest=summary.digest,
-            name=summary.name,
-            proof_size=summary.proof_size,
-            created=summary.created,
-            payload_bytes=summary.payload_bytes,
-            sequent=summary.sequent,
-        )
-        for summary in store.list()
-    ]
+def _cmd_cancel(service, args) -> int:
+    print(service.cancel(args.job_id).to_json())
+    return 0
 
 
-def _cmd_witness(args) -> int:
-    import base64
+def _cmd_cache_stats(service, args) -> int:
+    return _render_cache_stats(service.cache_stats(cache_dir=args.cache_dir), args.as_json)
 
-    from repro.errors import ProofError
 
-    if bool(args.cache_dir) == bool(args.url):
-        raise CliError("pass exactly one of --cache-dir or --url")
-    command = args.witness_command
-    if command == "list":
-        infos = _witness_infos(args)
-        limit = getattr(args, "limit", None)
-        if limit is not None:
-            infos = infos[:limit]
-        return _render_witness_infos(infos, args.as_json)
-    if command == "show":
-        matches = [info for info in _witness_infos(args) if info.digest == args.digest]
-        if not matches:
-            raise CliError(f"no witness {args.digest!r} in this store")
-        info = matches[0]
-        if args.as_json:
-            print(json.dumps(info.to_json_dict(), indent=2))
-            return 0
-        print(f"digest:        {info.digest}")
-        print(f"name:          {info.name or '<unnamed>'}")
-        print(f"proof size:    {info.proof_size}")
-        print(f"payload bytes: {info.payload_bytes}")
-        if info.sequent:
-            print(f"sequent:       {info.sequent}")
-        return 0
-    if command == "export":
-        if args.url:
-            base = args.url.rstrip("/")
-            document = api.WitnessPayload.from_json_dict(
-                _http(f"{base}/{api.API_VERSION}/witnesses/{quote(args.digest)}")
-            )
-            blob = base64.b64decode(document.payload)
-        else:
-            blob = _witness_store_for(args).export_payload(args.digest)
-            if blob is None:
-                raise CliError(f"no witness {args.digest!r} in this store")
-        output = args.output or f"{args.digest}.witness"
-        try:
-            with open(output, "wb") as handle:
-                handle.write(blob)
-        except OSError as exc:
-            raise CliError(f"cannot write {output!r}: {exc}", code=1) from exc
-        print(f"exported {args.digest} to {output} ({len(blob)} bytes)")
-        return 0
-    if command == "handwritten":
-        if args.url:
-            raise CliError("witness handwritten needs --cache-dir (proofs are built locally)")
-        from repro.witness.handwritten import install_handwritten, replay_handwritten
+def _cmd_metrics(service, args) -> int:
+    if args.as_json:
+        print(json.dumps(service.metrics(as_json=True), indent=2))
+    else:
+        print(service.metrics(), end="")
+    return 0
 
-        store = _witness_store_for(args)
-        records = install_handwritten(store)
-        reports = []
-        for name in sorted(records):
-            report = replay_handwritten(store, name, scale=args.scale)
-            reports.append(report)
-            print(
-                f"installed {records[name].digest}  ({name}: proof size "
-                f"{report.proof_nodes}, replay verified "
-                f"{report.conditions_checked} interpolant conditions)"
-            )
-        if args.as_json:
-            print(
-                json.dumps(
-                    {
-                        report.name: {
-                            "digest": records[report.name].digest,
-                            "proof_nodes": report.proof_nodes,
-                            "conditions_checked": report.conditions_checked,
-                        }
-                        for report in reports
-                    },
-                    indent=2,
-                )
-            )
-        return 0
-    if command == "import":
-        imported: List[api.WitnessInfo] = []
-        store = None if args.url else _witness_store_for(args)
-        for path in args.paths:
-            try:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-            except OSError as exc:
-                raise CliError(f"cannot read {path!r}: {exc}") from exc
-            if args.url:
-                base = args.url.rstrip("/")
-                document = api.WitnessPayload(payload=base64.b64encode(blob).decode("ascii"))
-                info = api.WitnessInfo.from_json_dict(
-                    _http(
-                        f"{base}/{api.API_VERSION}/witnesses",
-                        method="PUT",
-                        payload=document.to_json_dict(),
-                    )
-                )
-            else:
-                try:
-                    record = store.import_payload(blob)
-                except ProofError as exc:
-                    raise CliError(f"{path}: witness payload rejected: {exc}") from exc
-                info = api.WitnessInfo(
-                    digest=record.digest,
-                    name=record.name,
-                    proof_size=record.proof_size,
-                    created=record.created,
-                    payload_bytes=len(blob),
-                    sequent=str(record.sequent),
-                )
-            imported.append(info)
-            print(f"imported {info.digest}  ({info.name or '<unnamed>'}, proof size {info.proof_size})")
-        if args.as_json:
-            print(api.WitnessPage(witnesses=tuple(imported)).to_json())
-        return 0
-    raise CliError(f"unknown witness command {command!r}")
+
+def _cmd_trace(service, args) -> int:
+    return _render_trace(service.job_trace(args.job_id), args.as_json)
 
 
 def _cmd_serve(args) -> int:
@@ -844,157 +415,369 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- client
-def _http_text(url: str) -> str:
-    """GET ``url`` and return the raw response body (non-JSON routes)."""
-    http_request = urllib_request.Request(url, headers={"Accept": "text/plain"})
-    try:
-        with urllib_request.urlopen(http_request) as http_response:
-            return http_response.read().decode("utf-8")
-    except urllib_error.HTTPError as exc:
-        body = exc.read().decode("utf-8", "replace")
-        raise CliError(f"HTTP {exc.code} from {url}: {body.strip()}", code=1) from exc
-    except urllib_error.URLError as exc:
-        raise CliError(
-            f"cannot reach the repro server at {url}: {exc.reason} "
-            f"(is `repro serve` running?)",
-            code=1,
-        ) from exc
-
-
-def _render_trace(trace: api.TraceInfo, as_json: bool) -> int:
-    """A parent-indented tree of the trace's spans (or the JSON document)."""
+# ----------------------------------------------------------------- witnesses
+def _render_witness_infos(infos, as_json: bool) -> int:
     if as_json:
-        print(trace.to_json())
+        print(api.WitnessPage(witnesses=tuple(infos)).to_json())
         return 0
-    if not trace.spans:
-        print(f"trace {trace.trace_id}: no spans recorded yet")
+    if not infos:
+        print("no stored witnesses")
         return 0
-    by_parent: dict = {}
-    span_ids = {span.span_id for span in trace.spans}
-    for span in trace.spans:
-        parent = span.parent_id if span.parent_id in span_ids else None
-        by_parent.setdefault(parent, []).append(span)
-
-    def _walk(parent: Optional[str], depth: int) -> None:
-        for span in sorted(by_parent.get(parent, []), key=lambda s: (s.start, s.span_id)):
-            attrs = ", ".join(f"{k}={v}" for k, v in span.attributes.items())
-            suffix = f"  [{attrs}]" if attrs else ""
-            print(f"{'  ' * depth}{span.name:<{30 - 2 * min(depth, 10)}} {span.seconds * 1000:9.2f} ms{suffix}")
-            _walk(span.span_id, depth + 1)
-
-    print(f"trace {trace.trace_id} ({len(trace.spans)} spans)")
-    _walk(None, 0)
+    for info in infos:
+        print(
+            f"{info.digest[:16]}…  {info.name or '<unnamed>':<28} "
+            f"proof size {info.proof_size:>4}  {info.payload_bytes:>8} bytes"
+        )
+    print(f"\n{len(infos)} witnesses")
     return 0
 
 
-def _http(url: str, method: str = "GET", payload: Optional[dict] = None) -> dict:
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    http_request = urllib_request.Request(url, data=data, headers=headers, method=method)
+def _cmd_witness_list(service, args) -> int:
+    return _render_witness_infos(service.list_witnesses(limit=args.limit).witnesses, args.as_json)
+
+
+def _cmd_witness_show(service, args) -> int:
+    info = next((info for info in service.list_witnesses().witnesses if info.digest == args.digest), None)
+    if info is None:
+        raise CliError(f"no witness {args.digest!r} in this store")
+    if args.as_json:
+        print(info.to_json())
+        return 0
+    print(f"digest:        {info.digest}")
+    print(f"name:          {info.name or '<unnamed>'}")
+    print(f"proof size:    {info.proof_size}")
+    print(f"payload bytes: {info.payload_bytes}")
+    if info.sequent:
+        print(f"sequent:       {info.sequent}")
+    return 0
+
+
+def _cmd_witness_export(service, args) -> int:
+    blob = base64.b64decode(service.get_witness(args.digest).payload)
+    output = args.output or f"{args.digest}.witness"
     try:
-        with urllib_request.urlopen(http_request) as http_response:
-            return json.loads(http_response.read().decode("utf-8"))
-    except urllib_error.HTTPError as exc:
-        body = exc.read().decode("utf-8", "replace")
+        with open(output, "wb") as handle:
+            handle.write(blob)
+    except OSError as exc:
+        raise CliError(f"cannot write {output!r}: {exc}", code=1) from exc
+    print(f"exported {args.digest} to {output} ({len(blob)} bytes)")
+    return 0
+
+
+def _cmd_witness_import(service, args) -> int:
+    imported: List[api.WitnessInfo] = []
+    for path in args.paths:
         try:
-            raise _cli_error(api.ApiError.from_json_dict(json.loads(body))) from exc
-        except (ValueError, KeyError):
-            raise CliError(f"HTTP {exc.code} from {url}: {body.strip()}", code=1) from exc
-    except urllib_error.URLError as exc:
-        raise CliError(
-            f"cannot reach the repro server at {url}: {exc.reason} "
-            f"(is `repro serve` running?)",
-            code=1,
-        ) from exc
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {path!r}: {exc}") from exc
+        try:
+            info = service.import_witness(api.WitnessPayload(payload=base64.b64encode(blob).decode("ascii")))
+        except api.ApiError as exc:
+            raise CliError(f"{path}: {exc.message}", code=_EXIT_CODES.get(exc.code, 1)) from exc
+        imported.append(info)
+        print(f"imported {info.digest}  ({info.name or '<unnamed>'}, proof size {info.proof_size})")
+    if args.as_json:
+        print(api.WitnessPage(witnesses=tuple(imported)).to_json())
+    return 0
 
 
-def _cmd_client(args) -> int:
-    base = args.url.rstrip("/")
-    command = args.client_command
-    if command == "health":
-        print(json.dumps(_http(f"{base}/healthz"), indent=2))
-        return 0
-    if command == "list":
-        url = f"{base}/{api.API_VERSION}/problems"
-        if args.tag:
-            url += "?" + urlencode({"tag": args.tag})
-        infos = [api.ProblemInfo.from_json_dict(entry) for entry in _http(url)]
-        return _render_problem_list(infos, args.as_json)
-    if command == "synthesize":
-        if (args.name is None) == (args.spec is None):
-            raise CliError("pass exactly one of NAME or --spec FILE")
-        request = api.SynthesizeRequest(
-            problem=args.name or "",
-            spec_text=_read_spec_file(args.spec) if args.spec else None,
-            max_depth=args.max_depth,
-            verify_scale=args.verify_scale,
-            timeout=args.timeout,
+def _cmd_witness_handwritten(service, args) -> int:
+    if not isinstance(service, SynthesisService):
+        raise CliError("witness handwritten needs --cache-dir (proofs are built locally)")
+    from repro.witness.handwritten import install_handwritten, replay_handwritten
+
+    store = service.cache.witnesses
+    records = install_handwritten(store)
+    reports = []
+    for name in sorted(records):
+        report = replay_handwritten(store, name, scale=args.scale)
+        reports.append(report)
+        print(
+            f"installed {records[name].digest}  ({name}: proof size "
+            f"{report.proof_nodes}, replay verified "
+            f"{report.conditions_checked} interpolant conditions)"
         )
-        wait = "0" if args.no_wait else "1"
-        payload = _http(
-            f"{base}/{api.API_VERSION}/synthesize?wait={wait}",
-            method="POST",
-            payload=request.to_json_dict(),
+    if args.as_json:
+        print(
+            json.dumps(
+                {
+                    report.name: {
+                        "digest": records[report.name].digest,
+                        "proof_nodes": report.proof_nodes,
+                        "conditions_checked": report.conditions_checked,
+                    }
+                    for report in reports
+                },
+                indent=2,
+            )
         )
-        status = api.JobStatus.from_json_dict(payload)
-        if status.state == api.JOB_DONE and status.result is not None and not args.no_wait:
-            return _render_synthesis(status.result, args.as_json, show_raw=False)
-        print(status.to_json())
-        if status.state == api.JOB_FAILED:
-            return 1
-        return 0
-    if command == "job":
-        payload = _http(f"{base}/{api.API_VERSION}/jobs/{quote(args.job_id)}")
-        print(json.dumps(payload, indent=2))
-        return 0
-    if command == "cancel":
-        payload = _http(f"{base}/{api.API_VERSION}/jobs/{quote(args.job_id)}", method="DELETE")
-        print(json.dumps(payload, indent=2))
-        return 0
-    if command == "cache-stats":
-        url = f"{base}/{api.API_VERSION}/cache/stats"
-        if args.cache_dir:
-            url += "?" + urlencode({"cache_dir": args.cache_dir})
-        payload = _http(url)
-        if "process" in payload:
-            stats = api.ProcessCacheStats.from_json_dict(payload)
-        else:
-            stats = api.DiskCacheStats.from_json_dict(payload)
-        return _render_cache_stats(stats, args.as_json)
-    if command == "metrics":
-        if args.as_json:
-            payload = _http(f"{base}/{api.API_VERSION}/metrics?format=json")
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_http_text(f"{base}/{api.API_VERSION}/metrics"), end="")
-        return 0
-    if command == "trace":
-        payload = _http(f"{base}/{api.API_VERSION}/jobs/{quote(args.job_id)}/trace")
-        return _render_trace(api.TraceInfo.from_json_dict(payload), args.as_json)
-    raise CliError(f"unknown client command {command!r}")
+    return 0
 
 
-_COMMANDS = {
-    "list": _cmd_list,
-    "synthesize": _cmd_synthesize,
-    "verify": _cmd_verify,
-    "fuzz": _cmd_fuzz,
-    "sweep": _cmd_sweep,
-    "cache-stats": _cmd_cache_stats,
-    "witness": _cmd_witness,
-    "serve": _cmd_serve,
-    "client": _cmd_client,
-}
+# ------------------------------------------------------------- the table
+def _arg(*flags: str, where: str = "both", **options):
+    """One ``add_argument`` call, for the ``local`` form, the ``remote`` form or ``both``."""
+    return flags, options, where
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its arguments and ``run(service, args)``.
+
+    ``local``/``remote`` say whether it is a ``repro NAME`` subcommand, a
+    ``repro client NAME`` operation, or both.  ``run`` of a command with
+    ``service=False`` takes ``args`` alone.  A group (``witness``) has
+    ``subcommands`` instead of ``run``.
+    """
+
+    name: str
+    help: str
+    run: Optional[Callable[..., int]] = None
+    args: Tuple[tuple, ...] = ()
+    local: bool = True
+    remote: bool = False
+    service: bool = True
+    subcommands: Tuple["_Command", ...] = ()
+
+
+_JSON = _arg("--json", action="store_true", dest="as_json")
+_WITNESS_LOCATION = (
+    _arg("--cache-dir", help="cache directory holding the witnesses/ tier"),
+    _arg("--url", help="talk to a running `repro serve` instead of a directory"),
+    _JSON,
+)
+_WITNESS_COMMANDS = (
+    _Command(
+        "list",
+        "inventory of stored witnesses (newest first)",
+        _cmd_witness_list,
+        (_arg("--limit", type=int, help="show at most this many"), *_WITNESS_LOCATION),
+    ),
+    _Command("show", "one stored witness's metadata", _cmd_witness_show, (_arg("digest"), *_WITNESS_LOCATION)),
+    _Command(
+        "export",
+        "write a witness payload to a file",
+        _cmd_witness_export,
+        (_arg("digest"), _arg("--output", "-o", metavar="FILE", help="default: <digest>.witness"), *_WITNESS_LOCATION),
+    ),
+    _Command(
+        "import",
+        "validate and adopt exported witness payload files",
+        _cmd_witness_import,
+        (_arg("paths", nargs="+", metavar="FILE"), *_WITNESS_LOCATION),
+    ),
+    _Command(
+        "handwritten",
+        "install the hand-written hard-entry witnesses (Examples 1.1/4.1) "
+        "and replay them through checker → interpolation → verification",
+        _cmd_witness_handwritten,
+        (
+            _arg("--scale", type=int, default=2, help="instance-family scale for replay verification"),
+            *_WITNESS_LOCATION,
+        ),
+    ),
+)
+
+#: Every subcommand, in ``--help`` order (local and ``client`` interleaved).
+COMMANDS = (
+    _Command("health", "liveness, job and cache counters, queue depth", _cmd_health, local=False, remote=True),
+    _Command(
+        "list",
+        "list the registered problems",
+        _cmd_list,
+        (_arg("--tag", help="only entries carrying this tag"), _JSON),
+        remote=True,
+    ),
+    _Command(
+        "synthesize",
+        "run one problem through the staged pipeline",
+        _cmd_synthesize,
+        (
+            _arg("name", nargs="?", help="registry name (see `repro list`)"),
+            _arg(
+                "--spec",
+                metavar="FILE",
+                help="synthesize a textual spec file instead of a registry name ('-' = stdin)",
+            ),
+            _arg("--max-depth", type=int, help="proof-search depth"),
+            _arg("--verify-scale", type=int, default=0, help="also verify on this many generated instances (0 = skip)"),
+            _arg("--cache-dir", where="local", help="persistent cache directory"),
+            _arg(
+                "--ancestor",
+                where="local",
+                metavar="DIGEST",
+                help="witness digest of the spec this one was edited from (incremental resynthesis; needs --cache-dir)",
+            ),
+            _arg("--raw", where="local", action="store_true", help="print the unsimplified definition too"),
+            _arg("--timeout", where="remote", type=float, help="per-job seconds"),
+            _arg(
+                "--no-wait",
+                where="remote",
+                action="store_true",
+                help="submit asynchronously and print the job status instead of waiting",
+            ),
+            _JSON,
+        ),
+        remote=True,
+    ),
+    _Command(
+        "verify",
+        "synthesize + check the definition on generated instances",
+        _cmd_verify,
+        (
+            _arg("name"),
+            _arg("--scale", type=int, default=api.DEFAULT_VERIFY_SCALE, help="instance family size"),
+            _arg("--max-depth", type=int),
+            _JSON,
+        ),
+    ),
+    _Command(
+        "fuzz",
+        "generate seeded Δ0 specs and differential-check every layer",
+        _cmd_fuzz,
+        (
+            _arg("--seed", type=int, default=0, help="stream seed (deterministic)"),
+            _arg("--count", type=int, default=100, help="specs to generate"),
+            _arg("--max-depth", type=int, default=12, help="proof-search depth"),
+            _arg("--url", help="also submit each spec to this running `repro serve` and compare results"),
+            _arg("--artifacts", metavar="DIR", help="write report.json plus one minimized .spec per failure here"),
+            _arg("--no-shrink", action="store_true", help="report failures unminimized (faster)"),
+            _arg(
+                "--mutate",
+                action="store_true",
+                help="edit-mode: mutate each spec in one subtree and differentially "
+                "check incremental resynthesis against a cold run",
+            ),
+            _arg(
+                "--replay",
+                nargs="+",
+                metavar="PATH",
+                help="replay corpus spec files (or directories of .spec files) instead of generating",
+            ),
+            _JSON,
+        ),
+        service=False,
+    ),
+    _Command(
+        "sweep",
+        "run many problems through the parallel pipeline",
+        _cmd_sweep,
+        (
+            _arg("names", nargs="*", help="registry names (default: every synthesizable entry)"),
+            _arg(
+                "--all",
+                action="store_true",
+                help="sweep every entry, including known-xfail and hard ones (set --timeout!)",
+            ),
+            _arg("--processes", type=int),
+            _arg("--timeout", type=float, help="per-job seconds"),
+            _arg("--verify-scale", type=int, default=0),
+            _arg("--cache-dir"),
+            _arg("--max-depth", type=int),
+            _arg("--url", help="submit to a running `repro serve` instead of in-process"),
+            _arg(
+                "--poll-interval",
+                type=float,
+                default=DEFAULT_POLL_INTERVAL,
+                help="seconds between remote job polls (with --url)",
+            ),
+            _JSON,
+        ),
+    ),
+    _Command("job", "one job's status", _cmd_job, (_arg("job_id"),), local=False, remote=True),
+    _Command("cancel", "cancel a queued or running job", _cmd_cancel, (_arg("job_id"),), local=False, remote=True),
+    _Command(
+        "cache-stats",
+        "inspect a persistent cache directory",
+        _cmd_cache_stats,
+        (_arg("--cache-dir", help="persistent cache directory"), _JSON),
+        remote=True,
+    ),
+    _Command("witness", "inspect and exchange stored proof witnesses", subcommands=_WITNESS_COMMANDS),
+    _Command(
+        "serve",
+        "run the asyncio HTTP front-end over the synthesis service",
+        _cmd_serve,
+        (
+            _arg("--host", default=DEFAULT_HOST),
+            _arg("--port", type=int, default=DEFAULT_PORT),
+            _arg("--cache-dir", help="persistent cache directory"),
+            _arg("--max-workers", type=int, help="concurrent synthesis worker processes"),
+            _arg("--queue-limit", type=int, help="bound on queued + running jobs"),
+            _arg("--job-timeout", type=float, help="default per-job seconds"),
+        ),
+        service=False,
+    ),
+    _Command(
+        "metrics",
+        "the server's metrics",
+        _cmd_metrics,
+        (_arg("--json", action="store_true", dest="as_json", help="JSON snapshot instead of Prometheus text"),),
+        local=False,
+        remote=True,
+    ),
+    _Command("trace", "one job's recorded trace spans", _cmd_trace, (_arg("job_id"), _JSON), local=False, remote=True),
+)
+
+
+def _add_commands(subparsers, commands, form: str) -> None:
+    """Add the ``form`` (``"local"`` or ``"remote"``) of each command."""
+    for command in commands:
+        if not (command.remote if form == "remote" else command.local):
+            continue
+        parser = subparsers.add_parser(command.name, help=command.help)
+        if command.subcommands:
+            group = parser.add_subparsers(dest=f"{command.name}_command", required=True)
+            _add_commands(group, command.subcommands, form)
+            continue
+        for flags, options, where in command.args:
+            if where in ("both", form):
+                parser.add_argument(*flags, **options)
+            else:
+                # The other form's argument still sets its dest, at its default.
+                action = argparse.ArgumentParser().add_argument(*flags, **options)
+                parser.set_defaults(**{action.dest: action.default})
+        parser.set_defaults(operation=command)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Synthesize nested relational queries from implicit specifications "
+        "(Benedikt–Pradic–Wernhard, PODS 2023) — service front end.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    _add_commands(subparsers, COMMANDS, "local")
+    client = subparsers.add_parser("client", help="talk to a running `repro serve` over HTTP")
+    client.add_argument(
+        "--url",
+        default=f"http://{DEFAULT_HOST}:{DEFAULT_PORT}",
+        help="base URL of the server (default: %(default)s)",
+    )
+    _add_commands(client.add_subparsers(dest="client_command", required=True), COMMANDS, "remote")
+    return parser
+
+
+def _service(args):
+    """The server at ``--url``, else this process (over ``--cache-dir`` for ``witness``)."""
+    url = getattr(args, "url", None)
+    if args.command == "witness":
+        if bool(args.cache_dir) == bool(url):
+            raise CliError("pass exactly one of --cache-dir or --url")
+        if not url:
+            return SynthesisService(cache_dir=args.cache_dir)
+    if url:
+        return RemoteService(url, poll_interval=getattr(args, "poll_interval", DEFAULT_POLL_INTERVAL))
+    return SynthesisService()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    command = args.operation
     try:
-        return _COMMANDS[args.command](args)
+        return command.run(_service(args), args) if command.service else command.run(args)
     except api.ApiError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return _EXIT_CODES.get(exc.code, 1)

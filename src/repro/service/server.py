@@ -38,37 +38,10 @@ Job engine invariants
 The HTTP layer is a deliberately small stdlib-only HTTP/1.1 implementation
 over ``asyncio.start_server`` (one JSON document per request/response,
 ``Connection: close``) — enough surface for the v1 API without pulling in a
-framework the environment does not ship:
-
-=========  ==================================  =================================
-method     path                                body / response
-=========  ==================================  =================================
-GET        ``/healthz``                        liveness + job/cache counters +
-                                               queue depth
-GET        ``/v1/problems[?tag=T]``            list of :class:`api.ProblemInfo`;
-                                               with ``limit``/``cursor`` a
-                                               :class:`api.ProblemPage`
-POST       ``/v1/synthesize[?wait=1]``         :class:`api.SynthesizeRequest` →
-                                               :class:`api.JobStatus` (202 while
-                                               queued, 200 when finished)
-GET        ``/v1/jobs/<id>``                   :class:`api.JobStatus`
-DELETE     ``/v1/jobs/<id>``                   cancel → :class:`api.JobStatus`
-POST       ``/v1/sweeps[?wait=1]``             :class:`api.SweepRequest` →
-                                               :class:`api.SweepJobStatus` (202);
-                                               ``wait=1`` blocks and answers the
-                                               bare :class:`api.SweepResponse`
-GET        ``/v1/sweeps/<id>``                 :class:`api.SweepJobStatus`
-GET        ``/v1/witnesses[?limit=N]``         :class:`api.WitnessPage` (newest
-                                               first)
-GET        ``/v1/witnesses/<digest>``          :class:`api.WitnessPayload`
-PUT        ``/v1/witnesses``                   import a
-                                               :class:`api.WitnessPayload`
-                                               (re-validated end to end) →
-                                               :class:`api.WitnessInfo`
-GET        ``/v1/cache/stats[?cache_dir]``     :class:`api.DiskCacheStats` /
-                                               :class:`api.ProcessCacheStats`;
-                                               ``limit``/``cursor`` paginate
-=========  ==================================  =================================
+framework the environment does not ship.  :data:`ROUTES` declares every
+operation once, as ``(method, path template, handler)``; the server
+dispatches through it and :class:`RemoteService`, the synchronous client of
+a running server, takes its paths from it.
 
 Sweeps are jobs in the same table: ``submit_sweep`` resolves the problem
 list and runs :func:`repro.service.workers.run_sweep` on an executor thread,
@@ -90,10 +63,13 @@ import threading
 import time
 import weakref
 from bisect import bisect_right
+from http import HTTPStatus
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from urllib import error as urllib_error
+from urllib import request as urllib_request
+from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
 from repro.core.interning import intern_cache_stats
 from repro.nr.columns import shared_interner_metric_samples
@@ -342,17 +318,7 @@ class SynthesisService:
         if limit is not None:
             summaries = summaries[:limit]
         return api.WitnessPage(
-            witnesses=tuple(
-                api.WitnessInfo(
-                    digest=summary.digest,
-                    name=summary.name,
-                    proof_size=summary.proof_size,
-                    created=summary.created,
-                    payload_bytes=summary.payload_bytes,
-                    sequent=summary.sequent,
-                )
-                for summary in summaries
-            )
+            witnesses=tuple(_witness_info(summary, summary.payload_bytes) for summary in summaries)
         )
 
     def get_witness(self, digest: str) -> api.WitnessPayload:
@@ -361,26 +327,18 @@ class SynthesisService:
         blob = store.export_payload(digest)
         if blob is None:
             raise api.ApiError("not_found", f"no witness {digest!r} in this store")
-        info = None
-        for summary in store.list():
-            if summary.digest == digest:
-                info = api.WitnessInfo(
-                    digest=summary.digest,
-                    name=summary.name,
-                    proof_size=summary.proof_size,
-                    created=summary.created,
-                    payload_bytes=summary.payload_bytes,
-                    sequent=summary.sequent,
-                )
-                break
+        info = next(
+            (_witness_info(summary, summary.payload_bytes) for summary in store.list() if summary.digest == digest),
+            None,
+        )
         return api.WitnessPayload(payload=base64.b64encode(blob).decode("ascii"), info=info)
 
     def import_witness(self, payload: api.WitnessPayload) -> api.WitnessInfo:
         """Adopt a serialized witness payload (``PUT /v1/witnesses``).
 
-        The payload re-validates end to end (fingerprint, digest, full proof
-        re-check) before anything touches disk; a bad payload is the caller's
-        error, not a silent miss.
+        The payload re-validates end to end (fingerprint, digest, the proof
+        tree's shape, full proof re-check) before anything touches disk; a
+        bad payload is the caller's error, not a silent miss.
         """
         from repro.errors import ProofError
 
@@ -393,14 +351,7 @@ class SynthesisService:
             record = store.import_payload(blob)
         except ProofError as exc:
             raise api.invalid_request(f"witness payload rejected: {exc}") from exc
-        return api.WitnessInfo(
-            digest=record.digest,
-            name=record.name,
-            proof_size=record.proof_size,
-            created=record.created,
-            payload_bytes=len(blob),
-            sequent=str(record.sequent),
-        )
+        return _witness_info(record, len(blob))
 
     def queue_depth(self) -> int:
         """Jobs currently queued or running (synthesize jobs + sweep jobs)."""
@@ -763,23 +714,23 @@ def _register_service_collectors(service: SynthesisService) -> None:
     get_registry().register_collector(_collect)
 
 
-# --------------------------------------------------------------- HTTP plumbing
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+def _witness_info(witness, payload_bytes: int) -> api.WitnessInfo:
+    """The wire metadata of a stored witness summary or an imported record."""
+    return api.WitnessInfo(
+        digest=witness.digest,
+        name=witness.name,
+        proof_size=witness.proof_size,
+        created=witness.created,
+        payload_bytes=payload_bytes,
+        sequent=str(witness.sequent),
+    )
 
+
+# --------------------------------------------------------------- HTTP plumbing
 #: Request bodies past this size are rejected (no streaming uploads in v1).
 MAX_BODY_BYTES = 1 << 20
+#: Requests with more header lines than this are rejected.
+MAX_HEADER_LINES = 100
 
 
 @dataclass
@@ -799,8 +750,15 @@ class _PlainText:
     content_type: str = "text/plain; version=0.0.4; charset=utf-8"
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # a line past the stream's buffer limit
+        raise api.invalid_request(f"HTTP request line or header too long: {exc}") from exc
+
+
 async def _read_http_request(reader: asyncio.StreamReader) -> Optional[_HttpRequest]:
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line or not request_line.strip():
         return None
     try:
@@ -808,12 +766,14 @@ async def _read_http_request(reader: asyncio.StreamReader) -> Optional[_HttpRequ
     except ValueError:
         raise api.invalid_request(f"malformed HTTP request line {request_line!r}")
     headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
+    for _ in range(MAX_HEADER_LINES + 1):
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise api.invalid_request(f"HTTP request has more than {MAX_HEADER_LINES} header lines")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
@@ -860,138 +820,157 @@ def _limit_query(request: "_HttpRequest") -> Optional[int]:
     return limit
 
 
-async def _route(service: SynthesisService, request: _HttpRequest) -> Tuple[int, object]:
-    path, method = request.path, request.method
-    v = f"/{api.API_VERSION}"
-    if path == "/healthz":
-        if method != "GET":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        return 200, service.health()
-    if path == f"{v}/problems":
-        if method != "GET":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        limit = _limit_query(request)
-        cursor = request.query.get("cursor")
-        if limit is None and cursor is None:
-            # Legacy unpaginated shape: a bare JSON array.
-            infos = service.list_problems(tag=request.query.get("tag"))
-            return 200, [info.to_json_dict() for info in infos]
-        page = service.list_problems_page(
-            tag=request.query.get("tag"), limit=limit, cursor=cursor
-        )
-        return 200, page.to_json_dict()
-    if path == f"{v}/synthesize":
-        if method != "POST":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        synth_request = api.SynthesizeRequest.from_json(request.body.decode("utf-8") or "{}")
-        status = await service.submit(synth_request)
-        if _truthy(request.query.get("wait")) and not status.finished:
-            status = await service.wait(status.id)
-        return _job_http_status(status), status.to_json_dict()
-    if path == f"{v}/metrics":
-        if method != "GET":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        registry = get_registry()
-        if request.query.get("format") == "json":
-            return 200, registry.collect()
-        return 200, _PlainText(registry.render_prometheus())
-    if path.startswith(f"{v}/jobs/") and path.endswith("/trace"):
-        job_id = path[len(f"{v}/jobs/") : -len("/trace")]
-        if method != "GET" or not job_id:
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        return 200, service.job_trace(job_id).to_json_dict()
-    if path.startswith(f"{v}/jobs/"):
-        job_id = path[len(f"{v}/jobs/") :]
-        if method == "GET":
-            status = await service.job_status(job_id)
-            return _job_http_status(status, poll=True), status.to_json_dict()
-        if method == "DELETE":
-            status = await service.cancel(job_id)
-            return 200, status.to_json_dict()
-        raise api.ApiError("not_found", f"no route for {method} {path}")
-    if path == f"{v}/sweeps":
-        if method != "POST":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        sweep_request = api.SweepRequest.from_json(request.body.decode("utf-8") or "{}")
-        status = await service.submit_sweep(sweep_request)
-        if _truthy(request.query.get("wait")):
-            # Block, then answer with the bare SweepResponse document (what
-            # `repro sweep --json` prints) — or the structured error.
-            status = await service.wait_sweep(status.id)
-            if status.error is not None:
-                raise api.ApiError.from_info(status.error)
-            if status.result is None:
-                raise api.ApiError("internal", f"sweep {status.id} finished without result")
-            return 200, status.result.to_json_dict()
-        return _sweep_http_status(status), status.to_json_dict()
-    if path.startswith(f"{v}/sweeps/"):
-        sweep_id = path[len(f"{v}/sweeps/") :]
-        if method != "GET":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        status = await service.sweep_status(sweep_id)
-        return 200, status.to_json_dict()
-    if path == f"{v}/witnesses":
-        if method == "GET":
-            return 200, service.list_witnesses(limit=_limit_query(request)).to_json_dict()
-        if method == "PUT":
-            payload = api.WitnessPayload.from_json(request.body.decode("utf-8") or "{}")
-            return 200, service.import_witness(payload).to_json_dict()
-        raise api.ApiError("not_found", f"no route for {method} {path}")
-    if path.startswith(f"{v}/witnesses/"):
-        digest = path[len(f"{v}/witnesses/") :]
-        if method != "GET" or not digest:
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        return 200, service.get_witness(digest).to_json_dict()
-    if path == f"{v}/cache/stats":
-        if method != "GET":
-            raise api.ApiError("not_found", f"no route for {method} {path}")
-        stats = service.cache_stats(
-            cache_dir=request.query.get("cache_dir"),
-            limit=_limit_query(request),
-            cursor=request.query.get("cursor"),
-        )
-        return 200, stats.to_json_dict()
-    raise api.ApiError("not_found", f"no route for {method} {path}")
+# Route handlers: ``handler(service, request, *path parameters)`` answers
+# ``(HTTP status, JSON document or _PlainText)``.
+async def _health(service: SynthesisService, request: _HttpRequest):
+    return 200, service.health()
 
 
-def _sweep_http_status(status: api.SweepJobStatus) -> int:
-    """HTTP status for a fresh sweep submission (202 until terminal)."""
-    if not status.finished:
-        return 202
-    if status.error is None:
-        return 200
-    return status.error.http_status
+async def _list_problems(service: SynthesisService, request: _HttpRequest):
+    limit = _limit_query(request)
+    cursor = request.query.get("cursor")
+    if limit is None and cursor is None:
+        # Legacy unpaginated shape: a bare JSON array.
+        infos = service.list_problems(tag=request.query.get("tag"))
+        return 200, [info.to_json_dict() for info in infos]
+    page = service.list_problems_page(tag=request.query.get("tag"), limit=limit, cursor=cursor)
+    return 200, page.to_json_dict()
 
 
-def _job_http_status(status: api.JobStatus, poll: bool = False) -> int:
-    """HTTP status for a job snapshot: 202 while in flight, the structured
-    error's status once failed (polls always 200 — the *resource* exists)."""
+async def _synthesize(service: SynthesisService, request: _HttpRequest):
+    synth_request = api.SynthesizeRequest.from_json(request.body.decode("utf-8") or "{}")
+    status = await service.submit(synth_request)
+    if _truthy(request.query.get("wait")) and not status.finished:
+        status = await service.wait(status.id)
+    return _job_http_status(status), status.to_json_dict()
+
+
+async def _metrics(service: SynthesisService, request: _HttpRequest):
+    registry = get_registry()
+    if request.query.get("format") == "json":
+        return 200, registry.collect()
+    return 200, _PlainText(registry.render_prometheus())
+
+
+async def _job_trace(service: SynthesisService, request: _HttpRequest, job_id: str):
+    return 200, service.job_trace(job_id).to_json_dict()
+
+
+async def _job_status(service: SynthesisService, request: _HttpRequest, job_id: str):
+    status = await service.job_status(job_id)
+    return _job_http_status(status, poll=True), status.to_json_dict()
+
+
+async def _cancel(service: SynthesisService, request: _HttpRequest, job_id: str):
+    return 200, (await service.cancel(job_id)).to_json_dict()
+
+
+async def _submit_sweep(service: SynthesisService, request: _HttpRequest):
+    sweep_request = api.SweepRequest.from_json(request.body.decode("utf-8") or "{}")
+    status = await service.submit_sweep(sweep_request)
+    if _truthy(request.query.get("wait")):
+        # Block, then answer with the bare SweepResponse document (what
+        # `repro sweep --json` prints) — or the structured error.
+        status = await service.wait_sweep(status.id)
+        if status.error is not None:
+            raise api.ApiError.from_info(status.error)
+        if status.result is None:
+            raise api.ApiError("internal", f"sweep {status.id} finished without result")
+        return 200, status.result.to_json_dict()
+    return _job_http_status(status), status.to_json_dict()
+
+
+async def _sweep_status(service: SynthesisService, request: _HttpRequest, sweep_id: str):
+    return 200, (await service.sweep_status(sweep_id)).to_json_dict()
+
+
+async def _list_witnesses(service: SynthesisService, request: _HttpRequest):
+    return 200, service.list_witnesses(limit=_limit_query(request)).to_json_dict()
+
+
+async def _import_witness(service: SynthesisService, request: _HttpRequest):
+    payload = api.WitnessPayload.from_json(request.body.decode("utf-8") or "{}")
+    return 200, service.import_witness(payload).to_json_dict()
+
+
+async def _get_witness(service: SynthesisService, request: _HttpRequest, digest: str):
+    return 200, service.get_witness(digest).to_json_dict()
+
+
+async def _cache_stats(service: SynthesisService, request: _HttpRequest):
+    stats = service.cache_stats(
+        cache_dir=request.query.get("cache_dir"),
+        limit=_limit_query(request),
+        cursor=request.query.get("cursor"),
+    )
+    return 200, stats.to_json_dict()
+
+
+#: Every HTTP operation, declared once: ``(method, path template, handler)``.
+#: A ``<…>`` segment matches one non-empty path segment, which is passed to
+#: the handler; the template is the request's metric ``endpoint`` label.
+ROUTES = (
+    ("GET", "/healthz", _health),
+    ("GET", "/v1/problems", _list_problems),
+    ("POST", "/v1/synthesize", _synthesize),
+    ("GET", "/v1/metrics", _metrics),
+    ("GET", "/v1/jobs/<id>/trace", _job_trace),
+    ("GET", "/v1/jobs/<id>", _job_status),
+    ("DELETE", "/v1/jobs/<id>", _cancel),
+    ("POST", "/v1/sweeps", _submit_sweep),
+    ("GET", "/v1/sweeps/<id>", _sweep_status),
+    ("GET", "/v1/witnesses", _list_witnesses),
+    ("PUT", "/v1/witnesses", _import_witness),
+    ("GET", "/v1/witnesses/<digest>", _get_witness),
+    ("GET", "/v1/cache/stats", _cache_stats),
+)
+#: The ``method`` label of a request whose method no route uses is ``<other>``.
+_ROUTE_METHODS = frozenset(method for method, _, _ in ROUTES)
+
+
+def _path_parameters(template: str, path: str) -> Optional[Tuple[str, ...]]:
+    """The ``<…>`` segments of ``path`` if it matches ``template``, else None."""
+    expected, actual = template.split("/"), path.split("/")
+    if len(expected) != len(actual):
+        return None
+    parameters = []
+    for want, got in zip(expected, actual):
+        if want.startswith("<"):
+            if not got:
+                return None
+            parameters.append(got)
+        elif want != got:
+            return None
+    return tuple(parameters)
+
+
+def _resolve(method: str, path: str):
+    """``(endpoint label, handler or None, path parameters)`` of one request.
+
+    The label is the template ``path`` matches under any method, so a known
+    path with a wrong method is booked to its endpoint and answered
+    ``not_found``.
+    """
+    endpoint = "<other>"
+    for route_method, template, handler in ROUTES:
+        parameters = _path_parameters(template, path)
+        if parameters is None:
+            continue
+        endpoint = template
+        if route_method == method:
+            return endpoint, handler, parameters
+    return endpoint, None, ()
+
+
+def _job_http_status(status: Union[api.JobStatus, api.SweepJobStatus], poll: bool = False) -> int:
+    """HTTP status for a (sweep) job snapshot: 202 while in flight, the
+    structured error's status once failed (polls always 200 — the *resource*
+    exists)."""
     if not status.finished:
         return 200 if poll else 202
     if poll or status.error is None:
         return 200
     return status.error.http_status
-
-
-def _normalize_endpoint(path: str) -> str:
-    """A bounded-cardinality endpoint label for HTTP metrics."""
-    v = f"/{api.API_VERSION}"
-    if path.startswith(f"{v}/jobs/"):
-        return f"{v}/jobs/<id>/trace" if path.endswith("/trace") else f"{v}/jobs/<id>"
-    if path.startswith(f"{v}/sweeps/"):
-        return f"{v}/sweeps/<id>"
-    if path.startswith(f"{v}/witnesses/"):
-        return f"{v}/witnesses/<digest>"
-    known = {
-        "/healthz",
-        f"{v}/problems",
-        f"{v}/synthesize",
-        f"{v}/sweeps",
-        f"{v}/witnesses",
-        f"{v}/cache/stats",
-        f"{v}/metrics",
-    }
-    return path if path in known else "<other>"
 
 
 async def _handle_connection(
@@ -1010,14 +989,16 @@ async def _handle_connection(
             request = await _read_http_request(reader)
             if request is None:
                 return
-            endpoint = _normalize_endpoint(request.path)
-            http_method = request.method
+            endpoint, handler, parameters = _resolve(request.method, request.path)
+            http_method = request.method if request.method in _ROUTE_METHODS else "<other>"
             parent = TraceContext.from_header(request.headers.get(TRACE_HEADER.lower()))
             span = tracer.span(
                 "http.request", parent=parent, method=request.method, endpoint=endpoint
             )
             record = True
-            status, payload = await _route(service, request)
+            if handler is None:
+                raise api.ApiError("not_found", f"no route for {request.method} {request.path}")
+            status, payload = await handler(service, request, *parameters)
         except api.ApiError as exc:
             record = True
             status, payload = exc.http_status, exc.to_json_dict()
@@ -1033,7 +1014,7 @@ async def _handle_connection(
             body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
             content_type = "application/json"
         head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n"
@@ -1154,3 +1135,115 @@ class BackgroundServer:
 
     def __exit__(self, *_exc) -> None:
         self.stop()
+
+
+#: Seconds between sweep-status polls of a :class:`RemoteService`.
+DEFAULT_POLL_INTERVAL = 0.2
+_ROUTE_OF = {handler: (method, template) for method, template, handler in ROUTES}
+
+
+class RemoteService:
+    """A running ``repro serve``, called like an in-process :class:`SynthesisService`.
+
+    The methods the CLI calls on the service answer the same typed results
+    here, over HTTP; ``health``, ``submit``, ``job_status``, ``cancel``,
+    ``metrics`` and ``job_trace`` reach the server's job table and telemetry
+    synchronously.  Every path comes from :data:`ROUTES`.  Failures raise
+    :class:`~repro.service.api.ApiError`: the server's structured error, or
+    ``internal`` when the server cannot be reached or answers no error
+    document.
+    """
+
+    def __init__(
+        self, url: str, timeout: Optional[float] = None, poll_interval: float = DEFAULT_POLL_INTERVAL
+    ) -> None:
+        self.url = url.rstrip("/")
+        #: Socket timeout of each request in seconds (None: wait forever).
+        self.timeout = timeout
+        self.poll_interval = poll_interval
+
+    def _call(self, handler, *parameters: str, query=None, body: Optional[api.Contract] = None):
+        """Send one request to ``handler``'s route; the JSON document or text answered."""
+        method, template = _ROUTE_OF[handler]
+        values = iter(parameters)
+        path = "/".join(
+            quote(next(values), safe="") if part.startswith("<") else part for part in template.split("/")
+        )
+        query = {key: value for key, value in (query or {}).items() if value is not None}
+        url = self.url + path + (f"?{urlencode(query)}" if query else "")
+        data = None if body is None else json.dumps(body.to_json_dict()).encode("utf-8")
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        http_request = urllib_request.Request(url, data=data, headers=headers, method=method)
+        try:
+            with urllib_request.urlopen(http_request, timeout=self.timeout) as http_response:
+                text = http_response.read().decode("utf-8")
+                is_json = http_response.headers.get_content_type() == "application/json"
+        except urllib_error.HTTPError as exc:
+            text = exc.read().decode("utf-8", "replace")
+            try:
+                error = api.ApiError.from_json_dict(json.loads(text))
+            except (ValueError, KeyError):
+                raise api.ApiError("internal", f"HTTP {exc.code} from {url}: {text.strip()}") from exc
+            raise error from exc
+        except OSError as exc:
+            raise api.ApiError(
+                "internal",
+                f"cannot reach the repro server at {url}: {getattr(exc, 'reason', exc)} "
+                f"(is `repro serve` running?)",
+            ) from exc
+        return json.loads(text) if is_json else text
+
+    def health(self) -> Dict[str, object]:
+        return self._call(_health)
+
+    def list_problems(self, tag: Optional[str] = None) -> List[api.ProblemInfo]:
+        return [api.ProblemInfo.from_json_dict(item) for item in self._call(_list_problems, query={"tag": tag})]
+
+    def submit(self, request: api.SynthesizeRequest) -> api.JobStatus:
+        """Queue a job without waiting for it."""
+        return api.JobStatus.from_json_dict(self._call(_synthesize, body=request))
+
+    def synthesize(self, request: api.SynthesizeRequest) -> api.SynthesisResult:
+        status = api.JobStatus.from_json_dict(self._call(_synthesize, query={"wait": "1"}, body=request))
+        if status.result is None:
+            raise api.ApiError("internal", f"job {status.id} finished {status.state} without a result")
+        return status.result
+
+    def job_status(self, job_id: str) -> api.JobStatus:
+        return api.JobStatus.from_json_dict(self._call(_job_status, job_id))
+
+    def cancel(self, job_id: str) -> api.JobStatus:
+        return api.JobStatus.from_json_dict(self._call(_cancel, job_id))
+
+    def job_trace(self, job_id: str) -> api.TraceInfo:
+        return api.TraceInfo.from_json_dict(self._call(_job_trace, job_id))
+
+    def sweep(self, request: api.SweepRequest) -> api.SweepResponse:
+        """Submit the sweep as a job, then poll it every ``poll_interval`` seconds."""
+        status = api.SweepJobStatus.from_json_dict(self._call(_submit_sweep, body=request))
+        while not status.finished:
+            time.sleep(max(self.poll_interval, 0.01))
+            status = api.SweepJobStatus.from_json_dict(self._call(_sweep_status, status.id))
+        if status.error is not None:
+            raise api.ApiError.from_info(status.error)
+        if status.result is None:
+            raise api.ApiError("internal", f"sweep {status.id} finished without a result")
+        return status.result
+
+    def cache_stats(self, cache_dir: Optional[str] = None) -> Union[api.DiskCacheStats, api.ProcessCacheStats]:
+        payload = self._call(_cache_stats, query={"cache_dir": cache_dir})
+        stats_type = api.ProcessCacheStats if "process" in payload else api.DiskCacheStats
+        return stats_type.from_json_dict(payload)
+
+    def metrics(self, as_json: bool = False) -> Union[str, Dict[str, object]]:
+        """Prometheus exposition text, or the JSON snapshot with ``as_json``."""
+        return self._call(_metrics, query={"format": "json" if as_json else None})
+
+    def list_witnesses(self, limit: Optional[int] = None) -> api.WitnessPage:
+        return api.WitnessPage.from_json_dict(self._call(_list_witnesses, query={"limit": limit}))
+
+    def get_witness(self, digest: str) -> api.WitnessPayload:
+        return api.WitnessPayload.from_json_dict(self._call(_get_witness, digest))
+
+    def import_witness(self, payload: api.WitnessPayload) -> api.WitnessInfo:
+        return api.WitnessInfo.from_json_dict(self._call(_import_witness, body=payload))

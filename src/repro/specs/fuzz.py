@@ -26,12 +26,9 @@ replacement on the *generating expression*, re-running only the failed check
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -55,8 +52,10 @@ from repro.nrc.expr import (
 from repro.nrc.printer import pretty
 from repro.nrc.typing import infer_type
 from repro.proofs.search import ProofSearch
+from repro.service import api
 from repro.service.cache import SynthesisCache
 from repro.service.pipeline import SynthesisPipeline
+from repro.service.server import RemoteService
 from repro.specs.io_spec import io_specification, is_composition_free
 from repro.specs.lang import parse_expr, parse_problem, pretty_problem
 from repro.specs.problems import ImplicitDefinitionProblem
@@ -270,8 +269,7 @@ class DifferentialChecker:
     ) -> None:
         self.max_depth = max_depth
         self.widths = tuple(widths)
-        self.url = url.rstrip("/") if url else None
-        self.timeout = timeout
+        self.remote = RemoteService(url, timeout=timeout) if url else None
 
     def check(self, spec: GeneratedSpec) -> Optional[FuzzFailure]:
         return (
@@ -402,30 +400,13 @@ class DifferentialChecker:
         return None
 
     def _check_remote(self, spec: GeneratedSpec) -> Optional[FuzzFailure]:
-        if self.url is None:
+        if self.remote is None:
             return None
-        payload = json.dumps(
-            {"spec_text": spec.spec_text(), "max_depth": self.max_depth}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.url}/v1/synthesize?wait=1",
-            data=payload,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+        request = api.SynthesizeRequest(spec_text=spec.spec_text(), max_depth=self.max_depth)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                document = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8", "replace")
-            return self._failure(spec, "remote", f"HTTP {exc.code}: {body[:300]}")
-        except (urllib.error.URLError, OSError) as exc:
-            return self._failure(spec, "remote", f"server unreachable: {exc}")
-        result = document.get("result") or {}
-        error = document.get("error")
-        if error is not None:
-            return self._failure(spec, "remote", f"server error: {error}")
-        remote_expression = result.get("expression")
+            remote_expression = self.remote.synthesize(request).expression
+        except api.ApiError as exc:
+            return self._failure(spec, "remote", f"server error: {exc.code}: {exc.message}")
         local_expression = getattr(self, "_local_expression", None)
         if local_expression is not None and remote_expression != local_expression:
             return self._failure(

@@ -408,7 +408,7 @@ class WitnessStore:
             proof = payload["proof"]
             sequent_text = payload["sequent"]
             claimed = payload["digest"]
-            if not isinstance(proof, ProofNode):
+            if not isinstance(proof, ProofNode) or not isinstance(getattr(proof, "sequent", None), Sequent):
                 self._corrupt(digest, "truncated", f"{source}: payload proof is not a ProofNode")
                 return None
             if claimed != witness_digest(proof.sequent) or (digest is not None and claimed != digest):
@@ -423,12 +423,20 @@ class WitnessStore:
                 and all(isinstance(item, str) for item in components)
             ):
                 components = ()
+            name, created, problem = payload.get("name", ""), payload.get("created", 0.0), payload.get("problem")
+            if not (
+                isinstance(name, str)
+                and isinstance(created, (int, float))
+                and (problem is None or isinstance(problem, ImplicitDefinitionProblem))
+            ):
+                self._corrupt(digest, "truncated", f"{source}: malformed name, created or problem field")
+                return None
             return WitnessRecord(
                 digest=claimed,
-                name=payload.get("name", ""),
+                name=name,
                 proof=proof,
-                created=payload.get("created", 0.0),
-                problem=payload.get("problem"),
+                created=created,
+                problem=problem,
                 components=components,
             )
         except KeyError as exc:

@@ -386,3 +386,14 @@ def test_synthesize_ancestor_incremental_roundtrip(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["source"] == "incremental"
     assert payload["expression"]
+
+
+@pytest.mark.parametrize("case", ["premise-is-a-str", "chain-of-5000-weakens", "name-is-a-formula"])
+def test_witness_import_rejects_a_malformed_payload(capsys, tmp_path, case):
+    from test_service_server import MALFORMED_WITNESSES
+
+    payload = tmp_path / "bad.witness"
+    payload.write_bytes(MALFORMED_WITNESSES[case]())
+    code, _, err = run_cli(capsys, "witness", "import", str(payload), "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert f"{payload}: witness payload rejected" in err

@@ -714,3 +714,110 @@ def test_witness_import_refuses_a_payload_that_runs_code(tmp_path):
     assert code == 400 and body["error"]["code"] == "invalid_request"
     assert "mkdir is not part of a witness payload" in body["error"]["message"]
     assert len(service.cache.witnesses) == 0
+
+
+# ------------------------------------------------------- untrusted requests
+def _metric_label_values(url, metric, label):
+    _, snapshot = http_get(url + "/v1/metrics?format=json")
+    (family,) = [item for item in snapshot["metrics"] if item["name"] == metric]
+    return {sample["labels"][label] for sample in family["samples"]}
+
+
+def _raw_exchange(server, data):
+    """Send raw bytes, then read the answer until the server closes."""
+    import socket
+
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(data)
+        answer = b""
+        try:
+            while chunk := sock.recv(65536):
+                answer += chunk
+        except ConnectionResetError:
+            pass
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def test_unrouted_methods_share_one_metric_label(server):
+    import http.client
+
+    for index in range(20):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        connection.request(f"M{index}", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 404
+        assert json.loads(response.read())["error"]["message"] == f"no route for M{index} /healthz"
+        connection.close()
+    methods = _metric_label_values(server.url, "repro_http_requests_total", "method")
+    assert "<other>" in methods
+    assert not any(method.startswith("M") for method in methods), methods
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\n" + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+    ],
+    ids=["header-line-over-64KiB", "101-header-lines"],
+)
+def test_malformed_request_head_is_a_400(server, head):
+    _, before = http_get(server.url + "/healthz")
+    status, body = _raw_exchange(server, head)
+    assert status == 400 and body["error"]["code"] == "invalid_request"
+    _, after = http_get(server.url + "/healthz")
+    assert after["errors_total"] == before["errors_total"]
+
+
+def _weakened(premises, weakens):
+    """``weakens`` ``weaken`` nodes over ``⊢ ⊤``, the top one with ``premises``."""
+    from repro.logic.formulas import Top
+    from repro.proofs.prooftree import ProofNode
+    from repro.proofs.sequents import Sequent
+
+    sequent = Sequent.of(delta=[Top()])
+    node = ProofNode("top", sequent, (), {"principal": Top()})
+    for _ in range(weakens - 1):
+        node = ProofNode("weaken", sequent, (node,), {})
+    return ProofNode("weaken", sequent, premises if premises is not None else (node,), {})
+
+
+def _witness_blob(proof, **fields):
+    import sys
+
+    from repro.witness.store import export_witness
+
+    payload = {**export_witness(proof), **fields}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100_000)
+    try:
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _top():
+    from repro.logic.formulas import Top
+
+    return Top()
+
+
+MALFORMED_WITNESSES = {
+    "premise-is-a-str": lambda: _witness_blob(_weakened(("not a node",), 1)),
+    "chain-of-5000-weakens": lambda: _witness_blob(_weakened(None, 5000)),
+    "name-is-a-formula": lambda: _witness_blob(_weakened(None, 1), name=_top()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+def test_witness_import_rejects_a_malformed_payload(tmp_path, case):
+    blob = MALFORMED_WITNESSES[case]()
+    service = SynthesisService(cache_dir=str(tmp_path / "cache"))
+    with BackgroundServer(service) as handle:
+        code, body = http_error(
+            http_put, handle.url + "/v1/witnesses", {"payload": base64.b64encode(blob).decode("ascii")}
+        )
+    assert code == 400 and body["error"]["code"] == "invalid_request"
+    assert "witness payload rejected" in body["error"]["message"]
+    assert len(service.cache.witnesses) == 0

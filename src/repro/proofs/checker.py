@@ -19,8 +19,8 @@ from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.sequents import Sequent
 
-#: The deepest proof tree the checker accepts.  The proofs search and the
-#: hand-written witnesses build are at most ~60 deep; the code that consumes
+#: The deepest proof tree the checker accepts.  Proofs found by search are
+#: at most 34 deep and the hand-written witnesses 59; the code that consumes
 #: a checked proof (``proof_size``, interpolation, pickling into the witness
 #: store) recurses once or more per level, and past ~250 levels pickling
 #: alone exceeds the default recursion limit.

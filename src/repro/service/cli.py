@@ -416,24 +416,21 @@ def _cmd_serve(args) -> int:
 
 
 # ----------------------------------------------------------------- witnesses
-def _render_witness_infos(infos, as_json: bool) -> int:
-    if as_json:
-        print(api.WitnessPage(witnesses=tuple(infos)).to_json())
+def _cmd_witness_list(service, args) -> int:
+    page = service.list_witnesses(limit=args.limit)
+    if args.as_json:
+        print(page.to_json())
         return 0
-    if not infos:
+    if not page.witnesses:
         print("no stored witnesses")
         return 0
-    for info in infos:
+    for info in page.witnesses:
         print(
             f"{info.digest[:16]}…  {info.name or '<unnamed>':<28} "
             f"proof size {info.proof_size:>4}  {info.payload_bytes:>8} bytes"
         )
-    print(f"\n{len(infos)} witnesses")
+    print(f"\n{len(page.witnesses)} witnesses")
     return 0
-
-
-def _cmd_witness_list(service, args) -> int:
-    return _render_witness_infos(service.list_witnesses(limit=args.limit).witnesses, args.as_json)
 
 
 def _cmd_witness_show(service, args) -> int:
@@ -517,6 +514,21 @@ def _cmd_witness_handwritten(service, args) -> int:
 
 
 # ------------------------------------------------------------- the table
+def _service(args):
+    """The server at ``--url`` (``client``, ``sweep --url``), else this process."""
+    url = getattr(args, "url", None)
+    if url:
+        return RemoteService(url, poll_interval=getattr(args, "poll_interval", DEFAULT_POLL_INTERVAL))
+    return SynthesisService()
+
+
+def _witness_service(args):
+    """The server at ``--url`` or this process over ``--cache-dir``: exactly one."""
+    if bool(args.cache_dir) == bool(args.url):
+        raise CliError("pass exactly one of --cache-dir or --url")
+    return RemoteService(args.url) if args.url else SynthesisService(cache_dir=args.cache_dir)
+
+
 def _arg(*flags: str, where: str = "both", **options):
     """One ``add_argument`` call, for the ``local`` form, the ``remote`` form or ``both``."""
     return flags, options, where
@@ -527,9 +539,9 @@ class _Command:
     """One subcommand: its arguments and ``run(service, args)``.
 
     ``local``/``remote`` say whether it is a ``repro NAME`` subcommand, a
-    ``repro client NAME`` operation, or both.  ``run`` of a command with
-    ``service=False`` takes ``args`` alone.  A group (``witness``) has
-    ``subcommands`` instead of ``run``.
+    ``repro client NAME`` operation, or both.  ``service(args)`` finds the
+    service ``run`` gets; with ``service=None``, ``run`` takes ``args``
+    alone.  A group (``witness``) has ``subcommands`` instead of ``run``.
     """
 
     name: str
@@ -538,7 +550,7 @@ class _Command:
     args: Tuple[tuple, ...] = ()
     local: bool = True
     remote: bool = False
-    service: bool = True
+    service: Optional[Callable] = _service
     subcommands: Tuple["_Command", ...] = ()
 
 
@@ -548,35 +560,40 @@ _WITNESS_LOCATION = (
     _arg("--url", help="talk to a running `repro serve` instead of a directory"),
     _JSON,
 )
+
+
+def _witness_command(name: str, summary: str, run: Callable[..., int], *args) -> _Command:
+    """A ``repro witness`` subcommand: its own arguments, then where the store is."""
+    return _Command(name, summary, run, (*args, *_WITNESS_LOCATION), service=_witness_service)
+
+
 _WITNESS_COMMANDS = (
-    _Command(
+    _witness_command(
         "list",
         "inventory of stored witnesses (newest first)",
         _cmd_witness_list,
-        (_arg("--limit", type=int, help="show at most this many"), *_WITNESS_LOCATION),
+        _arg("--limit", type=int, help="show at most this many"),
     ),
-    _Command("show", "one stored witness's metadata", _cmd_witness_show, (_arg("digest"), *_WITNESS_LOCATION)),
-    _Command(
+    _witness_command("show", "one stored witness's metadata", _cmd_witness_show, _arg("digest")),
+    _witness_command(
         "export",
         "write a witness payload to a file",
         _cmd_witness_export,
-        (_arg("digest"), _arg("--output", "-o", metavar="FILE", help="default: <digest>.witness"), *_WITNESS_LOCATION),
+        _arg("digest"),
+        _arg("--output", "-o", metavar="FILE", help="default: <digest>.witness"),
     ),
-    _Command(
+    _witness_command(
         "import",
         "validate and adopt exported witness payload files",
         _cmd_witness_import,
-        (_arg("paths", nargs="+", metavar="FILE"), *_WITNESS_LOCATION),
+        _arg("paths", nargs="+", metavar="FILE"),
     ),
-    _Command(
+    _witness_command(
         "handwritten",
         "install the hand-written hard-entry witnesses (Examples 1.1/4.1) "
         "and replay them through checker → interpolation → verification",
         _cmd_witness_handwritten,
-        (
-            _arg("--scale", type=int, default=2, help="instance-family scale for replay verification"),
-            *_WITNESS_LOCATION,
-        ),
+        _arg("--scale", type=int, default=2, help="instance-family scale for replay verification"),
     ),
 )
 
@@ -658,7 +675,7 @@ COMMANDS = (
             ),
             _JSON,
         ),
-        service=False,
+        service=None,
     ),
     _Command(
         "sweep",
@@ -708,7 +725,7 @@ COMMANDS = (
             _arg("--queue-limit", type=int, help="bound on queued + running jobs"),
             _arg("--job-timeout", type=float, help="default per-job seconds"),
         ),
-        service=False,
+        service=None,
     ),
     _Command(
         "metrics",
@@ -760,24 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _service(args):
-    """The server at ``--url``, else this process (over ``--cache-dir`` for ``witness``)."""
-    url = getattr(args, "url", None)
-    if args.command == "witness":
-        if bool(args.cache_dir) == bool(url):
-            raise CliError("pass exactly one of --cache-dir or --url")
-        if not url:
-            return SynthesisService(cache_dir=args.cache_dir)
-    if url:
-        return RemoteService(url, poll_interval=getattr(args, "poll_interval", DEFAULT_POLL_INTERVAL))
-    return SynthesisService()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.operation
     try:
-        return command.run(_service(args), args) if command.service else command.run(args)
+        return command.run(command.service(args), args) if command.service else command.run(args)
     except api.ApiError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return _EXIT_CODES.get(exc.code, 1)

@@ -66,9 +66,7 @@ from bisect import bisect_right
 from http import HTTPStatus
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple, Union
-from urllib import error as urllib_error
-from urllib import request as urllib_request
+from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
 from repro.core.interning import intern_cache_stats
@@ -314,6 +312,8 @@ class SynthesisService:
 
     def list_witnesses(self, limit: Optional[int] = None) -> api.WitnessPage:
         """The witness-store inventory (``GET /v1/witnesses``), newest first."""
+        if limit is not None and limit < 1:
+            raise api.invalid_request("limit must be at least 1")
         summaries = self._witness_store().list()
         if limit is not None:
             summaries = summaries[:limit]
@@ -944,7 +944,7 @@ def _path_parameters(template: str, path: str) -> Optional[Tuple[str, ...]]:
     return tuple(parameters)
 
 
-def _resolve(method: str, path: str):
+def _resolve(method: str, path: str) -> Tuple[str, Optional[Callable], Tuple[str, ...]]:
     """``(endpoint label, handler or None, path parameters)`` of one request.
 
     The label is the template ``path`` matches under any method, so a known
@@ -1164,6 +1164,11 @@ class RemoteService:
 
     def _call(self, handler, *parameters: str, query=None, body: Optional[api.Contract] = None):
         """Send one request to ``handler``'s route; the JSON document or text answered."""
+        # Imported here: urllib.request pulls in http.client, email and ssl,
+        # which every importer of the service package would otherwise load.
+        from urllib import error as urllib_error
+        from urllib import request as urllib_request
+
         method, template = _ROUTE_OF[handler]
         values = iter(parameters)
         path = "/".join(
@@ -1182,7 +1187,7 @@ class RemoteService:
             text = exc.read().decode("utf-8", "replace")
             try:
                 error = api.ApiError.from_json_dict(json.loads(text))
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, AttributeError):  # not an error document
                 raise api.ApiError("internal", f"HTTP {exc.code} from {url}: {text.strip()}") from exc
             raise error from exc
         except OSError as exc:

@@ -147,6 +147,9 @@ def test_witness_parity(capsys, served, tmp_path):
         local = run_cli(capsys, *argv, *local_flags)
         assert local[0] == 0 and digest in local[1]
         assert run_cli(capsys, *argv, *remote_flags) == local
+    no_limit = ("witness", "list", "--limit", "0")
+    assert run_cli(capsys, *no_limit, *local_flags) == run_cli(capsys, *no_limit, *remote_flags)
+    assert run_cli(capsys, *no_limit, *local_flags)[0] == 2
     missing = ("witness", "show", "0" * 64)
     assert run_cli(capsys, *missing, *local_flags)[0] == 2
     assert run_cli(capsys, *missing, *remote_flags)[0] == 2

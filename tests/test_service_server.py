@@ -752,6 +752,11 @@ def test_unrouted_methods_share_one_metric_label(server):
     methods = _metric_label_values(server.url, "repro_http_requests_total", "method")
     assert "<other>" in methods
     assert not any(method.startswith("M") for method in methods), methods
+    from repro.service.server import ROUTES
+
+    endpoints = _metric_label_values(server.url, "repro_http_requests_total", "endpoint")
+    assert "/healthz" in endpoints
+    assert endpoints <= {template for _, template, _ in ROUTES} | {"<other>"}, endpoints
 
 
 @pytest.mark.parametrize(

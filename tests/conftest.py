@@ -41,3 +41,20 @@ def in_process_definition():
         return str(result.expression)
 
     return definition
+
+
+@pytest.fixture
+def traced():
+    """Tracing on, clean buffers; everything off again afterwards."""
+    from repro.obs.metrics import reset_registry
+    from repro.obs.trace import enable_tracing
+
+    reset_registry()
+    tracer = enable_tracing(True)
+    tracer.reset()
+    tracer.activate(None)
+    yield tracer
+    reset_registry()
+    tracer = enable_tracing(False)
+    tracer.reset()
+    tracer.activate(None)

@@ -22,20 +22,6 @@ NAMES = ["identity_view", "union_view", "intersection_view", "unique_element"]
 
 
 @pytest.fixture
-def traced():
-    """Tracing on, clean buffers; everything off again afterwards."""
-    reset_registry()
-    tracer = enable_tracing(True)
-    tracer.reset()
-    tracer.activate(None)
-    yield tracer
-    reset_registry()
-    tracer = enable_tracing(False)
-    tracer.reset()
-    tracer.activate(None)
-
-
-@pytest.fixture
 def untraced():
     reset_registry()
     tracer = enable_tracing(False)

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.metrics import reset_registry
-from repro.obs.trace import enable_tracing
 from repro.service import api
 from repro.service.cli import build_parser, main
 from repro.service.server import BackgroundServer, SynthesisService
@@ -193,19 +191,6 @@ def test_client_cancel_cache_stats_and_metrics(capsys, served):
     code, out, _ = run_cli(capsys, *url, "metrics", "--json")
     assert code == 0
     assert "repro_http_requests_total" in {metric["name"] for metric in json.loads(out)["metrics"]}
-
-
-@pytest.fixture
-def traced():
-    reset_registry()
-    tracer = enable_tracing(True)
-    tracer.reset()
-    tracer.activate(None)
-    yield tracer
-    reset_registry()
-    tracer = enable_tracing(False)
-    tracer.reset()
-    tracer.activate(None)
 
 
 def test_client_trace(capsys, traced):

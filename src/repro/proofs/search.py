@@ -10,6 +10,11 @@ goal-directed tableau tuned to the focused discipline of Figure 3:
 2. *Stable phase* (every right-hand formula is EL) — first try to close the
    branch by equality reasoning (a chain of ≠-rule rewrites ending in the
    ``=`` axiom, reconstructed from a saturation of the atomic formulas), then
+   cut the branch if its *goal distance* — a lower bound on the ∃-moves
+   needed before Δ can hold an ``=`` atom or ⊤, without which neither an
+   axiom nor the closure applies — exceeds the remaining ∃-budget (an
+   admissible bound, as in IDA*: only subtrees that would fail are removed,
+   so the first proof found is unchanged), then
    perform depth-first search over single ∃-rule applications (maximal
    specializations w.r.t. the ∈-context), ordering candidate instantiations by
    the recency of the ∈-atoms they use — determinacy proofs chain "use the
@@ -34,7 +39,9 @@ on the (hash-consed) sequent:
   substitution work;
 * **closures** — equality-closure saturation depends only on the sequent's
   ``=``/``≠`` atoms, so it is keyed on that subset: sibling branches that
-  differ in their non-equality formulas share one saturation even cold.
+  differ in their non-equality formulas share one saturation even cold;
+* **distances** — the goal distance depends only on Δ's ∃-formulas and Θ's
+  collections, so it is keyed on that pair.
 
 All produced proofs are genuine Figure 3 proof trees; tests re-validate them
 with the independent checker.
@@ -63,7 +70,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.free_vars import fresh_var, replace_term_in_term, substitute
 from repro.logic.macros import negate
-from repro.logic.terms import Term
+from repro.logic.terms import PairTerm, Proj, Term, Var, term_vars
 from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.sequents import Sequent, sequent_free_vars
@@ -138,6 +145,7 @@ class SearchTables:
         "failures",
         "moves",
         "closures",
+        "distances",
         "expansions",
         "theta_indexes",
         "clears",
@@ -149,6 +157,7 @@ class SearchTables:
         self.failures: Dict[Sequent, int] = {}
         self.moves: Dict[Sequent, List[_Move]] = {}
         self.closures: Dict[object, object] = {}
+        self.distances: Dict[Tuple[FrozenSet[Formula], FrozenSet[Term]], int] = {}
         self.expansions: Dict[Tuple[Formula, FrozenSet[Member]], List[_Expansion]] = {}
         self.theta_indexes: Dict[FrozenSet[Member], Dict[Term, List[Term]]] = {}
         self.clears = 0
@@ -161,6 +170,7 @@ class SearchTables:
             + len(self.failures)
             + len(self.moves)
             + len(self.closures)
+            + len(self.distances)
             + len(self.expansions)
             + len(self.theta_indexes)
         )
@@ -170,6 +180,7 @@ class SearchTables:
         self.failures.clear()
         self.moves.clear()
         self.closures.clear()
+        self.distances.clear()
         self.expansions.clear()
         self.theta_indexes.clear()
 
@@ -185,6 +196,7 @@ class SearchTables:
             "failures": len(self.failures),
             "moves": len(self.moves),
             "closures": len(self.closures),
+            "distances": len(self.distances),
             "expansions": len(self.expansions),
             "theta_indexes": len(self.theta_indexes),
             "clears": self.clears,
@@ -215,6 +227,8 @@ class SearchStats:
     table_hits: int = 0
     #: Stable states skipped because an equal-or-deeper exploration failed.
     failure_hits: int = 0
+    #: Stable states cut because their goal distance exceeded the budget.
+    distance_cuts: int = 0
 
 
 class ProofSearch:
@@ -236,28 +250,31 @@ class ProofSearch:
         self.depth_schedule = tuple(depth_schedule) if depth_schedule is not None else None
         self.tables = tables if tables is not None else SearchTables()
         self.stats = SearchStats()
-        #: ``(depth budget, attempts spent)`` per round of the last search.
-        self.rounds: List[Tuple[int, int]] = []
+        #: ``(depth budget, attempts spent, distance cuts)`` per round of the
+        #: last search.
+        self.rounds: List[Tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------ API
     def prove(self, sequent: Sequent) -> ProofNode:
         """Find a focused proof of ``sequent`` or raise :class:`ProofSearchError`."""
         proof = self.prove_or_none(sequent)
         if proof is None:
-            budgets = [budget for budget, _ in self.rounds]
-            attempts = [spent for _, spent in self.rounds]
+            budgets = [budget for budget, _, _ in self.rounds]
+            attempts = [spent for _, spent, _ in self.rounds]
+            cuts = self.rounds[-1][2]
             detail = {
                 "budgets": budgets,
                 "attempts_last_round": attempts[-1],
                 "attempts_total": sum(attempts),
+                "cuts_last_round": cuts,
                 "max_depth": self.max_depth,
                 "max_attempts": self.max_attempts,
             }
             raise ProofSearchError(
                 f"no proof found: tried depth budgets {', '.join(map(str, budgets))} "
                 f"(max_depth {self.max_depth}); the last round spent {attempts[-1]} "
-                f"attempts, {sum(attempts)} in total (at most {self.max_attempts} per round) "
-                f"for: {sequent}",
+                f"attempts and made {cuts} goal-distance cuts, {sum(attempts)} attempts "
+                f"in total (at most {self.max_attempts} per round) for: {sequent}",
                 detail,
             )
         return proof
@@ -274,16 +291,18 @@ class ProofSearch:
         self.rounds = []
         for budget in budgets:
             self._attempts = 0
+            cuts_before = self.stats.distance_cuts
             with tracer.span("proof.round", budget=budget) as round_span:
                 try:
                     proof = self._attempt(sequent, (), budget)
                 except _SearchBudgetExceeded:
                     proof = None
+                cuts = self.stats.distance_cuts - cuts_before
                 round_span.set_attributes(
-                    {"attempts": self._attempts, "found": proof is not None}
+                    {"attempts": self._attempts, "cuts": cuts, "found": proof is not None}
                 )
             # The attempt that tripped the budget was counted but never run.
-            self.rounds.append((budget, min(self._attempts, self.max_attempts)))
+            self.rounds.append((budget, min(self._attempts, self.max_attempts), cuts))
             if proof is not None:
                 self.stats.budget_used = budget
                 return proof
@@ -365,6 +384,10 @@ class ProofSearch:
         if failures.get(sequent, -1) >= budget:
             self.stats.failure_hits += 1
             return None
+        if self._goal_distance(sequent) > budget:
+            self.stats.distance_cuts += 1
+            failures[sequent] = budget
+            return None
 
         moves = self._candidate_moves(sequent, recency)
         for principal, witnesses, specialized in moves:
@@ -412,6 +435,28 @@ class ProofSearch:
                 return None
             return focused.make_and(sequent, principal, left, right)
         raise ProofSearchError(f"unexpected decomposable formula {principal}")
+
+    # ------------------------------------------------------------- goal distance
+    def _goal_distance(self, sequent: Sequent) -> int:
+        """Least number of ∃-moves before Δ can hold an ``=`` atom or ⊤.
+
+        Cached on Δ's ∃-formulas and Θ's collections, the only parts of a
+        stable sequent the bound reads (see :func:`_goal_distance_fixpoint`).
+        """
+        exists: List[Formula] = []
+        for f in sequent.delta:
+            cls = f.__class__
+            if cls is Exists:
+                exists.append(f)
+            elif cls is EqUr:
+                return 0
+        key = (frozenset(exists), frozenset(self._theta_index(sequent.theta)))
+        distances = self.tables.distances
+        distance = distances.get(key)
+        if distance is None:
+            distance = _goal_distance_fixpoint(key[0], key[1])
+            distances[key] = distance
+        return distance
 
     # ------------------------------------------------------------- ∃ moves
     def _theta_index(self, theta: FrozenSet[Member]) -> Dict[Term, List[Term]]:
@@ -667,6 +712,102 @@ def _rewrite_atom(atom: Formula, old: Term, new: Term) -> Formula:
     if isinstance(atom, NeqUr):
         return NeqUr(replace_term_in_term(atom.left, old, new), replace_term_in_term(atom.right, old, new))
     return atom
+
+
+#: Goal distance of a sequent whose Δ can never come to hold ``=`` or ⊤.
+_UNREACHABLE = 1 << 30
+
+#: One pooled ∃-formula of the goal-distance fixpoint, with the variables
+#: bound around it inside the formula: the ∃-bound ones, and all of them.
+_PoolEntry = Tuple[Formula, FrozenSet[Var], FrozenSet[Var]]
+
+
+def _goal_distance_fixpoint(exists: FrozenSet[Formula], collections: FrozenSet[Term]) -> int:
+    """Admissible lower bound on the ∃-moves before Δ can hold ``=`` or ⊤.
+
+    Neither the axioms nor the equality closure close a branch without such
+    a formula, so a stable sequent whose bound exceeds its ∃-budget fails.
+    The bound is a level-by-level fixpoint over an abstraction of the search:
+    level ``k + 1`` fires every pooled ∃-formula whose bound is available at
+    level ``k`` (Θ's collections, plus the bounds of the ∀s fired so far).  A
+    fired body is walked through ∨, ∧ and ∀: each ∀ makes its bound available
+    from the next level, each nested ∃ joins the pool, and an ``=`` or ⊤ ends
+    the fixpoint.  A leading ∃-prefix whose bounds are available is
+    specialized by the same move, as :meth:`ProofSearch._expand_principal`
+    does, so it costs one level, not one per ∃.
+
+    The abstraction only ever over-approximates, which keeps the bound
+    admissible: both conjuncts of an ∧ count (a branch sees one); a pooled
+    ∃ fires once (refiring with other witnesses yields the same abstract
+    body); a bound that mentions a variable bound inside the formula counts
+    as available (its instance is unknown); and a ∀ bound that mentions an
+    ∃-bound variable is kept as a pattern whose ∃-variables match any term.
+    A ∀ bound that mentions a ∀-bound variable is dropped: its instance names
+    a fresh eigenvariable, which no bound outside that ∀'s scope can name.
+    """
+    available: Set[Term] = set(collections)
+    patterns: List[Tuple[Term, FrozenSet[Var]]] = []
+    empty: FrozenSet[Var] = frozenset()
+
+    def is_available(bound: Term, local: FrozenSet[Var]) -> bool:
+        if bound in available:
+            return True
+        if local and not term_vars(bound).isdisjoint(local):
+            return True
+        return any(_matches(pattern, bound, wild) for pattern, wild in patterns)
+
+    pending: List[_PoolEntry] = [(f, empty, empty) for f in exists]
+    level = 0
+    while pending:
+        fire: List[_PoolEntry] = []
+        waiting: List[_PoolEntry] = []
+        for entry in pending:
+            (fire if is_available(entry[0].bound, entry[2]) else waiting).append(entry)
+        pending = waiting
+        if not fire:
+            return _UNREACHABLE
+        level += 1
+        grown: List[Tuple[Term, FrozenSet[Var]]] = []
+        for formula, wild, local in fire:
+            while formula.__class__ is Exists and is_available(formula.bound, local):
+                wild = wild | {formula.var}
+                local = local | {formula.var}
+                formula = formula.body
+            stack = [(formula, wild, local)]
+            while stack:
+                f, wild, local = stack.pop()
+                cls = f.__class__
+                if cls is EqUr or cls is Top:
+                    return level
+                if cls is Exists:
+                    pending.append((f, wild, local))
+                elif cls is Or or cls is And:
+                    stack.append((f.left, wild, local))
+                    stack.append((f.right, wild, local))
+                elif cls is Forall:
+                    bound_vars = term_vars(f.bound) & local
+                    if bound_vars <= wild:
+                        grown.append((f.bound, bound_vars))
+                    stack.append((f.body, wild, local | {f.var}))
+        for bound, wild in grown:
+            if wild:
+                patterns.append((bound, wild))
+            else:
+                available.add(bound)
+    return _UNREACHABLE
+
+
+def _matches(pattern: Term, term: Term, wild: FrozenSet[Var]) -> bool:
+    """Whether ``term`` is an instance of ``pattern`` with ``wild`` as holes."""
+    if pattern.__class__ is Var and pattern in wild:
+        return True
+    if pattern.__class__ is not term.__class__:
+        return False
+    if pattern.__class__ is PairTerm:
+        return _matches(pattern.left, term.left, wild) and _matches(pattern.right, term.right, wild)
+    if pattern.__class__ is Proj:
+        return pattern.index == term.index and _matches(pattern.arg, term.arg, wild)
+    return pattern == term
 
 
 # ------------------------------------------------------------------ wrappers

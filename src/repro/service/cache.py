@@ -36,7 +36,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.trace import get_tracer
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import SynthesisResult
-from repro.witness.store import WITNESS_SUBDIR, WitnessStore
+from repro.witness.store import WITNESS_SUBDIR, WitnessStore, atomic_write_bytes
 
 #: Default bound on the in-memory tier (entries, not bytes: synthesized
 #: expressions are small compared to the proof trees they carry).
@@ -172,7 +171,11 @@ class SynthesisCache:
         self._disk_dirty = False
         self.witnesses: Optional[WitnessStore] = None
         if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            # Directories are made by the first write, so opening a cache only
+            # to read it leaves nothing behind; a path taken by a file still
+            # fails here, before any synthesis work is spent.
+            if self.disk_dir.exists() and not self.disk_dir.is_dir():
+                raise FileExistsError(f"cache directory {self.disk_dir} is not a directory")
             self._sweep_stale_tmp_files()
             self.witnesses = WitnessStore(self.disk_dir / WITNESS_SUBDIR)
 
@@ -394,8 +397,8 @@ class SynthesisCache:
             payload_bytes=len(blob),
             synthesis_seconds=round(cost_seconds, 6),
         )
-        _atomic_write_bytes(payload_path, blob)
-        _atomic_write_bytes(meta_path, (json.dumps(meta.as_dict(), indent=2) + "\n").encode())
+        atomic_write_bytes(payload_path, blob)
+        atomic_write_bytes(meta_path, (json.dumps(meta.as_dict(), indent=2) + "\n").encode())
 
     def _disk_evict(self, digest: str) -> None:
         for path in self._entry_paths(digest):
@@ -422,18 +425,3 @@ def disk_entries(disk_dir: os.PathLike) -> List[DiskEntry]:
             continue
     entries.sort(key=lambda entry: entry.created, reverse=True)
     return entries
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename so concurrent sweep workers never read torn entries."""
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise

@@ -249,8 +249,7 @@ def build_default_registry(
             f"copy_chain_{length}",
             (lambda n: lambda: examples.copy_chain(n))(length),
             f"A chain of {length} copy equivalences; proof size grows with the length.",
-            tags=("scenario", "family:copy-chain", "flat")
-            + (("slow",) if length > 2 else ()),
+            tags=("scenario", "family:copy-chain", "flat"),
             instances=(lambda n: lambda scale: examples.copy_chain_instances(n, scale))(length),
             max_depth=16,
         )

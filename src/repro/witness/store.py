@@ -225,8 +225,9 @@ class WitnessStore:
         root: os.PathLike,
         entry_bound: Optional[int] = DEFAULT_WITNESS_ENTRY_BOUND,
     ) -> None:
+        # The directory is made by the first write, so a store opened only to
+        # be read (``repro witness list``) leaves nothing behind.
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.entry_bound = entry_bound
         self.memory_bound = DEFAULT_WITNESS_MEMORY_BOUND
         self.stats = WitnessStoreStats()
@@ -314,8 +315,8 @@ class WitnessStore:
             payload_bytes=len(blob),
             sequent=payload["sequent"],
         )
-        _atomic_write_bytes(self.path(digest), blob)
-        _atomic_write_bytes(
+        atomic_write_bytes(self.path(digest), blob)
+        atomic_write_bytes(
             self._meta_path(digest),
             (json.dumps(summary.as_dict(), indent=2) + "\n").encode(),
         )
@@ -506,8 +507,13 @@ class WitnessStore:
         return evicted
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename (same contract as the result tier's writer)."""
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write-then-rename so concurrent readers never see a torn file.
+
+    Creates the parent directory first: both disk tiers make their
+    directories on first write, never when opened.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:

@@ -3,23 +3,26 @@
 The tables are pure caches: every answer they short-circuit must be one the
 uncached search would have produced, so the core of this suite is
 differential — the memoized :class:`ProofSearch` against the frozen
-:class:`ReferenceProofSearch` on the registry examples, with the independent
-proof checker validating both sides.  The rest covers the sharing contract
-(success/failure reuse across instances on one :class:`SearchTables`) and
-the size bound.
+:class:`ReferenceProofSearch` on the registry examples and a fuzz corpus,
+with the independent proof checker validating both sides.  The goal-distance
+cut is held to the same standard: it may only remove subtrees that fail, so
+the differential checks cover it too.  The rest covers the sharing contract
+(success/failure reuse across instances on one :class:`SearchTables`), the
+size bound and the attempt counts the cut buys.
 """
 
 import pytest
 
-from repro.logic.formulas import EqUr, NeqUr
+from repro.logic.formulas import Bottom, EqUr, Exists, Forall, Member, NeqUr
 from repro.logic.terms import Var
-from repro.nr.types import UR
+from repro.nr.types import UR, SetType
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode
 from reference_search import ReferenceProofSearch
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
 from repro.specs import examples
+from repro.specs.fuzz import generate_spec
 
 EXAMPLES = {
     "identity_view": examples.identity_view,
@@ -66,6 +69,62 @@ def test_memoized_search_finds_the_reference_proof(name):
     reference = ReferenceProofSearch(max_depth=12).prove(goal)
     check_proof(memoized)
     assert _same_tree(memoized, reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memoized_search_finds_the_reference_proof_on_the_fuzz_corpus(seed):
+    """The same differential over generated specs, whose quantifier shapes
+    (∃-prefixes, products, mixed collections) the registry lacks."""
+    for index in range(60):
+        spec = generate_spec(seed, index)
+        goal = spec.problem.determinacy_goal()
+        memoized = ProofSearch(max_depth=12).prove(goal)
+        reference = ReferenceProofSearch(max_depth=12).prove(goal)
+        check_proof(memoized)
+        assert _same_tree(memoized, reference), f"seed {seed} / {spec.name}"
+
+
+def test_goal_distance_charges_one_move_for_an_available_exists_prefix():
+    """Seed 0 / fuzz_0018: ``ex x1_1 in I2. ex zg in I1. …`` is specialized
+    by one ∃-move, so the goal distance must charge one level for the whole
+    prefix.  Charging one per ∃ overestimates the distance and cuts the branch
+    that carries the reference proof."""
+    spec = generate_spec(0, 18)
+    goal = spec.problem.determinacy_goal()
+    assert "(ex x1_1 in I2. (ex zg in I1. " in str(goal)
+    memoized = ProofSearch(max_depth=12).prove(goal)
+    check_proof(memoized)
+    assert _same_tree(memoized, ReferenceProofSearch(max_depth=12).prove(goal))
+
+
+def test_goal_distance_sees_collections_that_a_witness_opens():
+    """``∀y ∈ x`` under ``∃x ∈ I`` puts an element into whichever collection
+    the witness for ``x`` names, here ``a``; ``∃z ∈ a. z = z`` becomes
+    movable only then.  The bound must count ``a`` as reachable (distance 2),
+    not as never available, or it cuts the only proof."""
+    a, x, y, z = Var("a", SetType(UR)), Var("x", SetType(UR)), Var("y", UR), Var("z", UR)
+    source = Var("I", SetType(SetType(UR)))
+    goal = Sequent.of(
+        theta=[Member(a, source)],
+        delta=[Exists(x, source, Forall(y, x, Bottom())), Exists(z, a, EqUr(z, z))],
+    )
+    search = ProofSearch(max_depth=2)
+    proof = search.prove(goal)
+    check_proof(proof)
+    assert _same_tree(proof, ReferenceProofSearch(max_depth=2).prove(goal))
+    assert search.stats.budget_used == 2
+
+
+@pytest.mark.parametrize("length", [3, 4, 5])
+def test_goal_distance_cut_keeps_copy_chains_small(length):
+    """Without the cut, ``copy_chain(3)`` took 151,470 attempts; with it the
+    chains of length 3–5 take 76 / 137 / 153."""
+    goal = examples.copy_chain(length).determinacy_goal()
+    search = ProofSearch()
+    proof = search.prove(goal)
+    check_proof(proof)
+    assert search.stats.attempts <= 500
+    assert search.stats.distance_cuts > 0
 
 
 def test_repeat_proof_is_deterministic():
@@ -163,23 +222,30 @@ if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
 
 
-def test_exhausted_search_explains_its_budgets_and_attempts():
-    """A starved search names the budgets it tried, the attempts it spent and
-    its limits, and the service's job error carries the same figures."""
+def test_exhausted_search_explains_its_budgets_and_attempts(traced):
+    """A starved search names the budgets it tried, the attempts it spent,
+    the branches its goal distance cut and its limits; the service's job
+    error and the ``proof.round`` span carry the same figures."""
     from repro.errors import ProofSearchError
     from repro.service.api import synthesis_failure
 
     goal = examples.union_view().determinacy_goal()
+    search = ProofSearch(max_depth=2, max_attempts=50)
     with pytest.raises(ProofSearchError) as excinfo:
-        ProofSearch(max_depth=2, max_attempts=50).prove(goal)
+        search.prove(goal)
     detail = excinfo.value.detail
     assert detail["budgets"] == [2]
     assert 0 < detail["attempts_last_round"] <= 50
     assert detail["attempts_total"] == detail["attempts_last_round"]
     assert (detail["max_depth"], detail["max_attempts"]) == (2, 50)
+    assert detail["cuts_last_round"] == search.stats.distance_cuts > 0
     message = str(excinfo.value)
     assert "depth budgets 2 " in message and "at most 50 per round" in message
+    assert f"made {detail['cuts_last_round']} goal-distance cuts" in message
     assert synthesis_failure(excinfo.value).detail["search"] == detail
+    (round_span,) = [span for span in traced.export_all() if span["name"] == "proof.round"]
+    assert round_span["attributes"]["cuts"] == detail["cuts_last_round"]
+    assert round_span["attributes"]["attempts"] == detail["attempts_last_round"]
 
     # Under a depth schedule every scheduled round is named and counted.
     with pytest.raises(ProofSearchError) as excinfo:

@@ -339,6 +339,19 @@ def test_witness_cli_requires_one_location(capsys, tmp_path):
     assert code == 2 and "no witness" in err
 
 
+def test_read_only_witness_commands_create_no_directories(capsys, tmp_path):
+    missing = tmp_path / "probe" / "sub"
+    code, out, _ = run_cli(capsys, "witness", "list", "--cache-dir", str(missing))
+    assert code == 0 and "no stored witnesses" in out
+    code, _, err = run_cli(capsys, "witness", "show", "0" * 64, "--cache-dir", str(missing))
+    assert code == 2 and "no witness" in err
+    exported = tmp_path / "proof.witness"
+    code, _, err = run_cli(capsys, "witness", "export", "0" * 64, "--cache-dir", str(missing), "-o", str(exported))
+    assert code == 2 and "no witness" in err
+    assert not (tmp_path / "probe").exists()
+    assert not exported.exists()
+
+
 def test_synthesize_ancestor_requires_cache_dir(capsys):
     code, _, err = run_cli(capsys, "synthesize", "union_view", "--ancestor", "f" * 64)
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.service.api import SweepOutcome
 from repro.service.registry import default_registry
-from repro.service.workers import run_sweep
+from repro.service.workers import SweepSummary, run_sweep
 
 FAST_NAMES = ["identity_view", "union_view", "unique_element"]
 
@@ -50,14 +50,22 @@ def test_parallel_sweep_multiprocess():
 
 
 def test_parallel_sweep_timeout_terminates_stuck_jobs():
-    # copy_chain_3 needs seconds of proof search; a tiny timeout must kill it
-    # without losing the other jobs' results.
-    summary = run_sweep(["union_view", "copy_chain_3"], processes=2, timeout=0.8)
+    # example_1_1's proof search runs for minutes without a proof; a tiny
+    # timeout must kill it without losing the other jobs' results.
+    summary = run_sweep(["union_view", "example_1_1"], processes=2, timeout=0.8)
     by_name = {outcome.name: outcome for outcome in summary.outcomes}
     assert by_name["union_view"].status == "ok"
-    assert by_name["copy_chain_3"].status == "timeout"
-    assert "timeout" in by_name["copy_chain_3"].error
-    assert not summary.ok  # copy_chain_3 was expected to succeed
+    assert by_name["example_1_1"].status == "timeout"
+    assert "timeout" in by_name["example_1_1"].error
+    # A timeout on a `hard` entry is expected, not a failure of the sweep.
+    assert by_name["example_1_1"].unexpected_failure is False
+
+
+def test_timeout_on_an_entry_expected_to_synthesize_fails_the_sweep():
+    timed_out = SweepOutcome("p", "timeout", 0.8, expected="ok", error="timeout after 0.8s")
+    summary = SweepSummary([SweepOutcome("q", "ok", 0.1), timed_out], 1.0, 2)
+    assert summary.unexpected_failures == [timed_out]
+    assert not summary.ok
 
 
 def test_duplicate_names_keep_both_outcomes():
@@ -69,7 +77,7 @@ def test_duplicate_names_keep_both_outcomes():
 def test_timeout_is_honored_for_single_job_sweeps():
     # Deadline enforcement needs a killable process, so a one-job sweep with a
     # timeout must take the process path instead of running inline unbounded.
-    summary = run_sweep(["copy_chain_3"], processes=1, timeout=0.8)
+    summary = run_sweep(["example_1_1"], processes=1, timeout=0.8)
     assert summary.outcomes[0].status == "timeout"
 
 

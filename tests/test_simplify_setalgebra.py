@@ -237,9 +237,9 @@ def test_flat_registry_queries_simplify_to_set_algebra(name):
 
 
 def test_registry_queries_keep_no_scans():
-    """Every ok registry query but unique_element's ∀-scan is scan-free (copy_chain_3 is slow)."""
+    """Every ok registry query but unique_element's ∀-scan is scan-free."""
     for entry in default_registry().sweepable():
-        if entry.name in ("unique_element", "copy_chain_3"):
+        if entry.name == "unique_element":
             continue
         _, result, _ = execute_synthesize_request(SynthesizeRequest(problem=entry.name))
         assert not any(

@@ -345,10 +345,11 @@ def export_obs_state(context: Optional[TraceContext] = None) -> Dict[str, object
 
 
 def install_child_obs(state: Optional[Mapping[str, object]]) -> None:
-    """Child-process entry hook: reset fork-inherited telemetry, adopt context.
+    """Worker hook, run before each request: reset telemetry, adopt context.
 
-    Forked children inherit the parent's span buffer and metric values; both
-    must be cleared or the parent would double-count them when the child's
+    A forked worker inherits the parent's span buffer and metric values, and
+    a long-lived one still holds those of its last request; both must be
+    cleared or the parent would double-count them when the worker's
     snapshot merges back.
     """
     from repro.obs.metrics import get_registry

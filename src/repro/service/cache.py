@@ -50,7 +50,7 @@ from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.trace import get_tracer
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import SynthesisResult
-from repro.witness.store import WITNESS_SUBDIR, WitnessStore, atomic_write_bytes
+from repro.witness.store import WITNESS_SUBDIR, WitnessStore, atomic_write_bytes, disk_census
 
 #: Default bound on the in-memory tier (entries, not bytes: synthesized
 #: expressions are small compared to the proof trees they carry).
@@ -308,27 +308,31 @@ class SynthesisCache:
         over budget, the one whose proof search was cheaper goes first; among
         equally cheap entries the oldest goes first.  Only runs after a disk
         store (``_disk_dirty``), so warm traffic never pays the directory
-        scan.
+        scan, and a store under both bounds pays only a names-and-``stat``
+        census (:func:`~repro.witness.store.disk_census`): the sidecars are
+        read only when a bound is exceeded.
         """
         if self.disk_dir is None or (not self.disk_entry_bound and not self.disk_payload_bound):
             return
+        count, total_bytes = disk_census(self.disk_dir)
+        if not self._over_bounds(count, total_bytes):
+            return
         entries = disk_entries(self.disk_dir)
         total_bytes = sum(entry.payload_bytes for entry in entries)
-        over_entries = self.disk_entry_bound and len(entries) > self.disk_entry_bound
-        over_bytes = self.disk_payload_bound and total_bytes > self.disk_payload_bound
-        if not over_entries and not over_bytes:
-            return
-        by_cost = sorted(entries, key=lambda entry: (entry.synthesis_seconds, entry.created))
         count = len(entries)
+        by_cost = sorted(entries, key=lambda entry: (entry.synthesis_seconds, entry.created))
         for victim in by_cost:
-            over_entries = self.disk_entry_bound and count > self.disk_entry_bound
-            over_bytes = self.disk_payload_bound and total_bytes > self.disk_payload_bound
-            if not over_entries and not over_bytes:
+            if not self._over_bounds(count, total_bytes):
                 break
             self._disk_evict(victim.digest)
             self.stats.disk_evictions += 1
             count -= 1
             total_bytes -= victim.payload_bytes
+
+    def _over_bounds(self, count: int, total_bytes: int) -> bool:
+        over_entries = self.disk_entry_bound and count > self.disk_entry_bound
+        over_bytes = self.disk_payload_bound and total_bytes > self.disk_payload_bound
+        return bool(over_entries or over_bytes)
 
     # ------------------------------------------------------------- disk tier
     #: A worker SIGTERMed mid-write (the sweep's per-job timeout) can leave a

@@ -434,7 +434,7 @@ def _cmd_witness_list(service, args) -> int:
 
 
 def _cmd_witness_show(service, args) -> int:
-    info = next((info for info in service.list_witnesses().witnesses if info.digest == args.digest), None)
+    info = service.get_witness(args.digest).info
     if info is None:
         raise CliError(f"no witness {args.digest!r} in this store")
     if args.as_json:

@@ -16,11 +16,14 @@ Job engine invariants
   them apart.  Their ids stay in separate namespaces (``/v1/jobs/<sweep-id>``
   is ``unknown_job``), finished-job retention is per kind, and one
   ``queue_limit`` bounds both.
-* **The event loop never blocks on proof search.**  Each job runs in its own
-  worker process (:func:`repro.service.workers.run_request_in_process` — the
-  runner sweeps use too), awaited through an executor thread.  The loop
-  stays free to answer ``/healthz``, job polls and further submissions
-  while searches run.
+* **The event loop never blocks on proof search.**  Each job runs on a
+  long-lived pool worker process
+  (:func:`repro.service.workers.run_request_in_process` — the runner sweeps
+  use too), awaited through an executor thread.  The loop stays free to
+  answer ``/healthz``, job polls and further submissions while searches
+  run.  The pool forks its first worker at the first cold job and grows
+  only to the peak number of concurrent jobs; its idle workers end when
+  the server stops.
 * **Warm-cache submissions never enter the queue.**  ``submit`` peeks the
   cache first (:meth:`SynthesisCache.peek` — no stats mutation); a hit is
   served inline as an already-``done`` job, concurrent hits cost a dict
@@ -29,8 +32,10 @@ Job engine invariants
   running; submissions past the bound fail fast with the structured
   ``queue_full`` error instead of growing an unbounded backlog.
 * **Jobs are cancellable and deadlined.**  ``cancel`` terminates a running
-  job's worker process; a per-job timeout (request field or service default)
-  does the same and surfaces the structured ``timeout`` error.
+  job's worker process and drops it from the pool; a per-job timeout
+  (request field or service default) does the same and surfaces the
+  structured ``timeout`` error.  A worker that dies fails only its job,
+  with ``internal``; the next job forks a fresh one.
 * **Results flow back into the cache.**  A cold job's synthesized AST rides
   home over the result pipe and is adopted into the parent's memory tier, so
   the next identical submission is a warm hit even without a disk tier.
@@ -45,9 +50,9 @@ a running server, takes its paths from it.
 
 Sweeps are jobs in the same table: ``submit_sweep`` resolves the problem
 list and runs :func:`repro.service.workers.run_sweep` on an executor thread,
-which turns each problem into one synthesize request on the local pool.
-The sweep inherits this service's cache directory when the request names
-none, so its workers warm the same disk tier as synthesize jobs.
+which turns each problem into one synthesize request on the same worker
+pool.  The sweep inherits this service's cache directory when the request
+names none, so its workers warm the same disk tier as synthesize jobs.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from repro.service.workers import (
     resolve_sweep_names,
     run_request_in_process,
     run_sweep,
+    stop_idle_workers,
 )
 
 logger = logging.getLogger(__name__)
@@ -327,10 +333,8 @@ class SynthesisService:
         blob = store.export_payload(digest)
         if blob is None:
             raise api.ApiError("not_found", f"no witness {digest!r} in this store")
-        info = next(
-            (_witness_info(summary, summary.payload_bytes) for summary in store.list() if summary.digest == digest),
-            None,
-        )
+        summary = store.summary(digest)
+        info = None if summary is None else _witness_info(summary, summary.payload_bytes)
         return api.WitnessPayload(payload=base64.b64encode(blob).decode("ascii"), info=info)
 
     def import_witness(self, payload: api.WitnessPayload) -> api.WitnessInfo:
@@ -1067,8 +1071,11 @@ async def serve(
     bound_port = server.sockets[0].getsockname()[1]
     if ready is not None:
         ready(bound_port)
-    async with server:
-        await server.serve_forever()
+    try:
+        async with server:
+            await server.serve_forever()
+    finally:
+        stop_idle_workers()
 
 
 class BackgroundServer:
@@ -1129,6 +1136,7 @@ class BackgroundServer:
             self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
             self._thread.join(timeout=30)
+        stop_idle_workers()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

@@ -1,15 +1,27 @@
-"""One job runner: typed synthesize requests, inline or in a worker process.
+"""One job runner: typed synthesize requests, inline or in a pooled worker.
 
 :func:`execute_synthesize_request` is the single execution body: the CLI's
 in-process service calls it directly, and :func:`run_request_in_process` runs
-it in a **worker process of its own**, which buys two properties a shared
-pool cannot give:
+it in a **long-lived forked worker process**, which buys two properties a
+thread cannot give:
 
 * *failure isolation* — a crashing or memory-exploding job takes down only
-  its process; the caller records the failure and keeps going;
+  its worker; the caller records the failure as ``internal`` and the next
+  job forks a fresh worker;
 * *per-job timeouts* — a stuck proof search (the ``"hard"`` registry entries
-  would search for hours) is ``terminate()``-d at its deadline instead of
-  wedging a pool worker forever.
+  would search for hours) is ``terminate()``-d at its deadline, and its
+  worker is dropped from the pool.
+
+The pool holds only idle workers.  A job takes one (or forks one, lazily —
+the first cold job pays the fork, server start does not), sends its request
+over the worker's duplex pipe and puts the worker back when the answer
+arrives, so the pool grows only to the peak number of concurrent jobs.  A
+worker runs one request at a time; per request it resets its telemetry
+(:func:`~repro.obs.trace.install_child_obs`) and opens a fresh
+:class:`~repro.service.cache.SynthesisCache`, so spans, metrics and
+``cache_tier`` answers are per job, while its process-wide caches (interning,
+compiled formula programs, warm witness successes) carry over to the next
+job.  :func:`stop_idle_workers` ends the idle workers when a server stops.
 
 Requests cross the process boundary as their JSON dicts and come back as the
 wire response plus the synthesized AST — the HTTP job engine and sweeps use
@@ -31,6 +43,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -109,6 +123,12 @@ def warm_successes_for(cache: Optional[SynthesisCache]) -> Optional[Dict[Sequent
     search configuration, whereas failure/closure entries are relative to
     the search's own budgets (:class:`~repro.proofs.search.SearchTables`).
     Warm-up is best-effort — any store problem logs and yields an empty map.
+
+    The memo is taken once per process and store and never refreshed.  A pool
+    worker therefore gets its snapshot once: forked with the parent's memo
+    when the parent had already warmed that store, otherwise at its own first
+    job on it; later jobs on the same worker reuse it instead of re-reading
+    the store.
     """
     if cache is None or cache.witnesses is None:
         return None
@@ -138,11 +158,6 @@ def warmed_search_factory(
         return search
 
     return factory
-
-
-def reset_warm_cache() -> None:
-    """Forget per-process warmed tables (tests; long-lived servers on evict)."""
-    _WARM_SUCCESSES.clear()
 
 
 # ----------------------------------------------------- typed request execution
@@ -217,21 +232,21 @@ def execute_synthesize_request(
     return response, report.result, report
 
 
-def _request_child(payload: Dict[str, object], options: Dict[str, object], conn) -> None:
-    """Worker-process entry point for one typed request.
+def _run_request(payload: Dict[str, object], options: Dict[str, object]) -> tuple:
+    """Run one request in a worker; the tagged reply for the parent.
 
-    Ships back a tagged tuple whose last two elements are always the child's
-    finished trace spans and metric snapshot: ``("ok", response_json,
-    result_ast, spans, metrics)`` on success (the AST rides along so the
-    parent can warm its memory tier), ``("api_error", error_json, spans,
-    metrics)`` for structured failures, and ``("internal_error", message,
-    spans, metrics)`` for anything unexpected.
+    The reply's last two elements are always this request's finished trace
+    spans and metric snapshot: ``("ok", response_json, result_ast, spans,
+    metrics)`` on success (the AST rides along so the parent can warm its
+    memory tier), ``("api_error", error_json, spans, metrics)`` for
+    structured failures, and ``("internal_error", message, spans, metrics)``
+    for anything unexpected.
     """
     install_child_obs(options.get("obs"))
     try:
         request = api.SynthesizeRequest.from_json_dict(payload)
         # Same cache policy as the CLI's in-process service: the disk tier
-        # when a directory is configured, a process-local memory tier
+        # when a directory is configured, a request-local memory tier
         # otherwise — so a worker-run report shows the same stage sequence
         # ("cache-lookup: miss" included) as an inline run.
         cache_dir = options.get("cache_dir")
@@ -245,8 +260,74 @@ def _request_child(payload: Dict[str, object], options: Dict[str, object], conn)
         message = ("api_error", exc.to_json_dict())
     except Exception as exc:  # noqa: BLE001 - the parent re-raises as ApiError
         message = ("internal_error", f"{type(exc).__name__}: {exc}")
-    conn.send(message + (get_tracer().export_all(), get_registry().snapshot()))
-    conn.close()
+    return message + (get_tracer().export_all(), get_registry().snapshot())
+
+
+#: Seconds an idle worker waits for a request before checking its parent.
+_PARENT_CHECK_SECONDS = 1.0
+
+
+def _worker_main(conn) -> None:
+    """A pool worker: answer requests from ``conn`` one at a time.
+
+    The parent ends its workers (``terminate()``, or the pipe closing), so
+    an interrupt meant for the server's terminal is ignored here; a worker
+    whose parent is gone exits on its own.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+    while True:
+        try:
+            while not conn.poll(_PARENT_CHECK_SECONDS):
+                if os.getppid() != parent:
+                    return
+            job = conn.recv()
+        except (EOFError, OSError):
+            return
+        conn.send(_run_request(*job))
+
+
+class _Worker:
+    """One forked pool worker and the parent's end of its duplex pipe."""
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context()
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        self.process.start()
+        child_conn.close()
+
+    def discard(self) -> None:
+        """End the worker and release its pipe."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+#: Workers waiting for a job; busy workers are held by their job's thread.
+_IDLE_WORKERS: List[_Worker] = []
+_IDLE_LOCK = threading.Lock()
+
+
+def _take_worker() -> _Worker:
+    """An idle live worker, or a freshly forked one."""
+    with _IDLE_LOCK:
+        while _IDLE_WORKERS:
+            worker = _IDLE_WORKERS.pop()
+            if worker.process.is_alive():
+                return worker
+            worker.discard()
+    return _Worker()
+
+
+def stop_idle_workers() -> None:
+    """Terminate every idle pool worker (called when a server stops)."""
+    with _IDLE_LOCK:
+        idle = list(_IDLE_WORKERS)
+        _IDLE_WORKERS.clear()
+    for worker in idle:
+        worker.discard()
 
 
 def run_request_in_process(
@@ -257,60 +338,55 @@ def run_request_in_process(
     poll_interval: float = 0.05,
     trace_context: Optional[TraceContext] = None,
 ) -> Tuple[api.SynthesisResult, Optional[SynthesisResult]]:
-    """Run ``request`` in its own worker process; block until it resolves.
+    """Run ``request`` on a pool worker process; block until it resolves.
 
     Called from an executor thread by the async job engine and from the sweep
-    pool: proof search happens in a killable child, while this thread polls the result pipe, the optional
-    ``cancel`` event (any object with ``is_set()``) and the deadline.  On
-    timeout/cancellation the child is ``terminate()``-d and the matching
-    structured :class:`~repro.service.api.ApiError` is raised.
+    pool: proof search happens in a killable worker, while this thread polls
+    the worker's pipe, the optional ``cancel`` event (any object with
+    ``is_set()``) and the deadline.  On timeout/cancellation the worker is
+    ``terminate()``-d and dropped from the pool, and the matching structured
+    :class:`~repro.service.api.ApiError` is raised; a worker that dies fails
+    only this job, with ``internal``.
 
-    ``trace_context`` parents the child's spans explicitly — a child process
-    does not inherit the caller's contextvars, so callers pass their current
-    context by hand.
+    ``trace_context`` parents the worker's spans explicitly — a worker
+    process does not inherit the caller's contextvars, so callers pass their
+    current context by hand.
     """
-    ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
     options = {"cache_dir": cache_dir, "obs": export_obs_state(trace_context)}
-    process = ctx.Process(
-        target=_request_child,
-        args=(request.to_json_dict(), options, child_conn),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
+    worker = _take_worker()
+    conn, process = worker.conn, worker.process
     deadline = None if timeout is None else time.monotonic() + timeout
     message = None
     try:
+        conn.send((request.to_json_dict(), options))
         while True:
-            if parent_conn.poll(poll_interval):
-                try:
-                    message = parent_conn.recv()
-                except (EOFError, OSError):
-                    message = None
+            if conn.poll(poll_interval):
+                message = conn.recv()
                 break
             if not process.is_alive():
-                # The child may have sent its result and exited between the
+                # The worker may have sent its reply and died between the
                 # poll above and this liveness check; drain before declaring
                 # it dead.
-                if parent_conn.poll(0.5):
-                    try:
-                        message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        message = None
+                if conn.poll(0.5):
+                    message = conn.recv()
                 break
             if cancel is not None and cancel.is_set():
-                process.terminate()
                 raise api.ApiError("cancelled", "job was cancelled while running")
             if deadline is not None and time.monotonic() > deadline:
-                process.terminate()
                 raise api.job_timeout(timeout)
+    except (EOFError, OSError):
+        message = None
     finally:
-        process.join()
-        parent_conn.close()
+        # Only a worker that answered cleanly goes back to the pool; one
+        # past its deadline, cancelled, dead or failing unexpectedly is ended.
+        if message is not None and message[0] != "internal_error":
+            with _IDLE_LOCK:
+                _IDLE_WORKERS.append(worker)
+        else:
+            worker.discard()
     if message is None:
         raise api.ApiError("internal", f"worker died with exit code {process.exitcode}")
-    # Merge the child's exported telemetry into this process.
+    # Merge the worker's exported telemetry into this process.
     spans, metrics = message[-2:]
     if isinstance(spans, list) and spans:
         get_tracer().adopt(spans)

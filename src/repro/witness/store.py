@@ -462,15 +462,14 @@ class WitnessStore:
     # ------------------------------------------------------------- inventory
     def list(self) -> List[WitnessSummary]:
         """Sidecar metadata of every stored witness (newest first)."""
-        summaries = []
-        for meta_path in sorted(self.root.glob("*.json")):
-            try:
-                raw = json.loads(meta_path.read_text())
-                summaries.append(WitnessSummary(**raw))
-            except (OSError, ValueError, TypeError):
-                continue
+        summaries = [_read_summary(meta_path) for meta_path in sorted(self.root.glob("*.json"))]
+        summaries = [summary for summary in summaries if summary is not None]
         summaries.sort(key=lambda summary: summary.created, reverse=True)
         return summaries
+
+    def summary(self, digest: str) -> Optional[WitnessSummary]:
+        """One witness's sidecar metadata (reads ``<digest>.json`` only)."""
+        return _read_summary(self._meta_path(digest))
 
     def delete(self, digest: str, count_eviction: bool = True) -> bool:
         """Drop the payload and sidecar for ``digest``; True if anything went."""
@@ -496,7 +495,9 @@ class WitnessStore:
         if not self._dirty:
             return 0
         self._dirty = False
-        if not self.entry_bound:
+        # Counting sidecar names is enough to see the bound holds; the
+        # sidecars themselves are read only to order the victims.
+        if not self.entry_bound or disk_census(self.root, payload_sizes=False)[0] <= self.entry_bound:
             return 0
         summaries = self.list()
         evicted = 0
@@ -505,6 +506,41 @@ class WitnessStore:
             self.delete(victim.digest)
             evicted += 1
         return evicted
+
+
+def _read_summary(meta_path: Path) -> Optional[WitnessSummary]:
+    """A sidecar's metadata, or ``None`` when it is absent or corrupt."""
+    try:
+        return WitnessSummary(**json.loads(meta_path.read_text()))
+    except (OSError, ValueError, TypeError):
+        return None
+
+
+def disk_census(directory: Path, payload_sizes: bool = True) -> Tuple[int, int]:
+    """``(sidecars, payload bytes)`` of a disk tier, from names and ``stat``.
+
+    Counts the ``*.json`` sidecars and, with ``payload_sizes``, sums the
+    sizes of the ``*.pkl`` payloads (one ``stat`` each; ``0`` otherwise),
+    without opening either, so a tier's bounds are checked without parsing
+    its sidecars.  Both figures are upper bounds on what a sidecar listing
+    reports (a corrupt sidecar or an orphaned payload counts here but not
+    there), so a census under a bound means the listing is under it too.  A
+    missing directory is ``(0, 0)``.
+    """
+    sidecars = payload_bytes = 0
+    try:
+        with os.scandir(directory) as scan:
+            for entry in scan:
+                if entry.name.endswith(".json"):
+                    sidecars += 1
+                elif payload_sizes and entry.name.endswith(".pkl"):
+                    try:
+                        payload_bytes += entry.stat().st_size
+                    except OSError:
+                        continue
+    except OSError:
+        pass
+    return sidecars, payload_bytes
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:

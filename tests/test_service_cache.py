@@ -285,6 +285,23 @@ def test_maintain_evicts_cheapest_disk_entries_first(tmp_path):
     assert cache.stats.disk_evictions == 1
 
 
+def test_cold_stores_under_the_bounds_read_no_sidecars(tmp_path, monkeypatch):
+    from repro.service import cache as cache_module
+    from repro.witness.store import WitnessStore
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a store under both bounds read every sidecar")
+
+    monkeypatch.setattr(cache_module, "disk_entries", refuse)
+    monkeypatch.setattr(WitnessStore, "list", refuse)
+    cache = SynthesisCache(disk_dir=tmp_path)
+    pipeline = SynthesisPipeline(cache=cache, search_factory=lambda: ProofSearch(**SEARCH))
+    for problem in (examples.union_view(), examples.intersection_view()):
+        assert pipeline.run(problem).cache_tier == "miss"
+    assert cache.stats.disk_stores == 2
+    assert len(cache.witnesses) >= 2
+
+
 def test_maintain_respects_the_payload_byte_bound(tmp_path):
     problems = [examples.identity_view(), examples.union_view()]
     cache = SynthesisCache(disk_dir=tmp_path, disk_entry_bound=None, disk_payload_bound=1)

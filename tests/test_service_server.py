@@ -690,6 +690,33 @@ def test_witness_endpoints_roundtrip(tmp_path):
         assert code == 400 and body["error"]["code"] == "invalid_request"
 
 
+def test_get_witness_reads_only_its_own_sidecar(tmp_path, monkeypatch, capsys):
+    from repro.service.cli import main
+    from repro.witness.handwritten import install_handwritten
+    from repro.witness.store import WitnessStore
+
+    service = SynthesisService(cache_dir=str(tmp_path))
+    listed = {info.digest: info for info in service.list_witnesses().witnesses}
+    assert not listed
+    install_handwritten(service.cache.witnesses)
+    listed = {info.digest: info for info in service.list_witnesses().witnesses}
+    assert len(listed) == 2
+
+    def refuse(_store):
+        raise AssertionError("one witness's metadata must not list the whole store")
+
+    monkeypatch.setattr(WitnessStore, "list", refuse)
+    for digest, info in listed.items():
+        assert service.get_witness(digest).info == info
+    digest = sorted(listed)[0]
+    with BackgroundServer(service) as handle:
+        status, payload = http_get(handle.url + f"/v1/witnesses/{digest}")
+    assert status == 200 and api.WitnessInfo.from_json_dict(payload["info"]) == listed[digest]
+    capsys.readouterr()
+    assert main(["witness", "show", digest, "--json", "--cache-dir", str(tmp_path)]) == 0
+    assert api.WitnessInfo.from_json(capsys.readouterr().out) == listed[digest]
+
+
 class _MkdirOnLoad:
     """Unpickles to a call of ``os.mkdir``: the shape of a code-execution payload."""
 

@@ -1,10 +1,19 @@
-"""Parallel scenario runner: inline + multiprocess sweeps, isolation, timeout."""
+"""Parallel scenario runner: inline + multiprocess sweeps, isolation, timeout,
+and the pool of long-lived worker processes behind them."""
+
+import asyncio
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+from repro.obs.trace import get_tracer
+from repro.service import api, workers
 from repro.service.api import SweepOutcome
 from repro.service.registry import default_registry
-from repro.service.workers import SweepSummary, run_sweep
+from repro.service.server import BackgroundServer, SynthesisService
+from repro.service.workers import SweepSummary, run_request_in_process, run_sweep
 
 FAST_NAMES = ["identity_view", "union_view", "unique_element"]
 
@@ -120,3 +129,171 @@ def test_job_outcome_flags():
     assert unexpected.unexpected_failure
     with pytest.raises(TypeError):
         SweepOutcome()  # name/status/seconds are required
+
+
+# ------------------------------------------------------------ the worker pool
+def _spec_texts(count, seed=3):
+    """``count`` fuzz specs with distinct content addresses, as spec text."""
+    from repro.service.cache import spec_digest
+    from repro.specs.fuzz import generate_spec
+    from repro.specs.lang import pretty_problem
+
+    texts, seen, index = [], set(), 0
+    while len(texts) < count:
+        problem = generate_spec(seed, index).problem
+        index += 1
+        if spec_digest(problem) not in seen:
+            seen.add(spec_digest(problem))
+            texts.append(pretty_problem(problem))
+    return texts
+
+
+def _worker_pid(service, job_id):
+    spans = service.job_trace(job_id).spans
+    return next(span.attributes["pid"] for span in spans if span.name == "worker.request")
+
+
+async def _run(service, request, timeout=60):
+    status = await service.submit(request)
+    return await service.wait(status.id, timeout=timeout)
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_sequential_cold_jobs_share_one_worker(traced):
+    async def scenario():
+        service = SynthesisService()
+        first, second = [
+            await _run(service, api.SynthesizeRequest(spec_text=text)) for text in _spec_texts(2)
+        ]
+        assert first.state == second.state == api.JOB_DONE
+        assert first.result.cache_tier == second.result.cache_tier == "miss"
+        assert _worker_pid(service, first.id) == _worker_pid(service, second.id) != os.getpid()
+
+    asyncio.run(scenario())
+
+
+def test_a_timed_out_worker_is_replaced(traced):
+    async def scenario():
+        service = SynthesisService()
+        warm_up, after = _spec_texts(2)
+        first = await _run(service, api.SynthesizeRequest(spec_text=warm_up))
+        stuck_pid = _worker_pid(service, first.id)
+        # The hard entry takes the idle worker that just answered.
+        timed_out = await _run(service, api.SynthesizeRequest(problem="example_1_1", timeout=0.6))
+        assert timed_out.error is not None and timed_out.error.code == "timeout"
+        assert _gone(stuck_pid)
+        final = await _run(service, api.SynthesizeRequest(spec_text=after))
+        assert final.state == api.JOB_DONE
+        assert _worker_pid(service, final.id) != stuck_pid
+
+    asyncio.run(scenario())
+
+
+def test_a_killed_worker_fails_only_its_job(traced):
+    async def scenario():
+        service = SynthesisService()
+        warm_up, beside, after = _spec_texts(3)
+        first = await _run(service, api.SynthesizeRequest(spec_text=warm_up))
+        victim = _worker_pid(service, first.id)
+        # The deadline only bounds the test if the kill goes astray.
+        hard = await service.submit(api.SynthesizeRequest(problem="example_1_1", timeout=120))
+        # Wait until the hard job has taken the idle worker, so the job
+        # beside it forks its own.
+        for _ in range(3000):
+            if all(worker.process.pid != victim for worker in workers._IDLE_WORKERS):
+                break
+            await asyncio.sleep(0.01)
+        other = await _run(service, api.SynthesizeRequest(spec_text=beside))
+        assert other.state == api.JOB_DONE
+        assert _worker_pid(service, other.id) != victim
+        os.kill(victim, signal.SIGKILL)
+        crashed = await service.wait(hard.id, timeout=30)
+        assert crashed.state == api.JOB_FAILED
+        assert crashed.error is not None and crashed.error.code == "internal"
+        final = await _run(service, api.SynthesizeRequest(spec_text=after))
+        assert final.state == api.JOB_DONE
+
+    asyncio.run(scenario())
+
+
+def test_a_long_lived_worker_answers_like_a_fresh_one(traced):
+    workers.stop_idle_workers()
+    request = api.SynthesizeRequest(problem="union_of_3_views")
+
+    def run(request):
+        tracer = get_tracer()
+        with tracer.span("test.job") as span:
+            response, _ = run_request_in_process(request, trace_context=span.context)
+        trace_id = span.context.trace_id
+        pid = next(
+            item["attributes"]["pid"]
+            for item in tracer.spans_for(trace_id)
+            if item["name"] == "worker.request"
+        )
+        return response, pid
+
+    fresh, pid = run(request)
+    for text in _spec_texts(20):
+        run(api.SynthesizeRequest(spec_text=text))
+    later, later_pid = run(request)
+    assert later_pid == pid
+    assert fresh.cache_tier == later.cache_tier == "miss"
+    assert (later.expression, later.proof_size) == (fresh.expression, fresh.proof_size)
+
+
+def test_concurrent_jobs_never_share_a_worker():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.service.cache import spec_digest
+    from repro.specs.lang import parse_problem
+
+    workers.stop_idle_workers()
+    texts = _spec_texts(16)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(
+                pool.map(
+                    lambda text: run_request_in_process(api.SynthesizeRequest(spec_text=text), timeout=60)[0],
+                    texts,
+                )
+            )
+    finally:
+        sys.setswitchinterval(switch)
+    # A worker handed to two jobs at once would answer one of them with the
+    # other's result.
+    assert [answer.digest for answer in answers] == [spec_digest(parse_problem(text)) for text in texts]
+    idle = [worker.process.pid for worker in workers._IDLE_WORKERS]
+    assert len(set(idle)) == len(idle) <= 4
+
+
+def test_stopping_the_server_ends_every_worker():
+    import json
+    import urllib.request
+    from concurrent.futures import ThreadPoolExecutor
+
+    def synthesize(url, text):
+        request = urllib.request.Request(
+            url + "/v1/synthesize?wait=1",
+            data=json.dumps({"spec_text": text}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return json.loads(response.read().decode())
+
+    with BackgroundServer(SynthesisService()) as handle:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            answers = list(pool.map(lambda text: synthesize(handle.url, text), _spec_texts(2)))
+        assert [answer["state"] for answer in answers] == ["done", "done"]
+        assert multiprocessing.active_children()
+    assert multiprocessing.active_children() == []

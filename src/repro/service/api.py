@@ -434,10 +434,9 @@ class SynthesizeRequest(Contract):
     ``problem``/``spec_text`` must be given.  A ``spec_text`` that fails to
     parse surfaces as a ``parse_error`` with position detail.
 
-    ``ancestor`` is the witness digest of a previously synthesized spec this
-    one was edited from: the pipeline seeds its proof search from the stored
-    ancestor witness (incremental resynthesis) when the digest resolves, and
-    silently falls back to a cold search when it does not.
+    ``ancestor`` (the witness digest of the spec this one was edited from)
+    is accepted and ignored: it is still decoded and validated so that old
+    clients keep working, and an edit is synthesized cold.
     """
 
     problem: str = _omit_at_default("")
@@ -567,9 +566,9 @@ class SynthesisResult(Contract):
     from equality, so round-tripping through JSON preserves ``==``.
 
     ``source`` is the synthesis provenance on a cache miss — ``"witness"``
-    (a stored proof replayed verbatim), ``"incremental"`` (proof search
-    seeded from an ancestor witness) or ``"cold"`` — and ``None`` on cache
-    hits, where no synthesis ran at all.
+    (a stored proof replayed verbatim) or ``"cold"`` — and ``None`` on cache
+    hits, where no synthesis ran at all.  ``"incremental"`` (a search seeded
+    from an ancestor witness) still decodes but is no longer produced.
     """
 
     problem: str

@@ -205,15 +205,12 @@ def _read_spec_file(path: str) -> str:
 def _cmd_synthesize(service, args) -> int:
     if (args.name is None) == (args.spec is None):
         raise CliError("pass exactly one of NAME or --spec FILE")
-    if args.ancestor and not args.cache_dir:
-        raise CliError("--ancestor needs --cache-dir (the witness store lives there)")
     request = api.SynthesizeRequest(
         problem=args.name or "",
         spec_text=_read_spec_file(args.spec) if args.spec else None,
         max_depth=args.max_depth,
         verify_scale=args.verify_scale,
         cache_dir=args.cache_dir,
-        ancestor=args.ancestor,
         timeout=args.timeout,
         # --raw only affects the text rendering; the JSON document is the
         # stable v1 schema with or without it.
@@ -236,8 +233,6 @@ def _cmd_fuzz(args) -> int:
 
     if args.replay:
         return _fuzz_replay(args)
-    if args.mutate and args.url:
-        raise CliError("--mutate is local-only; drop --url")
 
     def on_event(kind: str, payload) -> None:
         if kind == "progress":
@@ -253,7 +248,6 @@ def _cmd_fuzz(args) -> int:
         max_depth=args.max_depth,
         url=args.url,
         shrink=not args.no_shrink,
-        mutate=args.mutate,
         on_event=on_event,
     )
     document = {
@@ -262,8 +256,6 @@ def _cmd_fuzz(args) -> int:
         "checked": report.checked,
         "synthesized": report.synthesized,
         "elapsed_seconds": round(report.elapsed_seconds, 3),
-        "mutate": args.mutate,
-        "sources": report.sources,
         "failures": [
             {
                 "kind": failure.kind,
@@ -281,17 +273,11 @@ def _cmd_fuzz(args) -> int:
     if args.as_json:
         print(json.dumps(document, indent=2))
     else:
-        mode = " (edit-mode)" if args.mutate else ""
         print(
-            f"fuzz seed={report.seed}{mode}: {report.synthesized}/{report.checked} "
+            f"fuzz seed={report.seed}: {report.synthesized}/{report.checked} "
             f"synthesized clean, {len(report.failures)} failure(s) "
             f"in {report.elapsed_seconds:.2f}s"
         )
-        if report.sources:
-            breakdown = ", ".join(
-                f"{key}={value}" for key, value in sorted(report.sources.items())
-            )
-            print(f"  incremental-run provenance: {breakdown}")
         for failure in report.failures:
             print(f"  [{failure.kind}] {failure.name}: {failure.detail}")
             print("  minimized spec:" if failure.minimized else "  spec:")
@@ -621,12 +607,6 @@ COMMANDS = (
             _arg("--max-depth", type=int, help="proof-search depth"),
             _arg("--verify-scale", type=int, default=0, help="also verify on this many generated instances (0 = skip)"),
             _arg("--cache-dir", where="local", help="persistent cache directory"),
-            _arg(
-                "--ancestor",
-                where="local",
-                metavar="DIGEST",
-                help="witness digest of the spec this one was edited from (incremental resynthesis; needs --cache-dir)",
-            ),
             _arg("--raw", where="local", action="store_true", help="print the unsimplified definition too"),
             _arg("--timeout", where="remote", type=float, help="per-job seconds"),
             _arg(
@@ -661,12 +641,6 @@ COMMANDS = (
             _arg("--url", help="also submit each spec to this running `repro serve` and compare results"),
             _arg("--artifacts", metavar="DIR", help="write report.json plus one minimized .spec per failure here"),
             _arg("--no-shrink", action="store_true", help="report failures unminimized (faster)"),
-            _arg(
-                "--mutate",
-                action="store_true",
-                help="edit-mode: mutate each spec in one subtree and differentially "
-                "check incremental resynthesis against a cold run",
-            ),
             _arg(
                 "--replay",
                 nargs="+",

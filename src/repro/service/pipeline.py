@@ -11,7 +11,7 @@ stage                     what it does
 ========================  ====================================================
 ``validate``              re-checks the specification, hash-conses ``φ``
 ``cache-lookup``          content-addressed lookup (:mod:`repro.service.cache`)
-``witness-lookup``        stored-proof replay / ancestor seeding (witness tier)
+``witness-lookup``        exact stored-proof replay (witness tier)
 ``proof-search``          focused determinacy proof (Theorem 2's witness)
 ``extraction``            proof → raw NRC definition (Theorems 4/10, App. G)
 ``simplification``        rewrite-engine cleanup of the raw definition
@@ -24,8 +24,7 @@ and records everything in a :class:`PipelineReport`.  A cache hit skips the
 three expensive middle stages; verification (optional — it needs an instance
 family) always runs so a hit is still validated against fresh instances.  On
 a miss the report's ``source`` records how the result was produced —
-``witness`` (stored proof replayed), ``incremental`` (search seeded from an
-ancestor witness) or ``cold``.
+``witness`` (stored proof replayed) or ``cold``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.logic.formulas import formula_size
 from repro.logic.free_vars import free_vars
 from repro.logic.terms import Var
 from repro.logic.typecheck import check_formula
-from repro.nr.types import ProdType
 from repro.nr.values import Value
 from repro.nrc.expr import expr_size
 from repro.obs.metrics import get_registry
@@ -59,8 +57,12 @@ from repro.synthesis.implicit_to_explicit import (
     synthesize,
 )
 from repro.synthesis.verification import VerificationReport, check_explicit_definition
-from repro.witness.incremental import seed_incremental
 from repro.witness.store import witness_digest
+
+#: Never called.  ``perfbench/perf_layers.py`` wraps this name on every traced
+#: benchmark run and fails when it is missing; it goes once that layer table
+#: stops patching the program (ROADMAP item 5(a)).
+seed_incremental = None
 
 #: Stage names in execution order (import these instead of retyping strings).
 STAGE_VALIDATE = "validate"
@@ -76,7 +78,6 @@ STAGE_CACHE_STORE = "cache-store"
 
 #: ``PipelineReport.source`` values: how a cache-missed result was produced.
 SOURCE_WITNESS = "witness"
-SOURCE_INCREMENTAL = "incremental"
 SOURCE_COLD = "cold"
 
 
@@ -138,8 +139,8 @@ class PipelineReport:
     stages: List[StageTiming] = field(default_factory=list)
     result: Optional[SynthesisResult] = None
     verification: Optional[VerificationReport] = None
-    #: How a cache-missed result was produced ("witness" | "incremental" |
-    #: "cold"); ``None`` on cache hits, where no synthesis ran.
+    #: How a cache-missed result was produced ("witness" | "cold");
+    #: ``None`` on cache hits, where no synthesis ran.
     source: Optional[str] = None
 
     @property
@@ -245,17 +246,11 @@ class SynthesisPipeline:
         self,
         problem: ImplicitDefinitionProblem,
         assignments: Optional[Sequence[Mapping[Var, Value]]] = None,
-        ancestor: Optional[str] = None,
     ) -> PipelineReport:
         """Synthesize (or recall) the explicit definition, fully instrumented.
 
         ``assignments`` — optional satisfying-instance family for the batched
         verification stage; omitted, the stage is skipped.
-
-        ``ancestor`` — witness digest of the spec this one was edited from.
-        On a cache miss the proof search is seeded with the unaffected
-        subproofs of the ancestor witness (incremental resynthesis); an
-        unresolvable digest silently degrades to a cold search.
         """
         report = PipelineReport(
             problem_name=problem.name,
@@ -288,47 +283,23 @@ class SynthesisPipeline:
                 report.cache_tier = tier
                 detail["tier"] = tier
 
-        # -------- witness-lookup: replay a stored proof or seed from an
-        # ancestor's.  Only on a miss — a cache hit already has the finished
+        # -------- witness-lookup: replay the stored proof of exactly this
+        # goal.  Only on a miss — a cache hit already has the finished
         # result, so no proof work (and no provenance source) remains.
         replay_proof: Optional[ProofNode] = None
-        search: Optional[ProofSearch] = None
         witnesses = self.cache.witnesses if self.cache is not None else None
-        if result is None and witnesses is not None:
-            with _timed_stage(stages, STAGE_WITNESS_LOOKUP) as detail:
-                goal = problem.determinacy_goal()
-                record = witnesses.get_for_sequent(goal)
-                if record is not None:
-                    # Exact witness: skip proof search entirely and replay
-                    # the stored (re-checked) proof through extraction.
-                    replay_proof = record.proof
-                    report.source = SOURCE_WITNESS
-                    detail["witness"] = record.digest
-                elif ancestor is not None:
-                    # ``check=False`` for the same reason as the component
-                    # lookups inside ``seed_incremental``: edited regions are
-                    # re-checked during translation and the cold-fallback net
-                    # below absorbs anything else.
-                    record = witnesses.get(ancestor, check=False)
-                    if record is not None:
-                        search = self.search_factory()
-                        # Optimistic seeding leans on synthesis-time proof
-                        # validation plus the cold-fallback net below; when
-                        # validation is off, pay the per-node checks instead.
-                        seed = seed_incremental(
-                            witnesses,
-                            search.tables,
-                            record,
-                            problem,
-                            optimistic=self.validate_proof,
-                        )
-                        report.source = SOURCE_INCREMENTAL
-                        detail.update(seed.as_detail())
-                if report.source is None:
-                    report.source = SOURCE_COLD
-                detail["source"] = report.source
-        elif result is None:
+        if result is None:
             report.source = SOURCE_COLD
+            if witnesses is not None:
+                with _timed_stage(stages, STAGE_WITNESS_LOOKUP) as detail:
+                    record = witnesses.get_for_sequent(problem.determinacy_goal())
+                    if record is not None:
+                        # Skip proof search entirely and replay the stored
+                        # (re-checked) proof through extraction.
+                        replay_proof = record.proof
+                        report.source = SOURCE_WITNESS
+                        detail["witness"] = record.digest
+                    detail["source"] = report.source
 
         # -------- formula-compile: node cache or fresh.
         # The compiled specification backs the verification stage (and any
@@ -343,14 +314,14 @@ class SynthesisPipeline:
         if result is None:
             try:
                 result = self._synthesize_staged(
-                    problem, stages, search=search, proof=replay_proof, collect=subresults
+                    problem, stages, proof=replay_proof, collect=subresults
                 )
             except Exception:
-                if replay_proof is None and search is None:
+                if replay_proof is None:
                     raise
                 # The witness tier must never fail a run: a stored proof that
-                # replays badly or a seeded table that misleads the search is
-                # logged, counted, and absorbed by a clean cold rerun.
+                # replays badly is logged, counted, and absorbed by a clean
+                # cold rerun.
                 logging.getLogger("repro.witness").warning(
                     "witness-assisted synthesis of %r failed (source=%s); "
                     "falling back to cold",
@@ -384,12 +355,13 @@ class SynthesisPipeline:
                     }
                 )
 
-        # -------- witness-store: persist the determinacy proof — and the
-        # component proofs of the Appendix G product recursion — so later
-        # edits of this spec can resynthesize incrementally.  Runs on cache
-        # hits too (the proof travels inside the result), backfilling stores
-        # that predate the witness tier; re-storing an existing digest is
-        # skipped, so a replayed witness is never rewritten.
+        # -------- witness-store: persist the determinacy proof, so a later
+        # run of the same goal replays it, and the component proofs of the
+        # Appendix G product recursion, which worker warm-up seeds search
+        # tables from (``workers.warm_tables_from_store``).  Runs on cache hits too (the proof travels inside the
+        # result), backfilling stores that predate the witness tier;
+        # re-storing an existing digest is skipped, so a replayed witness is
+        # never rewritten.
         if witnesses is not None and result.proof is not None:
             # The top-level proof first, then any collected component results
             # (``collect`` also re-delivers the top-level result; the seen-set
@@ -404,13 +376,6 @@ class SynthesisPipeline:
                 for sub in subresults
                 if sub.proof is not None
             ]
-            # Component digests by sub-problem name, so each stored product
-            # witness can point at its own components (the incremental seeder
-            # walks this digest tree instead of recomputing goals).
-            digest_by_name = {
-                problem_.name: witness_digest(proof_.sequent)
-                for proof_, problem_, _ in candidates
-            }
             seen = set()
             to_store = []
             for proof_, problem_, check_ in candidates:
@@ -418,26 +383,12 @@ class SynthesisPipeline:
                 if digest_ in seen or digest_ in witnesses:
                     continue
                 seen.add(digest_)
-                components = ()
-                if isinstance(problem_.output.typ, ProdType):
-                    components = tuple(
-                        digest_by_name.get(
-                            f"{problem_.name}_{problem_.output.name}_{index}", ""
-                        )
-                        for index in (1, 2)
-                    )
-                to_store.append((proof_, problem_, check_, components))
+                to_store.append((proof_, problem_, check_))
             if to_store:
                 with _timed_stage(stages, STAGE_WITNESS_STORE) as detail:
                     records = [
-                        witnesses.put(
-                            proof_,
-                            name=problem_.name,
-                            problem=problem_,
-                            check=check_,
-                            components=components_,
-                        )
-                        for proof_, problem_, check_, components_ in to_store
+                        witnesses.put(proof_, name=problem_.name, problem=problem_, check=check_)
+                        for proof_, problem_, check_ in to_store
                     ]
                     detail.update(
                         {
@@ -466,27 +417,24 @@ class SynthesisPipeline:
         ).inc(tier=report.cache_tier)
         return report
 
-    # ---------------------------------------------------- cold / incremental
+    # ------------------------------------------------------- cold / replay
     def _synthesize_staged(
         self,
         problem: ImplicitDefinitionProblem,
         stages: List[StageTiming],
-        search: Optional[ProofSearch] = None,
         proof: Optional[ProofNode] = None,
         collect: Optional[List[SynthesisResult]] = None,
     ) -> SynthesisResult:
         """Run the synthesis stages for one cache-missed problem.
 
-        ``search`` — a pre-seeded search (incremental resynthesis); default
-        is a fresh one from the factory.  ``proof`` — a replayed witness
-        proof; given, the proof-search stage is skipped entirely and the
-        extraction runs under a ``witness.replay`` span (``synthesize``
-        re-validates the proof against the problem's determinacy goal).
+        ``proof`` — a replayed witness proof; given, the proof-search stage
+        is skipped entirely and the extraction runs under a
+        ``witness.replay`` span (``synthesize`` re-validates the proof
+        against the problem's determinacy goal).
         ``collect`` — accumulates the component results of product outputs
         for the witness-store stage.
         """
-        if search is None:
-            search = self.search_factory()
+        search = self.search_factory()
         replay = proof is not None
 
         if not replay:

@@ -61,7 +61,7 @@ from repro.service.cache import SynthesisCache
 from repro.service.pipeline import PipelineReport, SynthesisPipeline
 from repro.service.registry import EXPECTED_OK, ProblemRegistry, RegistryEntry, default_registry
 from repro.synthesis.implicit_to_explicit import SynthesisResult
-from repro.witness.incremental import warm_tables_from_store
+from repro.witness.store import WitnessStore
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +109,40 @@ class SweepSummary:
 
 
 # ----------------------------------------------------- warm-start transposition
+#: Cap on witnesses replayed into a worker's table at warm-up.
+WARM_LIMIT = 64
+
+
+def warm_tables_from_store(store: WitnessStore, tables: SearchTables) -> int:
+    """Seed ``tables`` from the newest stored witnesses; returns #sequents.
+
+    Every subproof of each of the :data:`WARM_LIMIT` newest witnesses
+    (component witnesses of product outputs included) becomes a success
+    entry, so a search that re-reaches any sequent an earlier worker proved
+    replays it.  Each record is re-checked by :meth:`WitnessStore.get`
+    before use.
+    """
+    successes = tables.successes
+    warmed = 0
+    for summary in store.list()[:WARM_LIMIT]:
+        record = store.get(summary.digest)
+        if record is None:
+            continue
+        stack = [record.proof]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premises)
+            if node.sequent not in successes:
+                successes[node.sequent] = node
+                warmed += 1
+    if warmed:
+        get_registry().counter(
+            "repro_witness_warm_seeded_total",
+            "Sequents seeded into worker transposition tables at warm-up",
+        ).inc(warmed)
+    return warmed
+
+
 #: Per-process snapshot of witness-derived success entries, keyed by witness
 #: store root.  Warmed once per (process, store) from the disk tier, then
 #: copied into every fresh search's tables — so a worker assigned a problem
@@ -223,7 +257,7 @@ def execute_synthesize_request(
     if request.verify_scale and entry.instances is not None:
         assignments = entry.instances(request.verify_scale)
     try:
-        report = pipeline.run(entry.problem(), assignments, ancestor=request.ancestor)
+        report = pipeline.run(entry.problem(), assignments)
     except api.ApiError:
         raise
     except ReproError as exc:

@@ -27,7 +27,6 @@ replacement on the *generating expression*, re-running only the failed check
 from __future__ import annotations
 
 import random
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -53,21 +52,18 @@ from repro.nrc.printer import pretty
 from repro.nrc.typing import infer_type
 from repro.proofs.search import ProofSearch
 from repro.service import api
-from repro.service.cache import SynthesisCache
 from repro.service.pipeline import SynthesisPipeline
 from repro.service.server import RemoteService
 from repro.specs.io_spec import io_specification, is_composition_free
 from repro.specs.lang import parse_expr, parse_problem, pretty_problem
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.verification import check_explicit_definition
-from repro.witness.store import witness_digest
 
 __all__ = [
     "GeneratedSpec",
     "FuzzFailure",
     "FuzzReport",
     "DifferentialChecker",
-    "MutationChecker",
     "generate_spec",
     "build_spec",
     "mutate_spec",
@@ -111,7 +107,7 @@ class GeneratedSpec:
 class FuzzFailure:
     """One (minimized) fuzz finding."""
 
-    kind: str  # "roundtrip" | "prover" | "verify" | "simplify" | "differential" | "remote" | "mutate"
+    kind: str  # "roundtrip" | "prover" | "verify" | "simplify" | "differential" | "remote"
     index: int
     name: str
     detail: str
@@ -129,9 +125,6 @@ class FuzzReport:
     synthesized: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Edit-mode only: provenance of the re-synthesis runs
-    #: (``incremental``/``witness``/``cold`` counts).
-    sources: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -534,10 +527,10 @@ def mutate_spec(
 ) -> Optional[GeneratedSpec]:
     """A one-subtree edit of ``spec``, rebuilt into a fresh problem.
 
-    This mirrors the editing workflow incremental resynthesis targets: the
-    edited spec differs from its ancestor in exactly one subtree, so most of
-    the ancestor's determinacy proof should survive the edit.  Returns
-    ``None`` when no edit keeps at least one free input variable.
+    The edited spec differs from ``spec`` in exactly one subtree (a shrink
+    or an operand swap), like an interactive edit; the ``http_serve``
+    benchmark builds its edit requests with it.  Returns ``None`` when no
+    edit keeps at least one free input variable.
     """
     candidates: List[NRCExpr] = []
     for candidate in _mutation_steps(spec.expr):
@@ -554,102 +547,6 @@ def mutate_spec(
         return None
 
 
-class MutationChecker:
-    """Differential harness for incremental resynthesis over one-subtree edits.
-
-    For each generated spec (the *ancestor*): synthesize it cold into a
-    temporary witness-backed cache, derive a one-subtree edit, then run the
-    edit twice — once cold (no cache) and once incrementally (same cache,
-    ``ancestor=<witness digest>``) — and require byte-identical synthesized
-    expressions and identical verification outcomes.  Falling *back* to a
-    cold search inside the incremental run is acceptable (the digest may
-    simply not help); *diverging* from the cold run is a finding.
-    """
-
-    def __init__(self, max_depth: int = 12, instance_count: int = 3) -> None:
-        self.max_depth = max_depth
-        self.instance_count = instance_count
-        #: Provenance of each incremental run (``incremental``/``witness``/
-        #: ``cold``/``hit`` counts) — surfaced in :attr:`FuzzReport.sources`.
-        self.sources: Dict[str, int] = {}
-
-    def check(self, spec: GeneratedSpec) -> Optional[FuzzFailure]:
-        depth = self.max_depth
-        rng = random.Random(f"mutate:{spec.index}:{pretty(spec.expr, max_width=0)}")
-        edited = mutate_spec(spec, rng, instance_count=self.instance_count)
-        if edited is None:
-            return None
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-mutate-") as tmp:
-            cache = SynthesisCache(disk_dir=tmp)
-            ancestor_pipeline = SynthesisPipeline(
-                cache=cache, search_factory=lambda: ProofSearch(max_depth=depth)
-            )
-            try:
-                ancestor_pipeline.run(spec.problem, spec.instances)
-            except ReproError as exc:
-                return self._failure(
-                    spec, "prover", f"ancestor failed: {type(exc).__name__}: {exc}"
-                )
-            digest = witness_digest(spec.problem.determinacy_goal())
-            cold_pipeline = SynthesisPipeline(
-                search_factory=lambda: ProofSearch(max_depth=depth)
-            )
-            try:
-                cold = cold_pipeline.run(edited.problem, edited.instances)
-            except ReproError as exc:
-                return self._failure(
-                    edited, "prover", f"cold edit failed: {type(exc).__name__}: {exc}"
-                )
-            incremental_pipeline = SynthesisPipeline(
-                cache=cache, search_factory=lambda: ProofSearch(max_depth=depth)
-            )
-            try:
-                incremental = incremental_pipeline.run(
-                    edited.problem, edited.instances, ancestor=digest
-                )
-            except ReproError as exc:
-                return self._failure(
-                    edited,
-                    "mutate",
-                    f"incremental raised where cold succeeded: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-        source = incremental.source or "hit"
-        self.sources[source] = self.sources.get(source, 0) + 1
-        if cold.result is None or incremental.result is None:  # pragma: no cover
-            return self._failure(edited, "mutate", "pipeline returned no result")
-        cold_expression = str(cold.result.expression)
-        incremental_expression = str(incremental.result.expression)
-        if cold_expression != incremental_expression:
-            return self._failure(
-                edited,
-                "mutate",
-                f"cold synthesized {cold_expression!r} but incremental "
-                f"(source={source}) {incremental_expression!r}",
-            )
-        cold_ok = None if cold.verification is None else cold.verification.ok
-        incremental_ok = (
-            None if incremental.verification is None else incremental.verification.ok
-        )
-        if cold_ok != incremental_ok:
-            return self._failure(
-                edited,
-                "mutate",
-                f"verification diverged: cold ok={cold_ok} vs incremental "
-                f"ok={incremental_ok} (source={source})",
-            )
-        return None
-
-    def _failure(self, spec: GeneratedSpec, kind: str, detail: str) -> FuzzFailure:
-        return FuzzFailure(
-            kind=kind,
-            index=spec.index,
-            name=spec.name,
-            detail=detail,
-            spec_text=spec.spec_text(),
-        )
-
-
 # ------------------------------------------------------------------- the loop
 def run_fuzz(
     seed: int = 0,
@@ -658,25 +555,14 @@ def run_fuzz(
     instance_count: int = 3,
     url: Optional[str] = None,
     shrink: bool = True,
-    mutate: bool = False,
     on_event: Optional[Callable[[str, object], None]] = None,
 ) -> FuzzReport:
     """Drive ``count`` generated specs through the differential gauntlet.
 
-    ``mutate=True`` switches to edit-mode (:class:`MutationChecker`): each
-    spec is synthesized as an ancestor, edited in one subtree, and the edit's
-    incremental resynthesis is differentially checked against a cold run.
-
     ``on_event(kind, payload)`` receives ``("progress", index)`` heartbeats
     and ``("failure", FuzzFailure)`` for each (minimized) finding.
     """
-    if mutate and url is not None:
-        raise ValueError("edit-mode fuzzing is local-only; it cannot target a server URL")
-    checker: DifferentialChecker | MutationChecker
-    if mutate:
-        checker = MutationChecker(max_depth=max_depth, instance_count=instance_count)
-    else:
-        checker = DifferentialChecker(max_depth=max_depth, url=url)
+    checker = DifferentialChecker(max_depth=max_depth, url=url)
     report = FuzzReport(seed=seed, count=count)
     started = time.perf_counter()
     for index in range(count):
@@ -693,8 +579,6 @@ def run_fuzz(
                 on_event("failure", failure)
         if on_event is not None and (index + 1) % 25 == 0:
             on_event("progress", index + 1)
-    if isinstance(checker, MutationChecker):
-        report.sources = dict(checker.sources)
     report.elapsed_seconds = time.perf_counter() - started
     return report
 

@@ -207,9 +207,8 @@ def product_subproblems(
 
     The decomposition is deterministic in the problem — component variables
     are named ``<output>_1``/``<output>_2`` and φ is β-normalized after the
-    pair substitution — so the incremental seeder can replay it on an edited
-    spec and pair each component with the stored witness of its ancestor
-    counterpart (:mod:`repro.witness.incremental`).
+    pair substitution — so a component goal, and the address of its stored
+    witness, is the same on every run of the same problem.
     """
     output = problem.output
     typ: ProdType = output.typ  # type: ignore[assignment]

@@ -1,29 +1,21 @@
-"""Proof-witness store and incremental resynthesis (the interactive tier).
+"""Proof-witness store and hand-written witnesses.
 
 The paper's pipeline — implicit Δ0 specification → determinacy proof →
-interpolant → NRC program — recomputes everything from scratch per spec,
-yet the hash-consed IR means an *edited* spec differs from its ancestor in a
-known subtree.  This package persists checked determinacy proofs
-("witnesses") in a content-addressed, crash-safe disk tier beside the
-existing result/program caches and replays them:
+interpolant → NRC program — recomputes everything from scratch per spec.
+This package persists checked determinacy proofs ("witnesses") in a
+content-addressed, crash-safe disk tier beside the existing result/program
+caches, so a goal proved once is replayed instead of searched again:
 
 * :mod:`repro.witness.store`       — the ``witnesses/`` disk tier: SHA-256
   digests over canonical sequent renderings, format-versioned payloads,
   atomic write-then-rename, every corrupt or stale payload a clean cold
   fall-back;
-* :mod:`repro.witness.diff`        — structural spec diffing on the
-  hash-consed IR: localize an edit to its enclosing subtree(s) and decide
-  which sequents of an ancestor proof survive the edit;
-* :mod:`repro.witness.incremental` — seed a :class:`~repro.proofs.search.
-  SearchTables` transposition table from stored witnesses so re-synthesizing
-  a tweaked spec is near-warm instead of cold;
 * :mod:`repro.witness.handwritten` — the hand-written determinacy witnesses
   for the ``hard`` registry entries (Examples 1.1 / 4.1), scripted in a
   small LCF-style tactic engine over the Figure 3 rule constructors and
   re-checked by ``proofs/checker.py``.
 """
 
-from repro.witness.diff import DiffSite, SpecDiff, diff_formulas, sequent_mentions
 from repro.witness.handwritten import (
     HANDWRITTEN,
     Prover,
@@ -32,12 +24,6 @@ from repro.witness.handwritten import (
     install_handwritten,
     replay_handwritten,
     replay_witness,
-)
-from repro.witness.incremental import (
-    IncrementalSeed,
-    seed_incremental,
-    seed_search_tables,
-    warm_tables_from_store,
 )
 from repro.witness.store import (
     WITNESS_SUBDIR,
@@ -56,14 +42,6 @@ __all__ = [
     "install_handwritten",
     "replay_handwritten",
     "replay_witness",
-    "DiffSite",
-    "SpecDiff",
-    "diff_formulas",
-    "sequent_mentions",
-    "IncrementalSeed",
-    "seed_incremental",
-    "seed_search_tables",
-    "warm_tables_from_store",
     "WITNESS_SUBDIR",
     "WitnessRecord",
     "WitnessStore",

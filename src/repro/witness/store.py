@@ -146,15 +146,8 @@ class WitnessRecord:
     name: str
     proof: ProofNode
     created: float
-    #: The specification the proof belongs to, when known.  Carrying the
-    #: problem lets the incremental driver diff an ancestor spec against an
-    #: edited one without any side channel.
+    #: The specification the proof belongs to, when known.
     problem: Optional[ImplicitDefinitionProblem] = None
-    #: Digests of the component witnesses of a product-typed output (the
-    #: Appendix G recursion), in ``product_subproblems`` order.  Lets the
-    #: incremental driver walk from a top-level witness to its component
-    #: proofs without recomputing any determinacy goal.
-    components: Tuple[str, ...] = ()
 
     @property
     def proof_size(self) -> int:
@@ -169,7 +162,6 @@ def export_witness(
     proof: ProofNode,
     name: str = "",
     problem: Optional[ImplicitDefinitionProblem] = None,
-    components: Tuple[str, ...] = (),
 ) -> dict:
     """A picklable, fingerprinted payload for ``proof``.
 
@@ -184,7 +176,6 @@ def export_witness(
         "created": time.time(),
         "proof": proof,
         "problem": problem,
-        "components": tuple(components),
     }
 
 
@@ -233,9 +224,9 @@ class WitnessStore:
         self.stats = WitnessStoreStats()
         self._dirty = False
         # digest -> (record, fully_checked).  LRU front for the disk tier:
-        # an interactive edit session re-reads the same ancestor witnesses
-        # many times; records that validated once in this process skip the
-        # unpickle on repeat lookups.
+        # records read or written once in this process skip the unpickle on
+        # repeat lookups; ``fully_checked`` is False for a ``put(check=False)``
+        # record until its first read re-checks it.
         self._memory: "OrderedDict[str, Tuple[WitnessRecord, bool]]" = OrderedDict()
 
     # ----------------------------------------------------------------- paths
@@ -258,7 +249,6 @@ class WitnessStore:
         name: str = "",
         problem: Optional[ImplicitDefinitionProblem] = None,
         check: bool = True,
-        components: Tuple[str, ...] = (),
     ) -> WitnessRecord:
         """Persist ``proof``; returns the stored record.
 
@@ -268,7 +258,7 @@ class WitnessStore:
         """
         if check:
             check_proof(proof)
-        payload = export_witness(proof, name=name, problem=problem, components=components)
+        payload = export_witness(proof, name=name, problem=problem)
         return self._store_payload(payload, checked=check)
 
     def import_payload(self, blob: bytes) -> Optional[WitnessRecord]:
@@ -287,12 +277,7 @@ class WitnessStore:
             raise ProofError("witness payload failed validation (see log for the reason)")
         check_proof(record.proof)
         self._store_payload(
-            export_witness(
-                record.proof,
-                name=record.name,
-                problem=record.problem,
-                components=record.components,
-            ),
+            export_witness(record.proof, name=record.name, problem=record.problem),
             checked=True,
         )
         return record
@@ -328,7 +313,6 @@ class WitnessStore:
             proof=payload["proof"],
             created=payload["created"],
             problem=payload["problem"],
-            components=tuple(payload.get("components", ())),
         )
         self._remember(record, checked=checked)
         return record
@@ -343,17 +327,18 @@ class WitnessStore:
             memory.popitem(last=False)
 
     # ------------------------------------------------------------------ read
-    def get(self, digest: str, check: bool = True) -> Optional[WitnessRecord]:
+    def get(self, digest: str) -> Optional[WitnessRecord]:
         """The stored witness for ``digest``, or ``None`` as a cold fall-back.
 
-        Every failure mode is a *miss* — logged, counted under
+        Every read hands back a proof that passed the checker in this
+        process.  Every failure mode is a *miss* — logged, counted under
         ``repro_witness_misses_total{reason=...}``, and (for corrupt
         payloads) evicted so the next store rebuilds the slot cleanly.
         """
         cached = self._memory.get(digest)
         if cached is not None:
             record, fully_checked = cached
-            if check and not fully_checked:
+            if not fully_checked:
                 try:
                     check_proof(record.proof)
                 except ProofError as exc:
@@ -379,22 +364,21 @@ class WitnessStore:
         record = self._validate_payload(payload, digest=digest, source="disk")
         if record is None:
             return None
-        if check:
-            try:
-                check_proof(record.proof)
-            except ProofError as exc:
-                self._corrupt(digest, "invalid-proof", f"stored proof no longer checks: {exc}")
-                return None
-        self._remember(record, checked=check)
+        try:
+            check_proof(record.proof)
+        except ProofError as exc:
+            self._corrupt(digest, "invalid-proof", f"stored proof no longer checks: {exc}")
+            return None
+        self._remember(record, checked=True)
         self.stats.hits += 1
         get_registry().counter(
             "repro_witness_hits_total", "Witness-store lookups served from disk"
         ).inc()
         return record
 
-    def get_for_sequent(self, sequent: Sequent, check: bool = True) -> Optional[WitnessRecord]:
+    def get_for_sequent(self, sequent: Sequent) -> Optional[WitnessRecord]:
         """The stored witness proving exactly ``sequent``, if any."""
-        return self.get(witness_digest(sequent), check=check)
+        return self.get(witness_digest(sequent))
 
     def _validate_payload(
         self, payload: object, digest: Optional[str], source: str
@@ -418,12 +402,6 @@ class WitnessStore:
             if str(proof.sequent) != sequent_text:
                 self._corrupt(digest, "digest", f"{source}: proof sequent skews from address")
                 return None
-            components = payload.get("components", ())
-            if not (
-                isinstance(components, tuple)
-                and all(isinstance(item, str) for item in components)
-            ):
-                components = ()
             name, created, problem = payload.get("name", ""), payload.get("created", 0.0), payload.get("problem")
             if not (
                 isinstance(name, str)
@@ -438,7 +416,6 @@ class WitnessStore:
                 proof=proof,
                 created=created,
                 problem=problem,
-                components=components,
             )
         except KeyError as exc:
             self._corrupt(digest, "truncated", f"{source}: payload missing field {exc}")

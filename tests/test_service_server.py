@@ -548,6 +548,39 @@ def test_spec_text_submission_over_http(server):
     assert by_text["result"]["expression"] == by_name["result"]["expression"]
 
 
+def test_edits_naming_an_ancestor_are_answered_cold_over_http(server, tmp_path):
+    """``ancestor`` is accepted and ignored: an edit that names a stored
+    spec's witness, or a digest nothing stored, answers cold with the query a
+    request without ``ancestor`` gets."""
+    import random
+
+    from repro.nr.types import UR, SetType
+    from repro.nrc.expr import NDiff, NUnion, NVar
+    from repro.specs.fuzz import build_spec
+    from repro.witness.store import witness_digest
+
+    set_ur = SetType(UR)
+    i1, i2, i3 = (NVar(name, set_ur) for name in ("I1", "I2", "I3"))
+    stored = build_spec(NUnion(NDiff(i1, i2), i3), "http_anc", random.Random(0))
+    stored_digest = witness_digest(stored.problem.determinacy_goal())
+    edits = [
+        (build_spec(NUnion(NDiff(i1, i3), i3), "http_edit", random.Random(1)), stored_digest),
+        (build_spec(NUnion(NDiff(i2, i3), i1), "http_edit_2", random.Random(2)), "0" * 64),
+    ]
+    service = SynthesisService(cache_dir=str(tmp_path))
+    with BackgroundServer(service) as handle:
+        status, first = http_post(handle.url + "/v1/synthesize?wait=1", {"spec_text": stored.spec_text()})
+        assert status == 200 and first["result"]["source"] == "cold"
+        assert stored_digest in service.cache.witnesses
+        for edit, ancestor in edits:
+            body = {"spec_text": edit.spec_text()}
+            status, named = http_post(handle.url + "/v1/synthesize?wait=1", {**body, "ancestor": ancestor})
+            assert status == 200 and named["state"] == "done", named
+            assert named["result"]["source"] == "cold", ancestor
+            _, plain = http_post(server.url + "/v1/synthesize?wait=1", body)
+            assert named["result"]["expression"] == plain["result"]["expression"], ancestor
+
+
 def test_spec_text_parse_error_over_http(server):
     code, body = http_error(
         http_post, server.url + "/v1/synthesize", {"spec_text": "problem broken {"}

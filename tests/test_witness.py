@@ -1,4 +1,4 @@
-"""Witness store: crash consistency, incremental resynthesis, hand-written proofs."""
+"""Witness store: crash consistency, exact-witness replay, worker warm-up, hand-written proofs."""
 
 import logging
 import pickle
@@ -17,10 +17,13 @@ from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
+from repro.service import api
 from repro.service.cache import SynthesisCache
 from repro.service.pipeline import SynthesisPipeline
-from repro.specs.fuzz import MutationChecker, build_spec, mutate_spec, run_fuzz
-from repro.witness.diff import diff_formulas
+from repro.service.registry import default_registry
+from repro.service.workers import execute_synthesize_request, warm_tables_from_store
+from repro.specs.fuzz import build_spec, mutate_spec
+from repro.synthesis.implicit_to_explicit import product_subproblems
 from repro.witness.handwritten import (
     HANDWRITTEN,
     HANDWRITTEN_PROBLEMS,
@@ -29,10 +32,6 @@ from repro.witness.handwritten import (
     handwritten_proof,
     install_handwritten,
     replay_handwritten,
-)
-from repro.witness.incremental import (
-    seed_search_tables,
-    warm_tables_from_store,
 )
 from repro.witness.store import (
     WitnessStore,
@@ -212,52 +211,58 @@ def test_maintain_bounds_the_tier(tmp_path):
     assert store.maintain() == 0  # not dirty: no rescan, nothing more to evict
 
 
-# ------------------------------------------------------- incremental reseeding
-def test_seed_search_tables_warm_mode(tmp_path, union_spec, union_proof):
-    store = WitnessStore(tmp_path)
-    record = store.put(union_proof, name="warm", problem=union_spec.problem)
-    tables = SearchTables()
-    seed = seed_search_tables(tables, record)
-    assert seed.seeded > 0 and seed.diff_sites == 0
-    assert tables.successes[record.sequent] is record.proof
-
-
+# ------------------------------------------------------------ worker warm-up
 def test_warm_tables_from_store(tmp_path, union_spec, union_proof):
     store = WitnessStore(tmp_path)
-    store.put(union_proof, name="fleet", problem=union_spec.problem)
+    record = store.put(union_proof, name="fleet", problem=union_spec.problem)
     tables = SearchTables()
     warmed = warm_tables_from_store(store, tables)
-    assert warmed > 0
-    assert union_spec.problem.determinacy_goal() in tables.successes
+    # Every subproof of the stored witness is seeded, the root as the very
+    # proof object the store holds.
+    assert warmed == len({node.sequent for node in _subproofs(record.proof)}) > 1
+    assert tables.successes[union_spec.problem.determinacy_goal()] is record.proof
 
 
-def test_diff_localizes_the_edit(union_spec):
-    edited = _spec(NUnion(NDiff(I1, I3), I3), name="wit_union", seed=1)
-    diff = diff_formulas(union_spec.problem.phi, edited.problem.phi)
-    assert not diff.identical and diff.sites
-    identity = diff_formulas(union_spec.problem.phi, union_spec.problem.phi)
-    assert identity.identical
+def _subproofs(proof):
+    yield proof
+    for premise in proof.premises:
+        yield from _subproofs(premise)
 
 
-def test_incremental_pipeline_matches_cold_byte_for_byte(tmp_path, union_spec):
+def test_product_outputs_store_and_warm_their_component_witnesses(tmp_path):
+    """A cold product run stores one witness per Appendix G component as well
+    as the top-level one, and warm-up seeds each component goal from them."""
+    problem = default_registry().get("pair_tower_2").problem()
+    components = product_subproblems(problem)
+    cache = SynthesisCache(disk_dir=tmp_path)
+    report = SynthesisPipeline(cache=cache).run(problem)
+    assert report.source == "cold"
+    assert report.stage("witness-store").detail["stored"] == 1 + len(components)
+    for sub in (problem, *components):
+        assert witness_digest(sub.determinacy_goal()) in cache.witnesses, sub.name
+    tables = SearchTables()
+    assert warm_tables_from_store(WitnessStore(tmp_path / "witnesses"), tables) > 0
+    for sub in components:
+        assert sub.determinacy_goal() in tables.successes, sub.name
+
+
+# --------------------------------------------------------- exact-witness replay
+def _request(spec, **fields):
+    return api.SynthesizeRequest(spec_text=spec.spec_text(), **fields)
+
+
+def test_edit_naming_its_ancestor_is_answered_cold_and_byte_identical(tmp_path, union_spec):
     edited = _spec(NUnion(NDiff(I1, I3), I3), name="wit_edited", seed=1)
     cache = SynthesisCache(disk_dir=tmp_path)
-    factory = lambda: ProofSearch(max_depth=12)  # noqa: E731
-    ancestor_report = SynthesisPipeline(cache=cache, search_factory=factory).run(
-        union_spec.problem, union_spec.instances
-    )
+    _, _, ancestor_report = execute_synthesize_request(_request(union_spec), cache=cache)
     assert ancestor_report.source == "cold"
     digest = witness_digest(union_spec.problem.determinacy_goal())
     assert digest in cache.witnesses
-    incremental = SynthesisPipeline(cache=cache, search_factory=factory).run(
-        edited.problem, edited.instances, ancestor=digest
-    )
-    assert incremental.source == "incremental"
-    cold = SynthesisPipeline(search_factory=factory).run(edited.problem, edited.instances)
-    assert str(incremental.result.expression) == str(cold.result.expression)
-    assert incremental.verification is not None and incremental.verification.ok
-    stage_names = [stage.name for stage in incremental.stages]
-    assert "witness-lookup" in stage_names
+    response, _, edit = execute_synthesize_request(_request(edited, ancestor=digest), cache=cache)
+    assert edit.source == response.source == "cold"
+    assert edit.stage("witness-lookup").detail["source"] == "cold"
+    cold = SynthesisPipeline().run(edited.problem, edited.instances)
+    assert response.expression == str(cold.result.expression)
 
 
 def test_exact_witness_replay_after_result_tier_loss(tmp_path, union_spec):
@@ -281,10 +286,7 @@ def test_exact_witness_replay_after_result_tier_loss(tmp_path, union_spec):
 
 def test_unresolvable_ancestor_degrades_to_cold(tmp_path, union_spec):
     cache = SynthesisCache(disk_dir=tmp_path)
-    factory = lambda: ProofSearch(max_depth=12)  # noqa: E731
-    report = SynthesisPipeline(cache=cache, search_factory=factory).run(
-        union_spec.problem, union_spec.instances, ancestor="0" * 64
-    )
+    _, _, report = execute_synthesize_request(_request(union_spec, ancestor="0" * 64), cache=cache)
     assert report.source == "cold"
     assert report.result is not None
 
@@ -367,7 +369,7 @@ def test_handwritten_survives_export_import(tmp_path):
         assert report.conditions_checked >= 8
 
 
-# --------------------------------------------------------- edit-mode fuzzing
+# ------------------------------------------------------------- spec edits
 def test_mutate_spec_is_deterministic(union_spec):
     first = mutate_spec(union_spec, random.Random("m"), instance_count=2)
     second = mutate_spec(union_spec, random.Random("m"), instance_count=2)
@@ -375,22 +377,6 @@ def test_mutate_spec_is_deterministic(union_spec):
     assert first.expr == second.expr and first.expr != union_spec.expr
     assert first.name == "wit_union_edited"
 
-
-def test_mutation_checker_agrees_with_cold(union_spec):
-    checker = MutationChecker(max_depth=12, instance_count=2)
-    assert checker.check(union_spec) is None
-    assert sum(checker.sources.values()) == 1
-
-
-def test_run_fuzz_mutate_mode():
-    report = run_fuzz(seed=7, count=4, mutate=True, shrink=False)
-    assert report.ok and report.checked == 4
-    assert all(count >= 0 for count in report.sources.values())
-
-
-def test_run_fuzz_mutate_rejects_remote():
-    with pytest.raises(ValueError):
-        run_fuzz(seed=0, count=1, mutate=True, url="http://localhost:1")
 
 
 def test_witness_address_distinguishes_input_types(tmp_path):

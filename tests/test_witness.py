@@ -212,15 +212,27 @@ def test_maintain_bounds_the_tier(tmp_path):
 
 
 # ------------------------------------------------------------ worker warm-up
-def test_warm_tables_from_store(tmp_path, union_spec, union_proof):
+def test_seed_search_tables_warm_mode(tmp_path, union_spec, union_proof):
     store = WitnessStore(tmp_path)
-    record = store.put(union_proof, name="fleet", problem=union_spec.problem)
+    record = store.put(union_proof, name="warm", problem=union_spec.problem)
     tables = SearchTables()
     warmed = warm_tables_from_store(store, tables)
     # Every subproof of the stored witness is seeded, the root as the very
     # proof object the store holds.
     assert warmed == len({node.sequent for node in _subproofs(record.proof)}) > 1
-    assert tables.successes[union_spec.problem.determinacy_goal()] is record.proof
+    assert tables.successes[record.sequent] is record.proof
+    # Warming tables that already hold every sequent seeds nothing more.
+    assert warm_tables_from_store(store, tables) == 0
+    assert tables.successes[record.sequent] is record.proof
+
+
+def test_warm_tables_from_store(tmp_path, union_spec, union_proof):
+    store = WitnessStore(tmp_path)
+    store.put(union_proof, name="fleet", problem=union_spec.problem)
+    tables = SearchTables()
+    warmed = warm_tables_from_store(store, tables)
+    assert warmed > 0
+    assert union_spec.problem.determinacy_goal() in tables.successes
 
 
 def _subproofs(proof):

@@ -41,15 +41,35 @@ from repro.nr.types import ProdType, SetType, Type, UnitType, UrType
 def negate(formula: Formula) -> Formula:
     """Negation as a macro: dualize every connective (Section 3).
 
-    Runs as a single bottom-up fold on the core engine (iterative, so deep
-    formulas do not overflow the stack); terms are left untouched.
+    Runs as one iterative bottom-up pass (deep formulas do not overflow the
+    stack) and caches the result on every formula node as ``_neg`` (the
+    caching contract), so ``negate(φ) is negate(φ)``: the copies of ¬φ in a
+    goal sequent, a partition and answer collection are one object sharing
+    its hash, free-variable and rendering caches.  Terms are left untouched
+    and cache nothing, since a term would be its own negation.
     """
-    return core.fold(formula, _negate_combine)
+    cached = formula.__dict__.get("_neg")
+    if cached is not None:
+        return cached
+    setattr_ = object.__setattr__
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if "_neg" in node.__dict__:
+            stack.pop()
+            continue
+        children = node.children()
+        pending = [c for c in children if not isinstance(c, Term) and "_neg" not in c.__dict__]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        negated = tuple(c if isinstance(c, Term) else c.__dict__["_neg"] for c in children)
+        setattr_(node, "_neg", _negate_combine(node, negated))
+    return formula.__dict__["_neg"]
 
 
 def _negate_combine(node: core.Node, negated: tuple) -> core.Node:
-    if isinstance(node, Term):
-        return node
     if isinstance(node, EqUr):
         return NeqUr(node.left, node.right)
     if isinstance(node, NeqUr):

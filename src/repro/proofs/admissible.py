@@ -9,7 +9,9 @@ implemented here are the ones the synthesis pipeline needs:
 * :func:`and_inversion`           — Lemma 13 (invertibility of ∧): from a
   proof of ``Θ ⊢ φ1 ∧ φ2, Δ`` obtain a proof of ``Θ ⊢ φi, Δ``.
 * :func:`forall_inversion`        — Lemma 14 (invertibility of ∀): from a
-  proof of ``Θ ⊢ ∀x∈t.φ, Δ`` obtain a proof of ``Θ, z∈t ⊢ φ[z/x], Δ``.
+  proof of ``Θ ⊢ ∀x∈t.φ, Δ`` obtain a proof of ``Θ, z∈t ⊢ φ[z/x], Δ``;
+  :func:`forall_eigenvariable` names the ``z`` at which this is a linear
+  walk (the proof's own eigenvariable, so no subproof is renamed).
 * :func:`substitute_proof`        — Lemma 16 (substitution of terms for free
   variables throughout a proof).
 * :func:`exists_conjunct_projection`  — the "project a conjunct under an
@@ -24,7 +26,7 @@ present, so the inversions only ever traverse invertible rules and ``weaken``
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ProofError
 from repro.logic.formulas import And, Exists, Forall, Formula, Member
@@ -32,7 +34,7 @@ from repro.logic.free_vars import substitute, substitute_many, substitute_term
 from repro.logic.terms import Term, Var
 from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
-from repro.proofs.sequents import Sequent
+from repro.proofs.sequents import Sequent, sequent_free_vars
 
 
 # --------------------------------------------------------------------- weaken
@@ -72,6 +74,40 @@ def forall_inversion(proof: ProofNode, target: Forall, fresh: Var) -> ProofNode:
     return _replace_formula_walk(
         proof, target, replacement, _ForallInversionHandlers(fresh), extra_theta=(new_atom,)
     )
+
+
+def forall_eigenvariable(proof: ProofNode, target: Forall) -> Optional[Var]:
+    """The eigenvariable at which :func:`forall_inversion` needs no renaming.
+
+    That is the ``fresh`` variable of the first ``forall`` node decomposing
+    ``target``, in the order :func:`forall_inversion` reaches it, provided no
+    sequent the inversion rebuilds mentions it and no rule there introduces
+    it.  Inverting at it returns that node's premise as it stands instead of
+    renaming the eigenvariable throughout the subproof.  ``None`` when no
+    such node exists or its variable is taken above it.
+    """
+    found: Optional[Var] = None
+    taken = set()
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        sequent = node.sequent
+        if target not in sequent.delta:
+            continue
+        taken |= sequent_free_vars(sequent)
+        if node.rule == "forall" and node.meta.get("principal") == target:
+            if found is None:
+                found = node.meta["fresh"]
+            continue
+        fresh = node.meta.get("fresh")
+        if isinstance(fresh, Var):
+            taken.add(fresh)
+        elif isinstance(fresh, tuple):
+            taken.update(fresh)
+        stack.extend(reversed(node.premises))
+    if found is None or found in taken:
+        return None
+    return found
 
 
 class _ForallInversionHandlers:

@@ -229,6 +229,8 @@ class SearchStats:
     failure_hits: int = 0
     #: Stable states cut because their goal distance exceeded the budget.
     distance_cuts: int = 0
+    #: Goals searched (calls of ``prove``/``prove_or_none``).
+    searches: int = 0
 
 
 class ProofSearch:
@@ -280,6 +282,7 @@ class ProofSearch:
         return proof
 
     def prove_or_none(self, sequent: Sequent) -> Optional[ProofNode]:
+        self.stats.searches += 1
         if self.depth_schedule is not None:
             budgets = [b for b in self.depth_schedule if b <= self.max_depth] or [self.max_depth]
         else:

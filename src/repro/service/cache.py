@@ -143,6 +143,11 @@ class DiskEntry:
         return self.to_api().to_json_dict()
 
 
+#: Per process: the ``time.monotonic()`` of the last stale-``*.tmp`` sweep
+#: of each cache directory (absolute path), see ``STALE_TMP_SECONDS``.
+_LAST_TMP_SWEEP: Dict[str, float] = {}
+
+
 class SynthesisCache:
     """Two-tier content-addressed store of :class:`SynthesisResult` objects.
 
@@ -336,10 +341,19 @@ class SynthesisCache:
 
     # ------------------------------------------------------------- disk tier
     #: A worker SIGTERMed mid-write (the sweep's per-job timeout) can leave a
-    #: ``*.tmp`` file behind; anything older than this is safe to reap.
+    #: ``*.tmp`` file behind; anything older than this is safe to reap.  A
+    #: process sweeps each directory at most once per this interval: a pool
+    #: worker opens a cache per request, and listing both tiers on every open
+    #: made a job's cost grow with the size of the directory.
     STALE_TMP_SECONDS = 600.0
 
     def _sweep_stale_tmp_files(self) -> None:
+        key = os.path.abspath(self.disk_dir)
+        now = time.monotonic()
+        last = _LAST_TMP_SWEEP.get(key)
+        if last is not None and now - last < self.STALE_TMP_SECONDS:
+            return
+        _LAST_TMP_SWEEP[key] = now
         cutoff = time.time() - self.STALE_TMP_SECONDS
         for tmp in (
             list(self.disk_dir.glob("*.tmp"))

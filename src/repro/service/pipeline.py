@@ -471,6 +471,7 @@ class SynthesisPipeline:
         )
         with replay_span:
             with _timed_stage(stages, STAGE_EXTRACTION) as detail:
+                searches_before = search.stats.searches
                 raw_result = synthesize(
                     problem,
                     proof=proof,
@@ -481,6 +482,9 @@ class SynthesisPipeline:
                 )
                 raw = raw_result.expression
                 detail["raw_size"] = expr_size(raw)
+                # Appendix G product outputs search each component's proof
+                # again inside extraction (DESIGN.md §5.1).
+                detail["component_searches"] = search.stats.searches - searches_before
                 if replay:
                     detail["replayed_witness"] = True
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.core.node import dataclass_state
 from repro.errors import SpecificationError
 from repro.logic.formulas import Formula
 from repro.logic.free_vars import free_vars, substitute_many
@@ -50,31 +51,46 @@ class ImplicitDefinitionProblem:
         if self.output in self.inputs:
             raise SpecificationError("the output variable cannot also be an input")
 
+    # The primed copy and the determinacy sequent are built once per instance
+    # and kept in the instance ``__dict__`` as ``_determinacy_memo``.  The memo
+    # is derived from the five fields alone, so it stays out of equality and
+    # hashing (dataclass-generated from the fields) and out of pickles: a
+    # problem crossing a worker pipe or a disk tier carries its fields only
+    # and rebuilds the memo on first use.
+    __getstate__ = dataclass_state
+
+    def _determinacy(self) -> Tuple[Tuple[Formula, Var, Tuple[Var, ...]], Formula, Sequent]:
+        memo = self.__dict__.get("_determinacy_memo")
+        if memo is None:
+            mapping: Dict[Var, Var] = {}
+            primed_output = Var(self.output.name + "_p", self.output.typ)
+            mapping[self.output] = primed_output
+            primed_aux: List[Var] = []
+            for aux in self.auxiliaries:
+                fresh = Var(aux.name + "_p", aux.typ)
+                mapping[aux] = fresh
+                primed_aux.append(fresh)
+            primed_phi = substitute_many(self.phi, mapping)
+            goal = equivalent(self.output, primed_output)
+            sequent = Sequent.of((), [negate(self.phi), negate(primed_phi), goal])
+            memo = ((primed_phi, primed_output, tuple(primed_aux)), goal, sequent)
+            object.__setattr__(self, "_determinacy_memo", memo)
+        return memo
+
     # ------------------------------------------------------------- renaming
     def primed(self) -> Tuple[Formula, Var, Tuple[Var, ...]]:
         """A copy ``φ(ī, ā', o')`` sharing the inputs but with fresh output/auxiliaries."""
-        mapping: Dict[Var, Var] = {}
-        primed_output = Var(self.output.name + "_p", self.output.typ)
-        mapping[self.output] = primed_output
-        primed_aux: List[Var] = []
-        for aux in self.auxiliaries:
-            fresh = Var(aux.name + "_p", aux.typ)
-            mapping[aux] = fresh
-            primed_aux.append(fresh)
-        primed_phi = substitute_many(self.phi, mapping)
-        return primed_phi, primed_output, tuple(primed_aux)
+        return self._determinacy()[0]
 
     # ------------------------------------------------------------ sequents
     def determinacy_goal(self) -> Sequent:
         """The one-sided sequent ``⊢ ¬φ, ¬φ', o ≡ o'`` witnessing implicit definability."""
-        primed_phi, primed_output, _ = self.primed()
-        goal = equivalent(self.output, primed_output)
-        return Sequent.of((), [negate(self.phi), negate(primed_phi), goal])
+        return self._determinacy()[2]
 
     def determinacy_hypotheses(self) -> Tuple[Formula, Formula, Formula]:
         """``(φ, φ', o ≡ o')`` — the two hypotheses and the conclusion."""
-        primed_phi, primed_output, _ = self.primed()
-        return self.phi, primed_phi, equivalent(self.output, primed_output)
+        (primed_phi, _, _), goal, _ = self._determinacy()
+        return self.phi, primed_phi, goal
 
     # ------------------------------------------------------------ semantics
     def holds_on(self, assignment: Mapping[Var, Value]) -> bool:

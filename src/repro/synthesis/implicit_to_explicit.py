@@ -39,7 +39,7 @@ from repro.nr.types import ProdType, SetType, UnitType, UrType
 from repro.nrc.expr import NGet, NPair, NRCExpr, NUnit, NVar
 from repro.nrc.macros import atoms_expr, comprehension
 from repro.nrc.simplify import simplify
-from repro.proofs.admissible import and_inversion, forall_inversion
+from repro.proofs.admissible import and_inversion, forall_eigenvariable, forall_inversion
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode, proof_size
 from repro.proofs.search import ProofSearch
@@ -167,11 +167,17 @@ def _synthesize_set(problem: ImplicitDefinitionProblem, proof: ProofNode) -> Tup
 
     # Lemma 13 (∧ inversion): a proof of  ⊢ ¬φ, ¬φ', o ⊆ o'.
     subset_proof = and_inversion(proof, goal, 1)
-    # Lemma 14 (∀ inversion): a proof of  r ∈ o ; φ, φ' ⊢ r ∈̂ o'.
+    # Lemma 14 (∀ inversion): a proof of  r ∈ o ; φ, φ' ⊢ r ∈̂ o'.  It is
+    # inverted at the proof's own eigenvariable when that one is free for the
+    # whole inversion, so the ∀ node's premise is reused as it stands; the
+    # element is named ``r_elem`` in the query either way.
     avoid = {problem.output, primed_output, *problem.inputs, *problem.auxiliaries}
     member = fresh_var("r_elem", subset.var.typ, avoid)
-    member_proof = forall_inversion(subset_proof, subset, member)
-    target = substitute(subset.body, subset.var, member)
+    element = forall_eigenvariable(subset_proof, subset)
+    if element is None or element in avoid:
+        element = member
+    member_proof = forall_inversion(subset_proof, subset, element)
+    target = substitute(subset.body, subset.var, element)
     if not isinstance(target, Exists):
         raise SynthesisError(f"expected an existential membership target, got {target}")
 
@@ -179,7 +185,7 @@ def _synthesize_set(problem: ImplicitDefinitionProblem, proof: ProofNode) -> Tup
     superset = collect_answers(
         member_proof,
         target,
-        member,
+        element,
         problem.inputs,
         left_formulas=(negate(phi),),
         right_formulas=(negate(primed_phi),),
@@ -190,9 +196,9 @@ def _synthesize_set(problem: ImplicitDefinitionProblem, proof: ProofNode) -> Tup
         member_proof.sequent,
         left_delta=[negate(phi)],
         right_delta=[negate(primed_phi), target],
-        left_theta=[Member(member, problem.output)],
+        left_theta=[Member(element, problem.output)],
     )
-    kappa = interpolate(member_proof, partition)
+    kappa = substitute(interpolate(member_proof, partition), element, member)
 
     candidate = NVar(member.name, member.typ)
     filtered = comprehension(superset, candidate, kappa)

@@ -13,8 +13,9 @@ from repro.logic.terms import Var
 from repro.nr.types import UR, prod, set_of
 from repro.nr.values import pair, ur, vset
 from repro.nrc.expr import NBigUnion, NProj, NSingleton, NUnion, NVar
-from repro.proofs.admissible import and_inversion, forall_inversion, weaken_proof
+from repro.proofs.admissible import and_inversion, forall_eigenvariable, forall_inversion, weaken_proof
 from repro.proofs.checker import check_proof
+from repro.proofs.prooftree import iter_nodes
 from repro.proofs.search import ProofSearch, prove_entailment
 from repro.specs import examples
 from repro.specs.io_spec import io_specification, is_composition_free
@@ -79,6 +80,27 @@ def test_and_forall_inversion_produce_checkable_proofs():
     member_form = forall_inversion(inverted, goal.left, fresh)
     check_proof(member_form)
     assert Member(fresh, a) in member_form.sequent.theta
+
+
+def test_forall_inversion_at_the_proofs_eigenvariable_reuses_its_premise():
+    a = Var("A", set_of(UR))
+    b = Var("B", set_of(UR))
+    goal = equivalent(a, b)
+    inverted = and_inversion(prove_entailment([equivalent(a, b)], goal), goal, 1)
+    decomposing = [
+        node for node in iter_nodes(inverted)
+        if node.rule == "forall" and node.meta["principal"] == goal.left
+    ]
+    eigen = forall_eigenvariable(inverted, goal.left)
+    assert eigen == decomposing[0].meta["fresh"]
+    member_form = forall_inversion(inverted, goal.left, eigen)
+    check_proof(member_form)
+    assert Member(eigen, a) in member_form.sequent.theta
+    assert any(node is decomposing[0].premises[0] for node in iter_nodes(member_form))
+    # A variable free above the ∀ node cannot be reused: the caller renames.
+    taken = weaken_proof(inverted, extra_delta=(EqUr(eigen, eigen),))
+    assert forall_eigenvariable(taken, goal.left) is None
+    assert forall_eigenvariable(inverted, goal.right) is None
 
 
 def test_weaken_proof_helper():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.node import walk
 from repro.errors import TypeMismatchError
 from repro.logic.formulas import And, EqUr, Exists, Forall, NeqUr, Or, Top
 from repro.logic.free_vars import (
@@ -26,10 +27,11 @@ from repro.logic.macros import (
     subset_of,
 )
 from repro.logic.semantics import eval_formula
-from repro.logic.terms import PairTerm, Var, proj1
+from repro.logic.terms import PairTerm, Term, Var, proj1
 from repro.logic.typecheck import check_formula
 from repro.nr.types import UNIT, UR, prod, set_of
 from repro.nr.values import ur, vset
+from repro.service.registry import default_registry
 
 
 def test_negate_is_involutive_and_dualizes():
@@ -191,3 +193,13 @@ def test_replace_term_congruence_style():
     s = Var("s", set_of(UR))
     psi = Exists(x, s, EqUr(x, x))
     assert replace_term(psi, x, y) == psi
+
+
+@pytest.mark.parametrize("name", default_registry().names())
+def test_negation_is_cached_on_the_node_and_involutive(name):
+    phi = default_registry().problem(name).phi
+    negated = negate(phi)
+    assert negate(phi) is negated
+    assert negate(negated) == phi
+    # Terms are their own negation and cache nothing (no self-reference).
+    assert not any("_neg" in node.__dict__ for node in walk(phi) if isinstance(node, Term))

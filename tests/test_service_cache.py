@@ -176,6 +176,34 @@ def test_stale_tmp_files_are_reaped_on_open(tmp_path):
     assert fresh.exists()
 
 
+def test_reopening_within_the_stale_window_does_not_list_the_tiers(tmp_path, monkeypatch):
+    """A pool worker opens a cache per request; only the first open of a
+    directory per ``STALE_TMP_SECONDS`` lists the tiers for stale files."""
+    import os
+    from pathlib import Path
+
+    from repro.service import cache as cache_module
+
+    SynthesisCache(disk_dir=tmp_path)
+    listed = []
+    real_glob = Path.glob
+
+    def recording_glob(self, pattern):
+        listed.append(pattern)
+        return real_glob(self, pattern)
+
+    monkeypatch.setattr(Path, "glob", recording_glob)
+    SynthesisCache(disk_dir=tmp_path)
+    SynthesisCache(disk_dir=str(tmp_path))
+    assert listed == []
+
+    # Once the window has passed, the next open sweeps again.
+    key = os.path.abspath(tmp_path)
+    cache_module._LAST_TMP_SWEEP[key] -= SynthesisCache.STALE_TMP_SECONDS + 1
+    SynthesisCache(disk_dir=tmp_path)
+    assert sorted(listed) == sorted(["*.tmp", f"{cache_module.WITNESS_SUBDIR}/*.tmp"])
+
+
 def test_corrupt_disk_entry_reads_as_miss(tmp_path):
     problem = examples.union_view()
     cache = SynthesisCache(disk_dir=tmp_path)

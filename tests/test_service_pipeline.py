@@ -113,3 +113,15 @@ def test_pipeline_reports_same_digest_for_equal_specs():
     second = pipeline.run(examples.pair_tower(2))
     assert first.digest == second.digest
     assert second.cache_hit  # structurally identical specification
+
+
+@pytest.mark.parametrize(
+    "problem, searches",
+    [(examples.union_view(), 0), (examples.pair_of_views(), 2), (examples.pair_tower(3), 4)],
+    ids=["union_view", "pair_of_views", "pair_tower_3"],
+)
+def test_extraction_counts_the_component_searches_of_product_outputs(problem, searches):
+    """Appendix G searches each product component again inside extraction;
+    the extraction stage says how many searches that took."""
+    report = _pipeline().run(problem)
+    assert report.stage(STAGE_EXTRACTION).detail["component_searches"] == searches

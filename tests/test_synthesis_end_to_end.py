@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.logic.formulas import Exists, Forall, conj
-from repro.logic.macros import equivalent, iff, member_hat
+from repro.logic.macros import equivalent, iff, member_hat, negate
 from repro.logic.semantics import eval_formula
 from repro.logic.terms import Var
 from repro.nr.types import UR, set_of
@@ -262,3 +262,48 @@ def test_parameter_collection_prod_eta_leaves_shadowed_occurrences_alone(monkeyp
     expr, _ = parameter_collection(node, Partition(), goal)
     projected = NProj(1, NVar("p", p.typ))
     assert expr == NUnion(NSingleton(projected), NBigUnion(NSingleton(nx), nx, S))
+
+
+def _set_and_product_entries():
+    from repro.nr.types import ProdType, SetType
+    from repro.service.registry import default_registry
+
+    return [
+        entry.name
+        for entry in default_registry().sweepable()
+        if isinstance(entry.problem().output.typ, (SetType, ProdType))
+    ]
+
+
+@pytest.mark.parametrize("name", _set_and_product_entries())
+def test_set_extraction_inverts_at_the_proofs_eigenvariable(name, monkeypatch):
+    """Lemma 14 reuses the searched proof's ∀ eigenvariable, so no entry
+    renames a subproof on its way to the membership test."""
+    from repro.proofs import admissible
+    from repro.service.registry import default_registry
+
+    def no_renaming(*args, **kwargs):
+        raise AssertionError("substitute_proof called during extraction")
+
+    monkeypatch.setattr(admissible, "substitute_proof", no_renaming)
+    entry = default_registry().get(name)
+    result = synthesize(entry.problem(), search=ProofSearch(max_depth=entry.max_depth))
+    if entry.instances is not None:
+        assert check_explicit_definition(entry.problem(), result.expression, entry.instances(8)).ok
+
+
+def test_determinacy_sequent_is_built_once_per_problem():
+    import pickle
+
+    problem = examples.pair_of_views()
+    assert problem.determinacy_goal() is problem.determinacy_goal()
+    phi, primed_phi, goal = problem.determinacy_hypotheses()
+    assert problem.primed()[0] is primed_phi
+    assert problem.determinacy_goal().delta == frozenset(
+        {negate(phi), negate(primed_phi), goal}
+    )
+    # The memo stays out of pickles, equality and hashing.
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy == problem and hash(copy) == hash(problem)
+    assert set(copy.__dict__) == {"name", "phi", "inputs", "output", "auxiliaries"}
+    assert copy.determinacy_goal() == problem.determinacy_goal()

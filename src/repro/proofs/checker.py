@@ -1,10 +1,19 @@
 """Independent validation of focused proof trees.
 
-``check_proof`` re-validates every node of a proof tree against the rules of
+``check_proof`` validates every node of a proof tree against the rules of
 Figure 3 (plus the structural ``weaken`` rule) using the rule constructors of
 :mod:`repro.proofs.focused`; the constructors recompute the expected premise
 sequents from the conclusion and the recorded rule parameters, so a proof
 cannot pass the checker unless every inference is a genuine rule instance.
+
+Each node it validates gets the process-local validation mark of
+:mod:`repro.proofs.prooftree`, which the rule constructors also set, and the
+walk stops at a marked node: its subtree was validated in this process,
+either when a constructor built it or by an earlier check.  A tree from
+outside the process (an imported or unpickled witness) or one assembled with
+the raw ``ProofNode(...)`` constructor carries no mark and is checked in
+full.  The depth bound still holds across a marked subtree: the subtree's
+recorded height is added to the depth at which the walk meets it.
 
 The checker also takes trees from outside the program (imported witnesses),
 so it checks each node's shape before reading it and walks the tree with an
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 from repro.errors import ProofError, RuleApplicationError
 from repro.proofs import focused
-from repro.proofs.prooftree import ProofNode
+from repro.proofs.prooftree import ProofNode, mark_validated, validated_height
 from repro.proofs.sequents import Sequent
 
 #: The deepest proof tree the checker accepts.  Proofs found by search are
@@ -31,15 +40,21 @@ def check_proof(node: ProofNode) -> None:
     """Validate ``node`` and every node below it; raise :class:`ProofError` on any violation.
 
     Post-order, premises left to right before their conclusion, as a
-    recursive check would visit them.
+    recursive check would visit them; a subtree already validated in this
+    process is not entered (see the module docstring).
     """
     stack = [(node, 1, False)]
     while stack:
         current, depth, premises_checked = stack.pop()
         if premises_checked:
             _check_rule(current)
+            mark_validated(current)
             continue
         _check_shape(current, depth)
+        height = validated_height(current)
+        if height:
+            _check_depth(depth + height - 1)
+            continue
         stack.append((current, depth, True))
         stack.extend((premise, depth + 1, False) for premise in reversed(current.premises))
 
@@ -59,6 +74,10 @@ def _check_shape(node: object, depth: int) -> None:
             f"malformed proof node: rule {type(rule).__name__}, sequent {type(sequent).__name__}, "
             f"premises {type(premises).__name__}, meta {type(meta).__name__}"
         )
+    _check_depth(depth)
+
+
+def _check_depth(depth: int) -> None:
     if depth > MAX_PROOF_DEPTH:
         raise ProofError(f"proof tree is deeper than {MAX_PROOF_DEPTH} levels")
 

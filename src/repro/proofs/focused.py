@@ -6,7 +6,10 @@ Every rule has
   and the rule parameters (used by proof search, working root-first), and
 * a constructor ``make_*`` that assembles a :class:`ProofNode` from premise
   proofs and re-validates the application (raising
-  :class:`~repro.errors.RuleApplicationError` otherwise).
+  :class:`~repro.errors.RuleApplicationError` otherwise).  A node built over
+  premises that carry the validation mark gets the mark too
+  (:func:`repro.proofs.prooftree.mark_validated`), so the checker does not
+  validate the same application a second time.
 
 Implementation notes (documented deviations, see DESIGN.md §5/§6):
 
@@ -42,7 +45,7 @@ from repro.logic.formulas import (
 from repro.logic.free_vars import replace_term, substitute
 from repro.logic.terms import PairTerm, Proj, Term, Var
 from repro.nr.types import ProdType
-from repro.proofs.prooftree import ProofNode
+from repro.proofs.prooftree import ProofNode, mark_validated
 from repro.proofs.sequents import Sequent, all_el, sequent_free_vars
 
 
@@ -53,14 +56,14 @@ def make_eq_axiom(sequent: Sequent, principal: EqUr) -> ProofNode:
         raise RuleApplicationError(f"= axiom: {principal} not in the sequent")
     if not isinstance(principal, EqUr) or principal.left != principal.right:
         raise RuleApplicationError(f"= axiom requires a reflexive equality, got {principal}")
-    return ProofNode("eq", sequent, (), {"principal": principal})
+    return mark_validated(ProofNode("eq", sequent, (), {"principal": principal}))
 
 
 def make_top_axiom(sequent: Sequent) -> ProofNode:
     """The ``⊤`` axiom: the conclusion contains ⊤."""
     if Top() not in sequent.delta:
         raise RuleApplicationError("⊤ axiom: the sequent does not contain ⊤")
-    return ProofNode("top", sequent, (), {"principal": Top()})
+    return mark_validated(ProofNode("top", sequent, (), {"principal": Top()}))
 
 
 # --------------------------------------------------------------------- ≠ rule
@@ -104,7 +107,7 @@ def neq_premises(sequent: Sequent, neq: NeqUr, source: Formula, target: Formula)
 def make_neq(sequent: Sequent, neq: NeqUr, source: Formula, target: Formula, premise: ProofNode) -> ProofNode:
     (expected,) = neq_premises(sequent, neq, source, target)
     _require_premise(expected, premise, "≠")
-    return ProofNode("neq", sequent, (premise,), {"neq": neq, "source": source, "target": target})
+    return mark_validated(ProofNode("neq", sequent, (premise,), {"neq": neq, "source": source, "target": target}))
 
 
 # ------------------------------------------------------------------- ∧ and ∨
@@ -120,7 +123,7 @@ def make_and(sequent: Sequent, principal: And, left: ProofNode, right: ProofNode
     expected_left, expected_right = and_premises(sequent, principal)
     _require_premise(expected_left, left, "∧ (left)")
     _require_premise(expected_right, right, "∧ (right)")
-    return ProofNode("and", sequent, (left, right), {"principal": principal})
+    return mark_validated(ProofNode("and", sequent, (left, right), {"principal": principal}))
 
 
 def or_premises(sequent: Sequent, principal: Or) -> Tuple[Sequent, ...]:
@@ -134,7 +137,7 @@ def or_premises(sequent: Sequent, principal: Or) -> Tuple[Sequent, ...]:
 def make_or(sequent: Sequent, principal: Or, premise: ProofNode) -> ProofNode:
     (expected,) = or_premises(sequent, principal)
     _require_premise(expected, premise, "∨")
-    return ProofNode("or", sequent, (premise,), {"principal": principal})
+    return mark_validated(ProofNode("or", sequent, (premise,), {"principal": principal}))
 
 
 # ------------------------------------------------------------------------- ∀
@@ -154,22 +157,22 @@ def forall_premises(sequent: Sequent, principal: Forall, fresh: Var) -> Tuple[Se
 def make_forall(sequent: Sequent, principal: Forall, fresh: Var, premise: ProofNode) -> ProofNode:
     (expected,) = forall_premises(sequent, principal, fresh)
     _require_premise(expected, premise, "∀")
-    return ProofNode("forall", sequent, (premise,), {"principal": principal, "fresh": fresh})
+    return mark_validated(ProofNode("forall", sequent, (premise,), {"principal": principal, "fresh": fresh}))
 
 
 # ------------------------------------------------------------------------- ∃
 def specialize(formula: Formula, witnesses: Sequence[Term]) -> Formula:
     """Instantiate the leading existential block of ``formula`` with ``witnesses``."""
-    current = formula
-    for witness in witnesses:
-        if not isinstance(current, Exists):
-            raise RuleApplicationError(f"cannot specialize non-existential {current}")
-        current = substitute(current.body, current.var, witness)
-    return current
+    return _specialize_block(formula, witnesses)[1]
 
 
 def specialization_bounds(formula: Formula, witnesses: Sequence[Term]) -> List[Term]:
     """The successive (already substituted) bounds matched by each witness."""
+    return _specialize_block(formula, witnesses)[0]
+
+
+def _specialize_block(formula: Formula, witnesses: Sequence[Term]) -> Tuple[List[Term], Formula]:
+    """One walk down the ∃-block: the bound each witness matches, and the specialized formula."""
     bounds: List[Term] = []
     current = formula
     for witness in witnesses:
@@ -177,16 +180,7 @@ def specialization_bounds(formula: Formula, witnesses: Sequence[Term]) -> List[T
             raise RuleApplicationError(f"cannot specialize non-existential {current}")
         bounds.append(current.bound)
         current = substitute(current.body, current.var, witness)
-    return bounds
-
-
-def is_maximal_specialization(formula: Formula, witnesses: Sequence[Term], theta: Iterable[Member]) -> bool:
-    """Check maximality: after the block is instantiated, no ∈-atom applies further."""
-    theta = list(theta)
-    result = specialize(formula, witnesses)
-    if not isinstance(result, Exists):
-        return True
-    return not any(atom.collection == result.bound for atom in theta)
+    return bounds, current
 
 
 def enumerate_max_specializations(
@@ -238,6 +232,19 @@ def enumerate_max_specializations_with_bounds(
 def exists_premises(
     sequent: Sequent, principal: Exists, witnesses: Sequence[Term], require_maximal: bool = True
 ) -> Tuple[Sequent, ...]:
+    return (sequent.with_delta(_exists_specialization(sequent, principal, witnesses, require_maximal)),)
+
+
+def _exists_specialization(
+    sequent: Sequent, principal: Exists, witnesses: Sequence[Term], require_maximal: bool
+) -> Formula:
+    """Validate an ∃ application; return the specialized principal.
+
+    One walk down the ∃-block yields the bounds each witness must match and
+    the specialized formula, from which the maximality test follows: the
+    specialization is maximal unless what remains is an ∃ whose bound some
+    ∈-atom of Θ still matches.
+    """
     _require_principal(principal, Exists, "∃")
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∃ rule: {principal} not in the sequent")
@@ -245,16 +252,20 @@ def exists_premises(
         raise RuleApplicationError("∃ rule requires every right-hand formula to be EL")
     if not witnesses:
         raise RuleApplicationError("∃ rule requires at least one witness")
-    bounds = specialization_bounds(principal, witnesses)
+    bounds, specialized = _specialize_block(principal, witnesses)
+    theta = sequent.theta
     for witness, bound in zip(witnesses, bounds):
-        if Member(witness, bound) not in sequent.theta:
+        if Member(witness, bound) not in theta:
             raise RuleApplicationError(
                 f"∃ rule: membership {witness} ∈ {bound} is not in the ∈-context"
             )
-    if require_maximal and not is_maximal_specialization(principal, witnesses, sequent.theta):
+    if (
+        require_maximal
+        and isinstance(specialized, Exists)
+        and any(atom.collection == specialized.bound for atom in theta)
+    ):
         raise RuleApplicationError("∃ rule: the specialization is not maximal w.r.t. Θ")
-    specialized = specialize(principal, witnesses)
-    return (sequent.with_delta(specialized),)
+    return specialized
 
 
 def make_exists(
@@ -271,16 +282,16 @@ def make_exists(
     by the proof transformations of Appendix F (the node is tagged
     ``partial`` so the checker re-validates it under the same relaxation).
     """
-    (expected,) = exists_premises(sequent, principal, witnesses, require_maximal)
-    _require_premise(expected, premise, "∃")
+    specialized = _exists_specialization(sequent, principal, witnesses, require_maximal)
+    _require_premise(sequent.with_delta(specialized), premise, "∃")
     meta = {
         "principal": principal,
         "witnesses": tuple(witnesses),
-        "specialized": specialize(principal, witnesses),
+        "specialized": specialized,
     }
     if not require_maximal:
         meta["partial"] = True
-    return ProofNode("exists", sequent, (premise,), meta)
+    return mark_validated(ProofNode("exists", sequent, (premise,), meta))
 
 
 # --------------------------------------------------------------------- ×η, ×β
@@ -318,7 +329,7 @@ def prod_eta_premises(sequent: Sequent, var: Var, fresh1: Var, fresh2: Var) -> T
 def make_prod_eta(sequent: Sequent, var: Var, fresh1: Var, fresh2: Var, premise: ProofNode) -> ProofNode:
     (expected,) = prod_eta_premises(sequent, var, fresh1, fresh2)
     _require_premise(expected, premise, "×η")
-    return ProofNode("prod_eta", sequent, (premise,), {"var": var, "fresh": (fresh1, fresh2)})
+    return mark_validated(ProofNode("prod_eta", sequent, (premise,), {"var": var, "fresh": (fresh1, fresh2)}))
 
 
 def prod_beta_premises(sequent: Sequent, pair: PairTerm, index: int) -> Tuple[Sequent, ...]:
@@ -348,7 +359,7 @@ def _replace_in_term(term: Term, old: Term, new: Term) -> Term:
 def make_prod_beta(sequent: Sequent, pair: PairTerm, index: int, premise: ProofNode) -> ProofNode:
     (expected,) = prod_beta_premises(sequent, pair, index)
     _require_premise(expected, premise, "×β")
-    return ProofNode("prod_beta", sequent, (premise,), {"pair": pair, "index": index})
+    return mark_validated(ProofNode("prod_beta", sequent, (premise,), {"pair": pair, "index": index}))
 
 
 # ------------------------------------------------------------------- weaken
@@ -356,7 +367,7 @@ def make_weaken(sequent: Sequent, premise: ProofNode) -> ProofNode:
     """Structural weakening: the premise proves a sub-sequent of the conclusion."""
     if not premise.sequent.theta <= sequent.theta or not premise.sequent.delta <= sequent.delta:
         raise RuleApplicationError("weaken: the premise is not a sub-sequent of the conclusion")
-    return ProofNode("weaken", sequent, (premise,), {})
+    return mark_validated(ProofNode("weaken", sequent, (premise,), {}))
 
 
 # ------------------------------------------------------------------- helpers

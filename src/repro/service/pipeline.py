@@ -235,12 +235,10 @@ class SynthesisPipeline:
         cache: Optional[SynthesisCache] = None,
         search_factory: Optional[Callable[[], ProofSearch]] = None,
         simplify_output: bool = True,
-        validate_proof: bool = True,
     ) -> None:
         self.cache = cache
         self.search_factory = search_factory or (lambda: ProofSearch(max_depth=12))
         self.simplify_output = simplify_output
-        self.validate_proof = validate_proof
 
     def run(
         self,
@@ -365,30 +363,25 @@ class SynthesisPipeline:
         if witnesses is not None and result.proof is not None:
             # The top-level proof first, then any collected component results
             # (``collect`` also re-delivers the top-level result; the seen-set
-            # dedupes it).  A freshly synthesized proof was validated on this
-            # run's extraction path, so skip the re-check; a proof recalled
-            # from the result cache (backfill) was not, so check it.
-            candidates = [
-                (result.proof, problem, report.cache_hit or not self.validate_proof)
-            ]
-            candidates += [
-                (sub.proof, sub.problem, False)
-                for sub in subresults
-                if sub.proof is not None
-            ]
+            # dedupes it).  ``put`` checks every proof: one built or checked in
+            # this process carries the checker's mark and costs nothing; one
+            # recalled from the result cache that came from another process or
+            # from disk (backfill) gets a full check.
+            candidates = [(result.proof, problem)]
+            candidates += [(sub.proof, sub.problem) for sub in subresults if sub.proof is not None]
             seen = set()
             to_store = []
-            for proof_, problem_, check_ in candidates:
+            for proof_, problem_ in candidates:
                 digest_ = witness_digest(proof_.sequent)
                 if digest_ in seen or digest_ in witnesses:
                     continue
                 seen.add(digest_)
-                to_store.append((proof_, problem_, check_))
+                to_store.append((proof_, problem_))
             if to_store:
                 with _timed_stage(stages, STAGE_WITNESS_STORE) as detail:
                     records = [
-                        witnesses.put(proof_, name=problem_.name, problem=problem_, check=check_)
-                        for proof_, problem_, check_ in to_store
+                        witnesses.put(proof_, name=problem_.name, problem=problem_)
+                        for proof_, problem_ in to_store
                     ]
                     detail.update(
                         {
@@ -429,8 +422,9 @@ class SynthesisPipeline:
 
         ``proof`` — a replayed witness proof; given, the proof-search stage
         is skipped entirely and the extraction runs under a
-        ``witness.replay`` span (``synthesize`` re-validates the proof
-        against the problem's determinacy goal).
+        ``witness.replay`` span (``synthesize`` checks the proof against the
+        problem's determinacy goal; the witness store validated it already,
+        so only the goal comparison costs anything).
         ``collect`` — accumulates the component results of product outputs
         for the witness-store stage.
         """
@@ -477,7 +471,6 @@ class SynthesisPipeline:
                     proof=proof,
                     search=search,
                     simplify_output=False,
-                    validate_proof=self.validate_proof,
                     collect=collect,
                 )
                 raw = raw_result.expression

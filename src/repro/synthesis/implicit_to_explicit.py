@@ -87,13 +87,15 @@ def synthesize(
     proof: Optional[ProofNode] = None,
     search: Optional[ProofSearch] = None,
     simplify_output: bool = True,
-    validate_proof: bool = True,
     collect: Optional[List["SynthesisResult"]] = None,
 ) -> SynthesisResult:
     """Compute an explicit NRC definition of the problem's output variable.
 
     ``proof`` must be a focused proof of ``problem.determinacy_goal()``; when
-    omitted, the bundled proof search is used to find one.  ``collect``
+    omitted, the bundled proof search is used to find one.  The proof is
+    always checked; a tree the search (or any rule constructor) built in this
+    process carries the checker's validation mark, so only a proof from
+    outside the process costs a full check.  ``collect``
     accumulates every :class:`SynthesisResult` produced along the way —
     including the component results of product outputs, whose determinacy
     proofs are otherwise internal to the Appendix G recursion.  The witness
@@ -101,10 +103,9 @@ def synthesize(
     """
     if proof is None:
         proof = find_determinacy_proof(problem, search)
-    if validate_proof:
-        check_proof(proof)
-        if proof.sequent != problem.determinacy_goal():
-            raise SynthesisError("the supplied proof does not prove the determinacy sequent")
+    check_proof(proof)
+    if proof.sequent != problem.determinacy_goal():
+        raise SynthesisError("the supplied proof does not prove the determinacy sequent")
 
     expression, interpolant = _synthesize_typed(problem, proof, search, collect)
     raw = expression

@@ -9,9 +9,11 @@ engine they are written in.
 The engine (:class:`Prover`) drives the rule constructors of
 :mod:`repro.proofs.focused` over an explicit stack of open goals, depth-first
 and left-to-right.  Every tactic application is validated eagerly by the
-``make_*`` constructors, so a completed script is correct by construction —
-and the produced trees are *still* re-checked independently (by
-:func:`repro.proofs.checker.check_proof`) before the store persists them.
+``make_*`` constructors, so a completed script is correct by construction;
+the constructors leave the checker's validation mark on every node, so the
+store's :func:`repro.proofs.checker.check_proof` before it persists a tree
+costs one test at the root, and a tree read back from disk in another
+process is checked in full.
 
 Two tactics carry the creative content of the scripts:
 
@@ -589,8 +591,9 @@ def install_handwritten(store) -> Dict[str, "object"]:
     """Build, check and persist every hand-written witness into ``store``.
 
     Returns the stored records by registry entry name.  The store's ``put``
-    re-checks each tree through the independent checker before it touches
-    disk, so a bug in a tactic script cannot poison the witness tier.
+    passes each tree through the independent checker before it touches disk;
+    every node was validated by a rule constructor as the script ran, so a
+    bug in a tactic script cannot poison the witness tier.
     """
     records = {}
     for name, builder in HANDWRITTEN.items():

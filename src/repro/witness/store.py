@@ -59,8 +59,8 @@ WITNESS_FORMAT_VERSION = 2
 DEFAULT_WITNESS_ENTRY_BOUND = 512
 
 #: Bound on the in-process record LRU fronting the disk tier.  Records enter
-#: it only after validating (at write or on a disk read), so a memory hit is
-#: as trustworthy as the validation level it was admitted at.
+#: it only after validating (at write or on a disk read); a memory hit is
+#: checked again, which is free for a tree validated in this process.
 DEFAULT_WITNESS_MEMORY_BOUND = 32
 
 
@@ -223,11 +223,9 @@ class WitnessStore:
         self.memory_bound = DEFAULT_WITNESS_MEMORY_BOUND
         self.stats = WitnessStoreStats()
         self._dirty = False
-        # digest -> (record, fully_checked).  LRU front for the disk tier:
-        # records read or written once in this process skip the unpickle on
-        # repeat lookups; ``fully_checked`` is False for a ``put(check=False)``
-        # record until its first read re-checks it.
-        self._memory: "OrderedDict[str, Tuple[WitnessRecord, bool]]" = OrderedDict()
+        # digest -> record.  LRU front for the disk tier: records read or
+        # written once in this process skip the unpickle on repeat lookups.
+        self._memory: "OrderedDict[str, WitnessRecord]" = OrderedDict()
 
     # ----------------------------------------------------------------- paths
     def path(self, digest: str) -> Path:
@@ -248,18 +246,17 @@ class WitnessStore:
         proof: ProofNode,
         name: str = "",
         problem: Optional[ImplicitDefinitionProblem] = None,
-        check: bool = True,
     ) -> WitnessRecord:
         """Persist ``proof``; returns the stored record.
 
-        ``check=True`` re-validates the tree through the independent checker
-        before anything touches disk — the store only ever contains proofs
-        that checked at write time (the read path re-checks regardless).
+        The tree passes the independent checker before anything touches
+        disk, so the store only ever contains proofs that checked at write
+        time (the read path checks again regardless).  A proof built or
+        checked in this process carries the checker's validation mark and
+        costs nothing to check here.
         """
-        if check:
-            check_proof(proof)
-        payload = export_witness(proof, name=name, problem=problem)
-        return self._store_payload(payload, checked=check)
+        check_proof(proof)
+        return self._store_payload(export_witness(proof, name=name, problem=problem))
 
     def import_payload(self, blob: bytes) -> Optional[WitnessRecord]:
         """Validate and adopt a serialized payload (CLI / HTTP import).
@@ -276,10 +273,7 @@ class WitnessStore:
         if record is None:
             raise ProofError("witness payload failed validation (see log for the reason)")
         check_proof(record.proof)
-        self._store_payload(
-            export_witness(record.proof, name=record.name, problem=record.problem),
-            checked=True,
-        )
+        self._store_payload(export_witness(record.proof, name=record.name, problem=record.problem))
         return record
 
     def export_payload(self, digest: str) -> Optional[bytes]:
@@ -289,7 +283,7 @@ class WitnessStore:
         except OSError:
             return None
 
-    def _store_payload(self, payload: dict, checked: bool = False) -> WitnessRecord:
+    def _store_payload(self, payload: dict) -> WitnessRecord:
         digest = payload["digest"]
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         summary = WitnessSummary(
@@ -314,14 +308,12 @@ class WitnessStore:
             created=payload["created"],
             problem=payload["problem"],
         )
-        self._remember(record, checked=checked)
+        self._remember(record)
         return record
 
-    def _remember(self, record: WitnessRecord, checked: bool) -> None:
+    def _remember(self, record: WitnessRecord) -> None:
         memory = self._memory
-        previous = memory.get(record.digest)
-        # Never downgrade a fully-checked entry to an unchecked one.
-        memory[record.digest] = (record, checked or (previous is not None and previous[1]))
+        memory[record.digest] = record
         memory.move_to_end(record.digest)
         while len(memory) > self.memory_bound:
             memory.popitem(last=False)
@@ -331,26 +323,31 @@ class WitnessStore:
         """The stored witness for ``digest``, or ``None`` as a cold fall-back.
 
         Every read hands back a proof that passed the checker in this
-        process.  Every failure mode is a *miss* — logged, counted under
+        process: a payload read from disk is unpickled without the
+        validation mark and checked in full, a memory hit was validated when
+        it entered.  Every failure mode is a *miss* — logged, counted under
         ``repro_witness_misses_total{reason=...}``, and (for corrupt
         payloads) evicted so the next store rebuilds the slot cleanly.
         """
-        cached = self._memory.get(digest)
-        if cached is not None:
-            record, fully_checked = cached
-            if not fully_checked:
-                try:
-                    check_proof(record.proof)
-                except ProofError as exc:
-                    self._corrupt(digest, "invalid-proof", f"stored proof no longer checks: {exc}")
-                    return None
-                self._memory[digest] = (record, True)
-            self._memory.move_to_end(digest)
-            self.stats.hits += 1
-            get_registry().counter(
-                "repro_witness_hits_total", "Witness-store lookups served from disk"
-            ).inc()
-            return record
+        record = self._memory.get(digest)
+        if record is None:
+            record = self._read(digest)
+            if record is None:
+                return None
+        try:
+            check_proof(record.proof)
+        except ProofError as exc:
+            self._corrupt(digest, "invalid-proof", f"stored proof no longer checks: {exc}")
+            return None
+        self._remember(record)
+        self.stats.hits += 1
+        get_registry().counter(
+            "repro_witness_hits_total", "Witness-store lookups served from disk"
+        ).inc()
+        return record
+
+    def _read(self, digest: str) -> Optional[WitnessRecord]:
+        """The unchecked record on disk for ``digest``; ``None`` is a counted miss."""
         try:
             blob = self.path(digest).read_bytes()
         except OSError:
@@ -361,20 +358,7 @@ class WitnessStore:
         except Exception:
             self._corrupt(digest, "truncated", "payload does not unpickle")
             return None
-        record = self._validate_payload(payload, digest=digest, source="disk")
-        if record is None:
-            return None
-        try:
-            check_proof(record.proof)
-        except ProofError as exc:
-            self._corrupt(digest, "invalid-proof", f"stored proof no longer checks: {exc}")
-            return None
-        self._remember(record, checked=True)
-        self.stats.hits += 1
-        get_registry().counter(
-            "repro_witness_hits_total", "Witness-store lookups served from disk"
-        ).inc()
-        return record
+        return self._validate_payload(payload, digest=digest, source="disk")
 
     def get_for_sequent(self, sequent: Sequent) -> Optional[WitnessRecord]:
         """The stored witness proving exactly ``sequent``, if any."""

@@ -6,6 +6,8 @@ simplifier must agree with the frozen seed reference implementations
 (``tests/reference_core.py``) on every one of them.
 """
 
+import functools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -46,8 +48,14 @@ def types(max_depth=2):
 
 
 # -------------------------------------------------- well-typed expr strategy
-def _exprs_of(typ: Type, depth: int, env_vars):
-    """Strategy for expressions of exactly type ``typ``."""
+@functools.lru_cache(maxsize=None)
+def _exprs_of(typ: Type, depth: int, env_vars: tuple):
+    """Strategy for expressions of exactly type ``typ``.
+
+    Memoized per (type, depth, variables in scope): ``flatmap`` asks for a
+    strategy on every draw, and building the tree below again each time was
+    most of these tests' run time.
+    """
     leaves = []
     for var in env_vars:
         if var.typ == typ:
@@ -78,7 +86,7 @@ def _exprs_of(typ: Type, depth: int, env_vars):
         options.append(
             st.builds(
                 lambda body, source, b=binder: NBigUnion(body, b, source),
-                _exprs_of(typ, depth - 1, env_vars + [binder]),
+                _exprs_of(typ, depth - 1, env_vars + (binder,)),
                 sub(SetType(elem)),
             )
         )
@@ -120,7 +128,7 @@ def _values_of(typ: Type, rnd):
 
 
 well_typed_exprs = st.one_of(
-    types().flatmap(lambda t: _exprs_of(t, 3, list(ENV_VARS))),
+    types().flatmap(lambda t: _exprs_of(t, 3, tuple(ENV_VARS))),
 )
 
 

@@ -75,7 +75,18 @@ class SpecKey:
 
 
 def spec_key(problem: ImplicitDefinitionProblem) -> SpecKey:
-    """Content key of ``problem`` (the formula component is hash-consed)."""
+    """Content key of ``problem`` (the formula component is hash-consed).
+
+    Built once per problem object and kept on it: a registry entry's problem
+    lives as long as the process, so a warm lookup hashes a ready key
+    instead of re-interning φ.  A key built before the intern table was
+    cleared stays correct; it only compares structurally, not by pointer,
+    against keys built after.
+    """
+    return problem.memo("_spec_key", _build_spec_key)
+
+
+def _build_spec_key(problem: ImplicitDefinitionProblem) -> SpecKey:
     return SpecKey(intern(problem.phi), problem.inputs, problem.output, problem.auxiliaries)
 
 
@@ -86,7 +97,12 @@ def spec_digest(problem: ImplicitDefinitionProblem) -> str:
     the ``name:type`` signature of every declared variable.  Two problems
     with the same structure share an address even under different problem
     names — the cache stores *results of specifications*, not of labels.
+    Computed once per problem object, like :func:`spec_key`.
     """
+    return problem.memo("_spec_digest", _build_spec_digest)
+
+
+def _build_spec_digest(problem: ImplicitDefinitionProblem) -> str:
     signature = "\n".join(
         [
             f"phi={problem.phi}",

@@ -10,6 +10,7 @@ and *what* produced each cached artifact.  :class:`SynthesisPipeline` runs
 stage                     what it does
 ========================  ====================================================
 ``validate``              re-checks the specification, hash-conses ``φ``
+                          (once per problem object)
 ``cache-lookup``          content-addressed lookup (:mod:`repro.service.cache`)
 ``witness-lookup``        exact stored-proof replay (witness tier)
 ``proof-search``          focused determinacy proof (Theorem 2's witness)
@@ -221,6 +222,26 @@ class PipelineReport:
         return self.to_response(include_expression).to_json_dict()
 
 
+def canonical_problem(problem: ImplicitDefinitionProblem) -> ImplicitDefinitionProblem:
+    """``problem`` re-checked, with a hash-consed ``φ`` (the validate stage).
+
+    The check and the interning run on the first call per problem object;
+    the canonical problem is kept on it, so running a registry entry's
+    long-lived problem again costs a dict read.
+    """
+    return problem.memo("_canonical", _build_canonical_problem)
+
+
+def _build_canonical_problem(problem: ImplicitDefinitionProblem) -> ImplicitDefinitionProblem:
+    check_formula(problem.phi, allow_membership=False)
+    canonical_phi = intern(problem.phi)
+    if canonical_phi is problem.phi:
+        return problem
+    return ImplicitDefinitionProblem(
+        problem.name, canonical_phi, problem.inputs, problem.output, problem.auxiliaries
+    )
+
+
 class SynthesisPipeline:
     """Runs specifications through the staged synthesis service.
 
@@ -257,14 +278,10 @@ class SynthesisPipeline:
         )
         stages = report.stages
 
-        # -------- validate: re-check the specification, canonicalize φ.
+        # -------- validate: re-check the specification, canonicalize φ
+        # (once per problem object, see ``canonical_problem``).
         with _timed_stage(stages, STAGE_VALIDATE) as detail:
-            check_formula(problem.phi, allow_membership=False)
-            canonical_phi = intern(problem.phi)
-            if canonical_phi is not problem.phi:
-                problem = ImplicitDefinitionProblem(
-                    problem.name, canonical_phi, problem.inputs, problem.output, problem.auxiliaries
-                )
+            problem = canonical_problem(problem)
             detail.update(
                 {
                     "formula_size": formula_size(problem.phi),

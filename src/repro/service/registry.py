@@ -5,7 +5,8 @@ functions; the service layer needs them addressable by name — ``python -m
 repro synthesize union_view`` — and sweepable as a family.  Each
 :class:`RegistryEntry` bundles
 
-* a ``factory`` producing a fresh :class:`ImplicitDefinitionProblem`,
+* a ``factory`` producing its :class:`ImplicitDefinitionProblem` (called
+  once per entry and process, see :meth:`RegistryEntry.problem`),
 * an optional ``instances(scale)`` builder of satisfying assignment families
   for the pipeline's batched verification stage, and
 * an ``expected`` outcome: ``"ok"`` entries must synthesize with the bundled
@@ -56,7 +57,19 @@ class RegistryEntry:
     max_depth: int = 12
 
     def problem(self) -> ImplicitDefinitionProblem:
-        return self.factory()
+        """The entry's problem: built by ``factory`` on the first call, then kept.
+
+        Problems are immutable, and the memos they carry (determinacy
+        sequent, content key and digest, canonical form) are what make a
+        warm read cheap, so every caller in the process shares one object.
+        The first call only builds it: interning and validation stay in the
+        pipeline's validate stage, where they are timed.
+        """
+        problem = self.__dict__.get("_problem")
+        if problem is None:
+            problem = self.factory()
+            object.__setattr__(self, "_problem", problem)
+        return problem
 
     def describe(self) -> api.ProblemInfo:
         """The typed wire rendering of this entry (`/v1/problems`, `repro list`)."""

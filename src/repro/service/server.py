@@ -68,10 +68,11 @@ import threading
 import time
 import weakref
 from bisect import bisect_right
+from collections import OrderedDict
 from http import HTTPStatus
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
 from repro.core.interning import intern_cache_stats
@@ -185,6 +186,12 @@ class SynthesisService:
         self.sweeps_enqueued = 0
         #: Synthesize and sweep jobs, keyed by id (``job-…`` / ``sweep-…``).
         self._jobs: Dict[str, _Job] = {}
+        #: Per kind (keyed by ``is_sweep``), the ids of finished jobs in the
+        #: order ``_finish`` saw them, which is ``finished_mono`` order:
+        #: retention evicts from the front without scanning ``_jobs``.
+        self._finished: Dict[bool, "OrderedDict[str, None]"] = {False: OrderedDict(), True: OrderedDict()}
+        #: Ids of the queued or running jobs in ``_jobs``.
+        self._active: Set[str] = set()
         self._ids = itertools.count(1)
         self._worker_slots: Optional[asyncio.Semaphore] = None
         _register_service_collectors(self)
@@ -359,7 +366,7 @@ class SynthesisService:
 
     def queue_depth(self) -> int:
         """Jobs currently queued or running (synthesize jobs + sweep jobs)."""
-        return sum(1 for job in self._jobs.values() if job.active)
+        return len(self._active)
 
     def health(self) -> Dict[str, object]:
         counts = {state: 0 for state in api.JOB_STATES}
@@ -418,26 +425,21 @@ class SynthesisService:
         )
 
     def _add(self, job: _Job) -> None:
-        self._jobs[job.id] = job
-        self._prune_finished(job.is_sweep)
-
-    def _prune_finished(self, sweep: bool = False) -> None:
-        """Forget the oldest finished jobs of one kind past the retention bound.
+        """Enter ``job`` in the table, then forget the oldest finished jobs of
+        its kind past the retention bound.
 
         Retention is per kind, so a burst of one kind never evicts the other.
+        The victims come from the front of the kind's finish-order index, so
+        a backwards wall-clock step cannot make a fresh result the victim
+        while stale ones linger, and the cost does not grow with the table.
         """
-        if len(self._jobs) <= FINISHED_JOB_RETENTION:
-            return  # no kind can be over the bound: skip the table scan
-        finished = [
-            job for job in self._jobs.values() if not job.active and job.is_sweep == sweep
-        ]
-        if len(finished) <= FINISHED_JOB_RETENTION:
-            return
-        # Monotonic ordering: a backwards wall-clock step must not make a
-        # fresh result the eviction victim while stale ones linger.
-        finished.sort(key=lambda job: job.finished_mono or job.submitted_mono)
-        for job in finished[: len(finished) - FINISHED_JOB_RETENTION]:
-            del self._jobs[job.id]
+        self._jobs[job.id] = job
+        if job.active:
+            self._active.add(job.id)
+        finished = self._finished[job.is_sweep]
+        while len(finished) > FINISHED_JOB_RETENTION:
+            victim, _ = finished.popitem(last=False)
+            self._jobs.pop(victim, None)
 
     def _enqueue(self, job: _Job, work, span_name: str, **span_attributes) -> None:
         """Queue ``job``; ``work()`` runs it on an executor thread.
@@ -593,6 +595,10 @@ class SynthesisService:
         job.error = error
         job.finished_at = time.time()
         job.finished_mono = time.monotonic()
+        self._active.discard(job.id)
+        finished = self._finished[job.is_sweep]
+        finished[job.id] = None
+        finished.move_to_end(job.id)
         if job.done_event is not None:
             job.done_event.set()
 

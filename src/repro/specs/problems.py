@@ -17,9 +17,9 @@ input–output specifications of Appendix B (see :mod:`repro.specs.io_spec`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar
 
-from repro.core.node import dataclass_state
+from repro.core.node import dataclass_field_names, dataclass_state
 from repro.errors import SpecificationError
 from repro.logic.formulas import Formula
 from repro.logic.free_vars import free_vars, substitute_many
@@ -30,6 +30,8 @@ from repro.logic.typecheck import check_formula
 from repro.nr.values import Value
 from repro.proofs.sequents import Sequent
 from repro.nrc.expr import NRCExpr, NVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -51,31 +53,34 @@ class ImplicitDefinitionProblem:
         if self.output in self.inputs:
             raise SpecificationError("the output variable cannot also be an input")
 
-    # The primed copy and the determinacy sequent are built once per instance
-    # and kept in the instance ``__dict__`` as ``_determinacy_memo``.  The memo
-    # is derived from the five fields alone, so it stays out of equality and
-    # hashing (dataclass-generated from the fields) and out of pickles: a
-    # problem crossing a worker pipe or a disk tier carries its fields only
-    # and rebuilds the memo on first use.
+    # Values derived from the five fields alone are built once per instance
+    # and kept in the instance ``__dict__`` (see :meth:`memo`): the primed
+    # copy and the determinacy sequent (``_determinacy_memo``), and the
+    # service's content key, content digest and validated canonical form
+    # (``repro.service.cache`` / ``repro.service.pipeline``).  They stay out
+    # of equality and hashing (dataclass-generated from the fields) and out
+    # of pickles both ways: a problem crossing a worker pipe or a disk tier
+    # carries its fields only, a payload cannot plant a memo, and the
+    # receiving process rebuilds each memo on first use.
     __getstate__ = dataclass_state
 
+    def __setstate__(self, state: object) -> None:
+        if not isinstance(state, dict):
+            raise TypeError(f"ImplicitDefinitionProblem state is a {type(state).__name__}, not a dict")
+        for name in dataclass_field_names(ImplicitDefinitionProblem):
+            if name in state:
+                object.__setattr__(self, name, state[name])
+
+    def memo(self, key: str, build: Callable[["ImplicitDefinitionProblem"], T]) -> T:
+        """``build(self)``, computed on the first call per ``key`` and kept."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, key, value)
+        return value
+
     def _determinacy(self) -> Tuple[Tuple[Formula, Var, Tuple[Var, ...]], Formula, Sequent]:
-        memo = self.__dict__.get("_determinacy_memo")
-        if memo is None:
-            mapping: Dict[Var, Var] = {}
-            primed_output = Var(self.output.name + "_p", self.output.typ)
-            mapping[self.output] = primed_output
-            primed_aux: List[Var] = []
-            for aux in self.auxiliaries:
-                fresh = Var(aux.name + "_p", aux.typ)
-                mapping[aux] = fresh
-                primed_aux.append(fresh)
-            primed_phi = substitute_many(self.phi, mapping)
-            goal = equivalent(self.output, primed_output)
-            sequent = Sequent.of((), [negate(self.phi), negate(primed_phi), goal])
-            memo = ((primed_phi, primed_output, tuple(primed_aux)), goal, sequent)
-            object.__setattr__(self, "_determinacy_memo", memo)
-        return memo
+        return self.memo("_determinacy_memo", _build_determinacy)
 
     # ------------------------------------------------------------- renaming
     def primed(self) -> Tuple[Formula, Var, Tuple[Var, ...]]:
@@ -139,6 +144,23 @@ class ImplicitDefinitionProblem:
     def nrc_input_vars(self) -> Tuple[NVar, ...]:
         """The NRC variables corresponding to the input variables."""
         return tuple(NVar(v.name, v.typ) for v in self.inputs)
+
+
+def _build_determinacy(
+    problem: ImplicitDefinitionProblem,
+) -> Tuple[Tuple[Formula, Var, Tuple[Var, ...]], Formula, Sequent]:
+    mapping: Dict[Var, Var] = {}
+    primed_output = Var(problem.output.name + "_p", problem.output.typ)
+    mapping[problem.output] = primed_output
+    primed_aux: List[Var] = []
+    for aux in problem.auxiliaries:
+        fresh = Var(aux.name + "_p", aux.typ)
+        mapping[aux] = fresh
+        primed_aux.append(fresh)
+    primed_phi = substitute_many(problem.phi, mapping)
+    goal = equivalent(problem.output, primed_output)
+    sequent = Sequent.of((), [negate(problem.phi), negate(primed_phi), goal])
+    return (primed_phi, primed_output, tuple(primed_aux)), goal, sequent
 
 
 @dataclass(frozen=True)

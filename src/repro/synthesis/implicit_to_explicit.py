@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core.node import dataclass_state
 from repro.errors import ProofSearchError, SynthesisError
 from repro.interpolation.delta0 import interpolate
 from repro.interpolation.partition import Partition
@@ -56,9 +57,18 @@ class SynthesisResult:
     interpolant: Optional[Formula] = None
     raw_expression: Optional[NRCExpr] = None
 
+    #: Pickles (disk tier, worker pipes) carry the five fields only, never
+    #: the ``proof_size`` memo below.
+    __getstate__ = dataclass_state
+
     @property
     def proof_size(self) -> int:
-        return proof_size(self.proof)
+        """Node count of ``proof``: one tree walk per result and proof object."""
+        memo = self.__dict__.get("_proof_size")
+        if memo is None or memo[0] is not self.proof:
+            memo = (self.proof, proof_size(self.proof))
+            self.__dict__["_proof_size"] = memo
+        return memo[1]
 
 
 def find_determinacy_proof(

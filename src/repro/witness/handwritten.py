@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ProofError
 from repro.logic.formulas import (
     And,
-    Bottom,
     EqUr,
     Exists,
     Forall,

@@ -605,6 +605,97 @@ def test_spec_text_job_snapshot_carries_the_parsed_name():
     asyncio.run(scenario())
 
 
+# ------------------------------------------------------- warm-read cost
+def test_warm_reads_do_no_spec_work(monkeypatch):
+    """Past the first warm read, a memory-tier hit builds, checks, interns
+    and digests nothing: the registry entry's problem carries all of it."""
+    import hashlib
+
+    from repro.core import interning
+    from repro.service import cache as cache_mod
+    from repro.service import pipeline as pipeline_mod
+    from repro.service.registry import build_default_registry
+    from repro.specs import problems as problems_mod
+
+    registry = build_default_registry()
+    entry = registry.get("union_view")
+    counts = {"factory": 0, "check_formula": 0, "intern": 0, "sha256": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    object.__setattr__(entry, "factory", counting("factory", entry.factory))
+    for module in (pipeline_mod, problems_mod):
+        monkeypatch.setattr(module, "check_formula", counting("check_formula", module.check_formula))
+    monkeypatch.setattr(interning, "_canonicalize", counting("intern", interning._canonicalize))
+
+    class CountingHashlib:
+        sha256 = staticmethod(counting("sha256", hashlib.sha256))
+
+    monkeypatch.setattr(cache_mod, "hashlib", CountingHashlib)
+
+    async def scenario():
+        service = SynthesisService(registry=registry)
+        request = api.SynthesizeRequest(problem="union_view")
+        cold = await service.wait((await service.submit(request)).id)
+        assert cold.state == api.JOB_DONE
+        first_warm = await service.submit(request)
+        assert first_warm.result.cache_tier == "memory"
+        assert counts["factory"] == 1
+        for name in counts:
+            counts[name] = 0
+        reads = [await service.submit(request) for _ in range(50)]
+        return first_warm.result, [status.result for status in reads]
+
+    first, results = asyncio.run(scenario())
+    assert counts == {"factory": 0, "check_formula": 0, "intern": 0, "sha256": 0}
+    for result in results:
+        assert result.cache_tier == "memory"
+        assert (result.digest, result.expression, result.expression_size, result.proof_size) == (
+            first.digest,
+            first.expression,
+            first.expression_size,
+            first.proof_size,
+        )
+
+
+def test_job_retention_at_its_bound(monkeypatch):
+    from repro.service import server as server_mod
+
+    monkeypatch.setattr(server_mod, "FINISHED_JOB_RETENTION", 8)
+
+    async def scenario():
+        service = SynthesisService()
+        request = api.SynthesizeRequest(problem="union_view")
+        cold = await service.wait((await service.submit(request)).id)
+        assert cold.state == api.JOB_DONE
+        sweep = await service.wait_sweep(
+            (await service.submit_sweep(api.SweepRequest(problems=("identity_view",)))).id
+        )
+        assert sweep.state == api.JOB_DONE
+        warm_ids = []
+        for _ in range(40):
+            status = await service.submit(request)
+            assert status.state == api.JOB_DONE and status.result.cache_tier == "memory"
+            warm_ids.append(status.id)
+        # One job still in flight: it counts toward the queue, not retention.
+        pending = await service.submit(api.SynthesizeRequest(problem="intersection_view"))
+        kept = [job for job in service._jobs.values() if not job.is_sweep and not job.active]
+        assert [job.id for job in kept] == warm_ids[-8:]
+        assert [job.finished_mono for job in kept] == sorted(job.finished_mono for job in kept)
+        assert sweep.id in service._jobs
+        active = sum(1 for job in service._jobs.values() if job.active)
+        assert service.queue_depth() == active == 1
+        await service.wait(pending.id)
+        assert service.queue_depth() == 0
+
+    asyncio.run(scenario())
+
+
 # --------------------------------------------------------- clock robustness
 def test_job_pruning_survives_wall_clock_jumps(monkeypatch):
     from repro.service import server as server_mod
@@ -613,19 +704,12 @@ def test_job_pruning_survives_wall_clock_jumps(monkeypatch):
     service = SynthesisService()
     request = api.SynthesizeRequest(problem="union_view")
     # Wall clock steps *backwards* across these jobs (NTP correction mid-run);
-    # the monotonic fields record the true completion order.
+    # the finish order is the true completion order.
     for index in range(5):
-        job = server_mod._Job(
-            id=f"job-{index}",
-            request=request,
-            state=api.JOB_DONE,
-            submitted_at=1000.0 - index,
-            finished_at=1000.0 - index,
-            submitted_mono=float(index),
-            finished_mono=float(index),
-        )
-        service._jobs[job.id] = job
-    service._prune_finished()
+        job = service._new_job(f"job-{index}", request)
+        monkeypatch.setattr(server_mod.time, "time", lambda index=index: 1000.0 - index)
+        service._finish(job, api.JOB_DONE)
+        service._add(job)
     # The two *most recently finished* jobs survive, not the two the jumped
     # wall clock claims are newest (those are job-0/job-1).
     assert set(service._jobs) == {"job-3", "job-4"}

@@ -18,11 +18,12 @@ from repro.proofs.prooftree import ProofNode
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
 from repro.service import api
-from repro.service.cache import SynthesisCache
+from repro.service.cache import SynthesisCache, spec_digest, spec_key
 from repro.service.pipeline import SynthesisPipeline
 from repro.service.registry import default_registry
 from repro.service.workers import execute_synthesize_request, warm_tables_from_store
 from repro.specs.fuzz import build_spec, mutate_spec
+from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import product_subproblems
 from repro.witness.handwritten import (
     HANDWRITTEN,
@@ -101,6 +102,37 @@ def test_export_import_payload(tmp_path, union_spec, union_proof):
     adopted = target.import_payload(blob)
     assert adopted is not None and adopted.digest == record.digest
     assert WitnessStore(tmp_path / "dst").get(record.digest) is not None
+
+
+def test_import_drops_memos_planted_in_a_problem_state(tmp_path, union_spec, union_proof, monkeypatch):
+    """A payload's problem state carrying the per-problem memo keys (the
+    determinacy sequent, the content key and digest, the canonical form) is
+    read back with its five fields only; each memo is rebuilt on first use."""
+    source = WitnessStore(tmp_path / "src")
+    record = source.put(union_proof, name="exported", problem=union_spec.problem)
+    payload = pickle.loads(source.export_payload(record.digest))
+    problem = payload["problem"]
+    decoy = Sequent.of([], [EqUr(Var("forged", UR), Var("forged", UR))])
+    forged = {
+        "_determinacy_memo": ((problem.phi, problem.output, ()), problem.phi, decoy),
+        "_spec_key": ("forged",),
+        "_spec_digest": "0" * 64,
+        "_canonical": "forged",
+    }
+    for key, value in forged.items():
+        object.__setattr__(problem, key, value)
+    with monkeypatch.context() as patch:
+        patch.setattr(ImplicitDefinitionProblem, "__getstate__", lambda self: dict(self.__dict__))
+        blob = pickle.dumps(payload)
+    for key in forged:
+        assert key.encode() in blob
+
+    adopted = WitnessStore(tmp_path / "dst").import_payload(blob)
+    assert adopted.problem == union_spec.problem
+    assert not set(forged) & set(vars(adopted.problem))
+    assert adopted.problem.determinacy_goal() == union_spec.problem.determinacy_goal()
+    assert spec_digest(adopted.problem) == spec_digest(union_spec.problem)
+    assert spec_key(adopted.problem) == spec_key(union_spec.problem)
 
 
 def test_import_rejects_garbage(tmp_path):

@@ -68,6 +68,24 @@ def dataclass_state(self) -> dict:
     return {name: state[name] for name in dataclass_field_names(self.__class__)}
 
 
+def dataclass_setstate(self, state: object) -> None:
+    """``__setstate__`` paired with :func:`dataclass_state`: restore declared fields only.
+
+    A pickle from outside the program (an imported witness) may carry more
+    than the fields.  Default unpickling would install every key, so a
+    payload could plant a memo (a sequent's ``_fv``, a formula's rendering
+    in ``_cstr``, a proof's validation mark) that this process then trusts.
+    Only a dict is accepted and only the declared fields are copied; a
+    missing field stays missing, for the reader's own shape checks to reject.
+    """
+    if not isinstance(state, dict):
+        raise TypeError(f"{type(self).__name__} state is a {type(state).__name__}, not a dict")
+    target = self.__dict__
+    for name in dataclass_field_names(self.__class__):
+        if name in state:
+            target[name] = state[name]
+
+
 class Node:
     """Base class of every AST node (terms, formulas, NRC expressions).
 
@@ -84,6 +102,7 @@ class Node:
     body_index = -1  # index in children() the binder scopes over
 
     __getstate__ = dataclass_state
+    __setstate__ = dataclass_setstate
 
     def children(self) -> Tuple["Node", ...]:
         raise TypeError(

@@ -6,25 +6,22 @@ this is the "nested relation" semantics (|=nested) of the paper.  The
 non-extensional ("every model") semantics lives in
 :mod:`repro.logic.general_models`.
 
-Whole families go through the batched path: :func:`eval_formula_batch` runs
-the formula *compiler* (:mod:`repro.logic.compile`) over a **column** of
-assignments at once on the interned-id substrate of :mod:`repro.nr.columns`
-(equality and membership become integer comparisons and binary searches; a
-quantifier expands each row into one row per member of its bound;
-``And``/``Or`` short-circuit through selection masks, matching
-:func:`eval_formula`'s row-by-row laziness), and
-:func:`satisfying_assignments` filters a family with it.  The batched path
-requires **well-typed** formulas (as enforced by
-:func:`repro.logic.typecheck.check_formula`); :func:`eval_formula` is its
-differential oracle (``tests/test_formula_compile.py``).
+``eval_formula`` is the only Δ0 evaluator.  It is lazy: ``And``/``Or`` stop
+at the first deciding operand and ``∀``/``∃`` at the first deciding element
+of the bound, so a variable is demanded only where the evaluation reaches it
+(an unbound variable under a quantifier over an empty set never raises).
+:func:`satisfying_assignments` filters an assignment family through it.
+
+Evaluation recurses once per connective and quantifier.  Parsed
+specifications nest at most :data:`repro.specs.lang.MAX_NESTING` brackets
+deep, far inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.errors import EvaluationError
-from repro.logic.compile import compile_formula
 from repro.logic.formulas import (
     And,
     Bottom,
@@ -39,65 +36,72 @@ from repro.logic.formulas import (
     Top,
 )
 from repro.logic.terms import PairTerm, Proj, Term, UnitTerm, Var
-from repro.nr.columns import ValueInterner, shared_interner
 from repro.nr.values import PairValue, SetValue, UnitValue, Value
 
 #: A variable assignment.
 Assignment = Mapping[Var, Value]
 
+#: Never called.  ``perfbench/perf_layers.py`` wraps this name on every traced
+#: benchmark run and fails when it is missing; it goes once that layer table
+#: stops patching the program (ROADMAP item 5(a)).
+compile_formula = None
+
 
 def eval_term(term: Term, env: Assignment) -> Value:
     """Evaluate a Δ0 term under an assignment."""
-    if isinstance(term, Var):
+    cls = term.__class__
+    if cls is Var:
         try:
             return env[term]
         except KeyError as exc:
             raise EvaluationError(f"unbound variable {term} : {term.typ}") from exc
-    if isinstance(term, UnitTerm):
-        return UnitValue()
-    if isinstance(term, PairTerm):
-        return PairValue(eval_term(term.left, env), eval_term(term.right, env))
-    if isinstance(term, Proj):
+    if cls is Proj:
         value = eval_term(term.arg, env)
-        if not isinstance(value, PairValue):
+        if value.__class__ is not PairValue:
             raise EvaluationError(f"projection of non-pair value {value}")
         return value.first if term.index == 1 else value.second
+    if cls is PairTerm:
+        return PairValue(eval_term(term.left, env), eval_term(term.right, env))
+    if cls is UnitTerm:
+        return UnitValue()
     raise EvaluationError(f"unknown term {term!r}")
 
 
 def eval_formula(formula: Formula, env: Assignment) -> bool:
-    """Evaluate an (extended) Δ0 formula under an assignment."""
-    if isinstance(formula, EqUr):
-        return eval_term(formula.left, env) == eval_term(formula.right, env)
-    if isinstance(formula, NeqUr):
-        return eval_term(formula.left, env) != eval_term(formula.right, env)
-    if isinstance(formula, Member):
-        collection = eval_term(formula.collection, env)
-        if not isinstance(collection, SetValue):
-            raise EvaluationError(f"membership in non-set value {collection}")
-        return eval_term(formula.elem, env) in collection.elements
-    if isinstance(formula, NotMember):
-        return not eval_formula(Member(formula.elem, formula.collection), env)
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bottom):
-        return False
-    if isinstance(formula, And):
+    """Evaluate an (extended) Δ0 formula under an assignment, lazily."""
+    cls = formula.__class__
+    if cls is And:
         return eval_formula(formula.left, env) and eval_formula(formula.right, env)
-    if isinstance(formula, Or):
+    if cls is Or:
         return eval_formula(formula.left, env) or eval_formula(formula.right, env)
-    if isinstance(formula, (Forall, Exists)):
+    if cls is EqUr:
+        return eval_term(formula.left, env) == eval_term(formula.right, env)
+    if cls is NeqUr:
+        return eval_term(formula.left, env) != eval_term(formula.right, env)
+    if cls is Member or cls is NotMember:
+        collection = eval_term(formula.collection, env)
+        if collection.__class__ is not SetValue:
+            raise EvaluationError(f"membership in non-set value {collection}")
+        return (eval_term(formula.elem, env) in collection.elements) is (cls is Member)
+    if cls is Forall or cls is Exists:
         bound = eval_term(formula.bound, env)
-        if not isinstance(bound, SetValue):
+        if bound.__class__ is not SetValue:
             raise EvaluationError(f"quantifier bound evaluated to non-set {bound}")
-        extended: Dict[Var, Value] = dict(env)
-        results = []
-        for element in bound.elements:
-            extended[formula.var] = element
-            results.append(eval_formula(formula.body, extended))
-        if isinstance(formula, Forall):
-            return all(results)
-        return any(results)
+        # ∃ is decided by the first true body, ∀ by the first false one.
+        decided = cls is Exists
+        if bound.elements:
+            extended = dict(env)
+            var = formula.var
+            body = formula.body
+            for element in bound.elements:
+                extended[var] = element
+                if eval_formula(body, extended) is decided:
+                    return decided
+        return not decided
+    if cls is Top:
+        return True
+    if cls is Bottom:
+        return False
     raise EvaluationError(f"unknown formula {formula!r}")
 
 
@@ -106,38 +110,6 @@ def models(env: Assignment, *formulas: Formula) -> bool:
     return all(eval_formula(formula, env) for formula in formulas)
 
 
-# =====================================================================
-# Batched (columnar) evaluation over assignment families
-# =====================================================================
-
-
-def eval_formula_batch(
-    formula: Formula,
-    assignments: Sequence[Assignment],
-    interner: Optional[ValueInterner] = None,
-) -> List[bool]:
-    """Evaluate a **well-typed** Δ0 formula over a family of assignments.
-
-    Returns one Boolean per assignment, in order; agrees with mapping
-    :func:`eval_formula` over the family (the per-assignment evaluator is the
-    differential oracle).  The formula is compiled once to a column program
-    (cached on the hash-consed node — see :mod:`repro.logic.compile`);
-    quantifiers expand the family by one row per (assignment, bound element)
-    and reduce back per quantifier, and duplicate assignment rows are
-    evaluated once.
-    """
-    assignments = list(assignments)
-    if interner is None:
-        interner = shared_interner()
-    return compile_formula(formula).eval_mask(assignments, interner)
-
-
-def satisfying_assignments(
-    formula: Formula,
-    assignments: Sequence[Assignment],
-    interner: Optional[ValueInterner] = None,
-) -> List[Assignment]:
+def satisfying_assignments(formula: Formula, assignments: Sequence[Assignment]) -> List[Assignment]:
     """The assignments of the family that satisfy ``formula``, in order."""
-    assignments = list(assignments)
-    mask = eval_formula_batch(formula, assignments, interner)
-    return [assignment for assignment, ok in zip(assignments, mask) if ok]
+    return [assignment for assignment in assignments if eval_formula(formula, assignment)]

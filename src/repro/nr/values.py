@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Hashable, Iterable, Iterator, List
 
 from repro.core.interning import install_hash_cache
-from repro.core.node import dataclass_state
+from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import TypeMismatchError
 from repro.nr.types import ProdType, SetType, Type, UnitType, UrType
 
@@ -30,8 +30,9 @@ class Value:
     """Base class of nested relational values."""
 
     # Values carry the same in-__dict__ memo caches as AST nodes (UrValue
-    # caches its structural hash); pickle only the declared fields.
+    # caches its structural hash); pickle only the declared fields, both ways.
     __getstate__ = dataclass_state
+    __setstate__ = dataclass_setstate
 
 
 @dataclass(frozen=True)

@@ -494,8 +494,7 @@ def eval_nrc_batch(expr: NRCExpr, envs: Sequence[NRCEnv], interner: Optional[obj
     """Evaluate ``expr`` under each environment of ``envs``, in order.
 
     Kept for the ``query_eval`` benchmark harness, which measures this entry
-    point by name.  It is plain per-environment :func:`eval_nrc`: at
-    verification size (tens of environments) a columnar backend over
-    interned ids lost to it.  ``interner`` is accepted and ignored.
+    point by name.  It is plain per-environment :func:`eval_nrc`.
+    ``interner`` is accepted and ignored.
     """
     return [eval_nrc(expr, env) for env in envs]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
-from repro.core.node import dataclass_field_names, dataclass_state
+from repro.core.node import dataclass_setstate, dataclass_state
 from repro.proofs.sequents import Sequent
 
 #: Rule names of the focused calculus (Figure 3) plus the explicit structural
@@ -59,17 +59,10 @@ class ProofNode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "meta", dict(self.meta))
 
+    # The declared fields and nothing else: a payload cannot carry (or
+    # forge) the validation mark.
     __getstate__ = dataclass_state
-
-    def __setstate__(self, state: object) -> None:
-        # The declared fields and nothing else: a payload cannot carry (or
-        # forge) the validation mark.  A missing field stays missing, for the
-        # checker's shape test to reject.
-        if not isinstance(state, dict):
-            raise TypeError(f"ProofNode state is a {type(state).__name__}, not a dict")
-        for name in dataclass_field_names(ProofNode):
-            if name in state:
-                object.__setattr__(self, name, state[name])
+    __setstate__ = dataclass_setstate
 
     def premise(self, index: int = 0) -> "ProofNode":
         return self.premises[index]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.interning import install_hash_cache
-from repro.core.node import dataclass_state
+from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import FormulaError
 from repro.logic.formulas import Formula, Member, is_delta0, is_existential_leading
 from repro.logic.free_vars import free_vars
@@ -33,8 +33,10 @@ class Sequent:
     delta: FrozenSet[Formula]
 
     # Sequents cache their hash and free variables in-instance; keep those
-    # (process-local) memos out of pickles — see core.node.dataclass_state.
+    # (process-local) memos out of pickles both ways — see
+    # core.node.dataclass_state and dataclass_setstate.
     __getstate__ = dataclass_state
+    __setstate__ = dataclass_setstate
 
     @staticmethod
     def of(theta: Iterable[Member] = (), delta: Iterable[Formula] = ()) -> "Sequent":

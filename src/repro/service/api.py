@@ -550,7 +550,7 @@ class StageReport(Contract):
 
 @dataclass(frozen=True)
 class VerificationSummary(Contract):
-    """Tally of the batched verification stage."""
+    """Tally of the verification stage."""
 
     checked: int
     satisfying: int
@@ -808,6 +808,8 @@ class ProcessCacheStats(Contract):
     """
 
     intern_table: Mapping[str, object] = field(default_factory=dict)
+    #: Empty since the shared value interner was retired; the field stays in
+    #: the v1 wire contract.
     shared_value_interner: Mapping[str, object] = field(default_factory=dict)
     #: Transposition-table sizes of the most recent proof search
     #: (:func:`repro.proofs.search.last_tables_stats`).

@@ -25,9 +25,7 @@ maintain` size-bounds the hash-consing intern table (``core/interning.py``)
 and the **disk tier itself**, with a cost-aware policy: each sidecar
 records the synthesis wall-time that produced its entry, and past the bounds
 the cheapest-to-recompute entries are evicted first (a microsecond union view
-is disposable; a multi-second copy-chain proof is kept).  The shared
-columnar :class:`~repro.nr.columns.ValueInterner` (``nr/columns.py``) needs
-no such hook: it rotates on its own past ``SHARED_INTERNER_MAX_IDS``.
+is disposable; a multi-second copy-chain proof is kept).
 """
 
 from __future__ import annotations
@@ -309,9 +307,7 @@ class SynthesisCache:
         pure cache — clearing it never changes results, it only resets
         sharing — so bounding it here keeps long-running service processes
         flat.  (Processes that drive synthesis without a pipeline can instead
-        install a standing insert-time bound via ``set_intern_table_limit``.
-        The shared columnar interner needs no hook here: it rotates on its
-        own past ``SHARED_INTERNER_MAX_IDS``.)
+        install a standing insert-time bound via ``set_intern_table_limit``.)
         """
         if self.intern_table_bound and intern_cache_stats()["nodes"] > self.intern_table_bound:
             clear_intern_cache()

@@ -16,7 +16,7 @@ stage                     what it does
 ``proof-search``          focused determinacy proof (Theorem 2's witness)
 ``extraction``            proof → raw NRC definition (Theorems 4/10, App. G)
 ``simplification``        rewrite-engine cleanup of the raw definition
-``verification``          batched semantic check on an instance family
+``verification``          semantic check on an instance family
 ``witness-store``         persist the checked determinacy proof
 ``cache-store``           write-through of the finished result
 ========================  ====================================================
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.interning import intern, intern_table_size
-from repro.logic.compile import compile_formula
 from repro.logic.formulas import formula_size
 from repro.logic.free_vars import free_vars
 from repro.logic.terms import Var
@@ -60,16 +59,16 @@ from repro.synthesis.implicit_to_explicit import (
 from repro.synthesis.verification import VerificationReport, check_explicit_definition
 from repro.witness.store import witness_digest
 
-#: Never called.  ``perfbench/perf_layers.py`` wraps this name on every traced
-#: benchmark run and fails when it is missing; it goes once that layer table
-#: stops patching the program (ROADMAP item 5(a)).
+#: Never called.  ``perfbench/perf_layers.py`` wraps these names on every
+#: traced benchmark run and fails when one is missing; they go once that
+#: layer table stops patching the program (ROADMAP item 5(a)).
 seed_incremental = None
+compile_formula = None
 
 #: Stage names in execution order (import these instead of retyping strings).
 STAGE_VALIDATE = "validate"
 STAGE_CACHE_LOOKUP = "cache-lookup"
 STAGE_WITNESS_LOOKUP = "witness-lookup"
-STAGE_FORMULA_COMPILE = "formula-compile"
 STAGE_PROOF_SEARCH = "proof-search"
 STAGE_EXTRACTION = "extraction"
 STAGE_SIMPLIFICATION = "simplification"
@@ -268,7 +267,7 @@ class SynthesisPipeline:
     ) -> PipelineReport:
         """Synthesize (or recall) the explicit definition, fully instrumented.
 
-        ``assignments`` — optional satisfying-instance family for the batched
+        ``assignments`` — optional satisfying-instance family for the
         verification stage; omitted, the stage is skipped.
         """
         report = PipelineReport(
@@ -316,15 +315,6 @@ class SynthesisPipeline:
                         detail["witness"] = record.digest
                     detail["source"] = report.source
 
-        # -------- formula-compile: node cache or fresh.
-        # The compiled specification backs the verification stage (and any
-        # later eval); "node-cache" means this process already held the
-        # program on the hash-consed formula node.
-        with _timed_stage(stages, STAGE_FORMULA_COMPILE) as detail:
-            program_source = "node-cache" if "_fprog" in problem.phi.__dict__ else "compiled"
-            phi_program = compile_formula(problem.phi)
-            detail["source"] = program_source
-
         subresults: List[SynthesisResult] = []
         if result is None:
             try:
@@ -356,7 +346,6 @@ class SynthesisPipeline:
         # -------- verification (runs on hits too: instances may be new).
         if assignments is not None:
             with _timed_stage(stages, STAGE_VERIFICATION) as detail:
-                run_before = phi_program.rows_run
                 verification = check_explicit_definition(
                     problem, result.expression, list(assignments)
                 )
@@ -366,7 +355,6 @@ class SynthesisPipeline:
                         "checked": verification.checked,
                         "satisfying": verification.satisfying,
                         "ok": verification.ok,
-                        "rows_evaluated": phi_program.rows_run - run_before,
                     }
                 )
 

@@ -8,7 +8,7 @@ repro synthesize union_view`` — and sweepable as a family.  Each
 * a ``factory`` producing its :class:`ImplicitDefinitionProblem` (called
   once per entry and process, see :meth:`RegistryEntry.problem`),
 * an optional ``instances(scale)`` builder of satisfying assignment families
-  for the pipeline's batched verification stage, and
+  for the pipeline's verification stage, and
 * an ``expected`` outcome: ``"ok"`` entries must synthesize with the bundled
   search, ``"xfail"`` marks the known interpolation limitation
   (``selection_view``, see DESIGN.md §7) and ``"hard"`` marks instances whose

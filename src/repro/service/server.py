@@ -76,7 +76,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
 from repro.core.interning import intern_cache_stats
-from repro.nr.columns import shared_interner_metric_samples
 from repro.obs.metrics import get_registry, process_uptime_seconds
 from repro.obs.trace import TRACE_HEADER, TraceContext, get_tracer
 from repro.proofs.search import last_tables_stats
@@ -281,11 +280,8 @@ class SynthesisService:
                 raise api.invalid_request(
                     "limit/cursor apply to the disk entry listing; pass cache_dir"
                 )
-            from repro.nr.columns import shared_interner_stats
-
             return api.ProcessCacheStats(
                 intern_table=intern_cache_stats(),
-                shared_value_interner=shared_interner_stats(),
                 search_tables=last_tables_stats(),
                 result_cache=self.cache.stats.as_dict(),
                 witness_store=(
@@ -705,12 +701,6 @@ def _register_service_collectors(service: SynthesisService) -> None:
             registry.gauge(
                 "repro_interner_table", "Formula intern table telemetry", labelnames=("key",)
             ).set(float(value), key=str(key))
-        for key, value in shared_interner_metric_samples().items():
-            registry.gauge(
-                "repro_interner_shared",
-                "Shared value-interner telemetry",
-                labelnames=("key",),
-            ).set(value, key=str(key))
         for key, value in last_tables_stats().items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

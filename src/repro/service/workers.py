@@ -470,7 +470,7 @@ def run_sweep(
     process, so any sweep with a timeout runs every job through
     :func:`run_request_in_process` (at most ``processes`` at a time) even for
     a single job; only timeout-less one-process sweeps run inline.
-    ``verify_scale`` > 0 additionally runs the batched verification stage on
+    ``verify_scale`` > 0 additionally runs the verification stage on
     that many generated instances per problem (entries without an instance
     builder skip verification).
     """

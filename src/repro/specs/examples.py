@@ -260,8 +260,8 @@ def union_minus_view() -> ImplicitDefinitionProblem:
 def _scenario_view_values(width: int, scale: int) -> List[List[SetValue]]:
     """Per-row view values drawn from a small atom universe (heavy sharing).
 
-    Enumerated verification families deliberately reuse atoms across rows —
-    the regime the columnar interning layer (``nr/columns.py``) is built for.
+    Rows deliberately reuse atoms, so inputs repeat across a family and the
+    verification filters see equal values in different rows.
     """
     rows = []
     for index in range(scale):

@@ -12,11 +12,10 @@ succeed on all of them.  Each spec then runs through a differential gauntlet:
 * the simplified definition must evaluate like the raw extracted one on
   every instance (``eval_nrc``);
 * the synthesized definition must agree with the generating expression on
-  random instances, with the specification filtered both by the compiled
-  formula program and by the per-assignment ``eval_formula``
-  (:func:`repro.synthesis.verification.check_explicit_definition`);
+  random instances, every one of which satisfies the specification (the
+  pipeline's verification stage);
 * the specification itself must pass ``check_implicitly_defines`` on the
-  same instances, batched and unbatched.
+  same instances.
 
 Any failure is minimized by :func:`shrink_failure` — greedy subtree
 replacement on the *generating expression*, re-running only the failed check
@@ -57,7 +56,6 @@ from repro.service.server import RemoteService
 from repro.specs.io_spec import io_specification, is_composition_free
 from repro.specs.lang import parse_expr, parse_problem, pretty_problem
 from repro.specs.problems import ImplicitDefinitionProblem
-from repro.synthesis.verification import check_explicit_definition
 
 __all__ = [
     "GeneratedSpec",
@@ -336,36 +334,22 @@ class DifferentialChecker:
                 f"synthesized definition disagrees on "
                 f"{len(report.verification.mismatches)} instance(s): {result.expression}",
             )
-        # Differential: compiled vs per-assignment formula filtering, for the
-        # synthesized definition and for the specification itself.
+        # Differential: the instances were built from the generating
+        # expression, so each must satisfy the specification and together
+        # they must witness its functionality.
+        satisfying = report.verification.satisfying if report.verification is not None else 0
+        if satisfying != len(spec.instances):
+            return self._failure(
+                spec,
+                "differential",
+                f"constructed instances not all satisfying: {satisfying}/{len(spec.instances)}",
+            )
         try:
-            batched = check_explicit_definition(
-                spec.problem, result.expression, spec.instances, batched=True
-            )
-            unbatched = check_explicit_definition(
-                spec.problem, result.expression, spec.instances, batched=False
-            )
+            functional = spec.problem.check_implicitly_defines(spec.instances)
         except ReproError as exc:
             return self._failure(spec, "differential", f"evaluator crashed: {exc}")
-        if (batched.ok, batched.satisfying) != (unbatched.ok, unbatched.satisfying):
-            return self._failure(
-                spec,
-                "differential",
-                f"batched={batched.ok}/{batched.satisfying} vs "
-                f"unbatched={unbatched.ok}/{unbatched.satisfying}",
-            )
-        if not unbatched.ok or unbatched.satisfying != len(spec.instances):
-            return self._failure(
-                spec,
-                "differential",
-                f"constructed instances not all satisfying: "
-                f"{unbatched.satisfying}/{len(spec.instances)} ok={unbatched.ok}",
-            )
-        for flag in (True, False):
-            if not spec.problem.check_implicitly_defines(spec.instances, batched=flag):
-                return self._failure(
-                    spec, "differential", f"check_implicitly_defines(batched={flag}) is False"
-                )
+        if not functional:
+            return self._failure(spec, "differential", "check_implicitly_defines is False")
         self._local_expression = str(result.expression)
         return None
 

@@ -91,6 +91,7 @@ __all__ = [
     "pretty_problem",
     "problem_env",
     "RESERVED_NAMES",
+    "MAX_NESTING",
 ]
 
 #: Names the parser refuses to treat as variables (structural keywords).
@@ -112,6 +113,15 @@ RESERVED_NAMES = frozenset(
 )
 
 _RELOPS = ("=", "!=", "in", "notin")
+
+#: Deepest bracket nesting (``(``, ``<``, ``{`` together) a text may have.
+#: Parsing, and every later pass over a parsed specification, recurses once
+#: per level; the cap turns an over-deep text into a positioned
+#: :class:`SpecParseError` instead of a ``RecursionError`` somewhere
+#: downstream.  The deepest registry specification nests 12 levels.
+MAX_NESTING = 128
+_OPENERS = frozenset("(<{")
+_CLOSERS = frozenset(")>}")
 
 
 class SpecParseError(ReproError):
@@ -158,6 +168,7 @@ def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
+    depth = 0
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -181,6 +192,17 @@ def _tokenize(text: str) -> List[_Token]:
         if ch == "!":
             raise SpecParseError("expected '!=' after '!'", line=line, column=col, offset=i)
         if ch in _PUNCT_CHARS:
+            if ch in _OPENERS:
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise SpecParseError(
+                        f"brackets nest deeper than {MAX_NESTING} levels",
+                        line=line,
+                        column=col,
+                        offset=i,
+                    )
+            elif ch in _CLOSERS:
+                depth -= 1
             tokens.append(_Token("punct", ch, i, line, col))
             i += 1
             col += 1

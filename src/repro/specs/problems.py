@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar
 
-from repro.core.node import dataclass_field_names, dataclass_state
+from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import SpecificationError
 from repro.logic.formulas import Formula
 from repro.logic.free_vars import free_vars, substitute_many
 from repro.logic.macros import equivalent, negate
-from repro.logic.semantics import eval_formula
+from repro.logic.semantics import eval_formula, satisfying_assignments
 from repro.logic.terms import Var
 from repro.logic.typecheck import check_formula
 from repro.nr.values import Value
@@ -63,13 +63,7 @@ class ImplicitDefinitionProblem:
     # carries its fields only, a payload cannot plant a memo, and the
     # receiving process rebuilds each memo on first use.
     __getstate__ = dataclass_state
-
-    def __setstate__(self, state: object) -> None:
-        if not isinstance(state, dict):
-            raise TypeError(f"ImplicitDefinitionProblem state is a {type(state).__name__}, not a dict")
-        for name in dataclass_field_names(ImplicitDefinitionProblem):
-            if name in state:
-                object.__setattr__(self, name, state[name])
+    __setstate__ = dataclass_setstate
 
     def memo(self, key: str, build: Callable[["ImplicitDefinitionProblem"], T]) -> T:
         """``build(self)``, computed on the first call per ``key`` and kept."""
@@ -102,42 +96,19 @@ class ImplicitDefinitionProblem:
         """Does the specification hold under the assignment?"""
         return eval_formula(self.phi, assignment)
 
-    def check_implicitly_defines(
-        self, assignments: Sequence[Mapping[Var, Value]], batched: bool = True
-    ) -> bool:
+    def check_implicitly_defines(self, assignments: Sequence[Mapping[Var, Value]]) -> bool:
         """Semantic sanity check on a finite sample of instances.
 
         Returns False if two satisfying assignments agree on the inputs but
         disagree on the output — a counterexample to implicit definability.
-        By default the family is filtered through the compiled formula
-        program (:func:`repro.logic.semantics.satisfying_assignments`) and
-        compared on interned ids: grouping by the input-id tuple makes the
-        check linear in the number of satisfying assignments.  The batched
-        path requires complete, well-typed assignments; pass
-        ``batched=False`` for the per-row oracle, which evaluates lazily.
+        Satisfying assignments are grouped by their (hashable) input values,
+        so the check is linear in their number.
         """
-        assignments = list(assignments)
-        if not batched:
-            satisfying = [a for a in assignments if self.holds_on(a)]
-            for first in satisfying:
-                for second in satisfying:
-                    if all(first[i] == second[i] for i in self.inputs):
-                        if first[self.output] != second[self.output]:
-                            return False
-            return True
-
-        from repro.logic.semantics import satisfying_assignments
-        from repro.nr.columns import shared_interner
-
-        interner = shared_interner()
-        satisfying = satisfying_assignments(self.phi, assignments, interner)
-        intern = interner.intern
-        outputs_by_inputs: Dict[Tuple[int, ...], int] = {}
-        for assignment in satisfying:
-            key = tuple(intern(assignment[i]) for i in self.inputs)
-            output_id = intern(assignment[self.output])
-            previous = outputs_by_inputs.setdefault(key, output_id)
-            if previous != output_id:
+        outputs_by_inputs: Dict[Tuple[Value, ...], Value] = {}
+        for assignment in satisfying_assignments(self.phi, assignments):
+            key = tuple(assignment[i] for i in self.inputs)
+            output = assignment[self.output]
+            if outputs_by_inputs.setdefault(key, output) != output:
                 return False
         return True
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.node import dataclass_state
+from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import ProofSearchError, SynthesisError
 from repro.interpolation.delta0 import interpolate
 from repro.interpolation.partition import Partition
@@ -58,8 +58,9 @@ class SynthesisResult:
     raw_expression: Optional[NRCExpr] = None
 
     #: Pickles (disk tier, worker pipes) carry the five fields only, never
-    #: the ``proof_size`` memo below.
+    #: the ``proof_size`` memo below, and unpickling restores no more.
     __getstate__ = dataclass_state
+    __setstate__ = dataclass_setstate
 
     @property
     def proof_size(self) -> int:

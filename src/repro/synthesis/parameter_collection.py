@@ -20,9 +20,8 @@ interesting case is the ∃ rule applied to the goal formula itself, where the
 two biconditional branches are mined for a candidate definition of λ.
 
 :func:`check_collection` semantically validates a collected ``(E, θ)`` pair
-against a whole family of assignments at once through the batched evaluators
-(the λ-comprehension and ``E`` are each compiled once and run columnar over
-the family; the membership check is one integer binary search per row).
+against a family of assignments: the hypotheses filter the family, and the
+λ-comprehension and ``E`` are evaluated on each satisfying assignment.
 
 This module also hosts ``collect_set_answers``, the set case of Theorem 10.
 This release wires the Unit/Ur/product cases of Theorem 10 end to end; the
@@ -311,8 +310,8 @@ def check_collection(
 
     For every assignment satisfying all ``hypotheses``, the collected set
     ``{z ∈ c | λ(z)}`` must be a member of the candidate expression ``E``
-    (= ``expr``).  The hypotheses are filtered through the compiled
-    conjunction (:func:`~repro.logic.semantics.satisfying_assignments`);
+    (= ``expr``).  The family is filtered through the conjunction of the
+    hypotheses (:func:`~repro.logic.semantics.satisfying_assignments`);
     the λ-comprehension and ``E`` are then evaluated per
     satisfying assignment with :func:`~repro.nrc.eval.eval_nrc`.  Returns a
     :class:`~repro.synthesis.verification.VerificationReport`.

@@ -7,13 +7,10 @@ specification, the synthesized expression evaluated on the inputs must equal
 the output value.
 
 :func:`check_explicit_definition` filters a family in two steps.  The
-specification goes through the compiled formula program
-(:func:`repro.logic.semantics.satisfying_assignments`, which evaluates each
-distinct assignment row once).  The candidate expression then runs once per
-satisfying assignment through :func:`repro.nrc.eval.eval_nrc`.  Passing
-``batched=False`` filters with the per-assignment
-:func:`repro.logic.semantics.eval_formula` instead; it is kept as the
-differential-testing oracle for the compiled formula filter.
+specification selects the satisfying assignments
+(:func:`repro.logic.semantics.satisfying_assignments`); the candidate
+expression then runs once per satisfying assignment through
+:func:`repro.nrc.eval.eval_nrc`.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.logic.semantics import eval_formula, satisfying_assignments
+from repro.logic.semantics import satisfying_assignments
 from repro.logic.terms import Var
 from repro.nr.values import Value
 from repro.nrc.eval import eval_nrc
@@ -50,19 +47,10 @@ def check_explicit_definition(
     problem,
     expression: NRCExpr,
     assignments: Sequence[Mapping[Var, Value]],
-    batched: bool = True,
 ) -> VerificationReport:
-    """Check ``expression`` explicitly defines the problem's output on the given assignments.
-
-    ``batched`` selects the compiled formula filter (default) or the
-    per-assignment :func:`eval_formula` oracle; the expression is evaluated
-    per satisfying assignment either way.
-    """
+    """Check ``expression`` explicitly defines the problem's output on the given assignments."""
     assignments = list(assignments)
-    if batched:
-        satisfying = satisfying_assignments(problem.phi, assignments)
-    else:
-        satisfying = [a for a in assignments if eval_formula(problem.phi, a)]
+    satisfying = satisfying_assignments(problem.phi, assignments)
     input_nvars = _nvar_mapping(problem.inputs)
     mismatches: List[Mapping[Var, Value]] = []
     for assignment in satisfying:

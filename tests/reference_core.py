@@ -3,7 +3,11 @@
 These are byte-for-byte ports of the *seed* recursive NRC evaluator and
 simplifier (commit 684c224), kept as the test oracle: the executable
 specification the optimized core is differentially tested against
-(``tests/test_core_property.py``).
+(``tests/test_core_property.py``).  The Δ0 evaluator below is the
+``eval_formula``/``eval_term`` pair as it stood before the production one
+learned to short-circuit quantifiers; it evaluates every quantifier instance
+and is the oracle of ``tests/test_formula_compile.py`` and
+``tests/test_verification.py``.
 
 Do **not** optimize this module: its only job is to stay obviously equal to
 the paper's semantics.  Recursive on purpose — the production paths in
@@ -15,6 +19,20 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.errors import EvaluationError, TypeMismatchError
+from repro.logic.formulas import (
+    And,
+    Bottom,
+    EqUr,
+    Exists,
+    Forall,
+    Formula,
+    Member,
+    NeqUr,
+    NotMember,
+    Or,
+    Top,
+)
+from repro.logic.terms import PairTerm, Proj, Term, UnitTerm, Var
 from repro.nr.types import SetType
 from repro.nr.values import PairValue, SetValue, UnitValue, Value, default_value
 from repro.nrc.compose import nrc_free_vars, nrc_substitute
@@ -166,3 +184,59 @@ def _rewrite(expr: NRCExpr) -> NRCExpr:
         if expr.var not in nrc_free_vars(expr.body) and isinstance(expr.source, NSingleton):
             return expr.body
     return expr
+
+
+# ------------------------------------------------------------------ Δ0 formulas
+def reference_eval_term(term: Term, env: Mapping[Var, Value]) -> Value:
+    """Evaluate a Δ0 term under an assignment."""
+    if isinstance(term, Var):
+        try:
+            return env[term]
+        except KeyError as exc:
+            raise EvaluationError(f"unbound variable {term} : {term.typ}") from exc
+    if isinstance(term, UnitTerm):
+        return UnitValue()
+    if isinstance(term, PairTerm):
+        return PairValue(reference_eval_term(term.left, env), reference_eval_term(term.right, env))
+    if isinstance(term, Proj):
+        value = reference_eval_term(term.arg, env)
+        if not isinstance(value, PairValue):
+            raise EvaluationError(f"projection of non-pair value {value}")
+        return value.first if term.index == 1 else value.second
+    raise EvaluationError(f"unknown term {term!r}")
+
+
+def reference_eval_formula(formula: Formula, env: Mapping[Var, Value]) -> bool:
+    """Evaluate an (extended) Δ0 formula under an assignment."""
+    if isinstance(formula, EqUr):
+        return reference_eval_term(formula.left, env) == reference_eval_term(formula.right, env)
+    if isinstance(formula, NeqUr):
+        return reference_eval_term(formula.left, env) != reference_eval_term(formula.right, env)
+    if isinstance(formula, Member):
+        collection = reference_eval_term(formula.collection, env)
+        if not isinstance(collection, SetValue):
+            raise EvaluationError(f"membership in non-set value {collection}")
+        return reference_eval_term(formula.elem, env) in collection.elements
+    if isinstance(formula, NotMember):
+        return not reference_eval_formula(Member(formula.elem, formula.collection), env)
+    if isinstance(formula, Top):
+        return True
+    if isinstance(formula, Bottom):
+        return False
+    if isinstance(formula, And):
+        return reference_eval_formula(formula.left, env) and reference_eval_formula(formula.right, env)
+    if isinstance(formula, Or):
+        return reference_eval_formula(formula.left, env) or reference_eval_formula(formula.right, env)
+    if isinstance(formula, (Forall, Exists)):
+        bound = reference_eval_term(formula.bound, env)
+        if not isinstance(bound, SetValue):
+            raise EvaluationError(f"quantifier bound evaluated to non-set {bound}")
+        extended: Dict[Var, Value] = dict(env)
+        results = []
+        for element in bound.elements:
+            extended[formula.var] = element
+            results.append(reference_eval_formula(formula.body, extended))
+        if isinstance(formula, Forall):
+            return all(results)
+        return any(results)
+    raise EvaluationError(f"unknown formula {formula!r}")

@@ -22,7 +22,7 @@ from repro.service.cache import (
     spec_digest,
     spec_key,
 )
-from repro.service.pipeline import STAGE_FORMULA_COMPILE, SynthesisPipeline
+from repro.service.pipeline import SynthesisPipeline
 from repro.specs import examples
 from repro.synthesis import synthesize
 
@@ -134,31 +134,6 @@ def test_leftover_manifest_file_is_not_a_cache_entry(tmp_path):
     assert [entry.name for entry in SynthesisCache(disk_dir=tmp_path).disk_entries()] == [
         "union_view"
     ]
-
-
-def test_compiled_programs_stay_in_process(tmp_path):
-    """A run with a disk tier writes no compiled program to disk, so a fresh
-    process serving the result from disk compiles φ again to verify it."""
-    problem = examples.union_view()
-    instances = examples.multi_union_view_instances(2, 12)
-
-    def run():
-        pipeline = SynthesisPipeline(
-            cache=SynthesisCache(disk_dir=tmp_path),
-            search_factory=lambda: ProofSearch(**SEARCH),
-        )
-        return pipeline.run(problem, instances)
-
-    assert not run().cache_hit
-    assert not (tmp_path / "programs").exists()
-    # A fresh process holds no program on the hash-consed formula node.
-    for node in (problem.phi, intern(problem.phi)):
-        node.__dict__.pop("_fprog", None)
-    warm = run()
-    assert warm.cache_tier == "disk"
-    assert warm.stage(STAGE_FORMULA_COMPILE).detail["source"] == "compiled"
-    assert warm.verification is not None and warm.verification.ok
-    assert not (tmp_path / "programs").exists()
 
 
 def test_stale_tmp_files_are_reaped_on_open(tmp_path):
@@ -364,29 +339,3 @@ def test_store_memory_populates_only_the_lru(tmp_path):
     cache.store_memory(problem, _result(problem))
     assert cache.peek(problem) == "memory"
     assert disk_entries(tmp_path) == []
-
-
-def test_value_interner_stats_and_memo_clearing():
-    from repro.nr.columns import ValueInterner
-
-    interner = ValueInterner()
-    a = interner.intern(vset([ur(1), ur(2)]))
-    stats = interner.stats()
-    assert stats["ids"] > 0 and stats["set_ids"] >= 2 and stats["ur_ids"] == 2
-    assert interner.extern(a) == vset([ur(1), ur(2)])
-
-
-def test_shared_interner_bounding_hooks(monkeypatch):
-    from repro.nr import columns
-
-    monkeypatch.setattr(columns, "SHARED_INTERNER_MAX_IDS", 10)
-    try:
-        columns.reset_shared_interner()
-        interner = columns.shared_interner()
-        for index in range(50):
-            interner.intern(ur(f"atom_{index}"))
-        rotated = columns.shared_interner()
-        assert rotated is not interner
-        assert columns.shared_interner_stats()["max_ids"] == 10
-    finally:
-        columns.reset_shared_interner()

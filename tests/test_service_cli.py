@@ -134,7 +134,7 @@ def test_cache_stats_without_dir_shows_process_telemetry(capsys):
     assert code == 0
     payload = json.loads(out)
     assert "nodes" in payload["process"]["intern_table"]
-    assert "ids" in payload["process"]["shared_value_interner"]
+    assert payload["process"]["shared_value_interner"] == {}
 
 
 def test_cache_dir_pointing_at_a_file_is_a_clean_error(capsys, tmp_path):

@@ -9,7 +9,6 @@ from repro.service.pipeline import (
     STAGE_CACHE_LOOKUP,
     STAGE_CACHE_STORE,
     STAGE_EXTRACTION,
-    STAGE_FORMULA_COMPILE,
     STAGE_PROOF_SEARCH,
     STAGE_SIMPLIFICATION,
     STAGE_VALIDATE,
@@ -30,14 +29,12 @@ def test_cold_run_stage_sequence_and_details():
     names = [stage.name for stage in report.stages]
     assert names == [
         STAGE_VALIDATE,
-        STAGE_FORMULA_COMPILE,
         STAGE_PROOF_SEARCH,
         STAGE_EXTRACTION,
         STAGE_SIMPLIFICATION,
     ]
     assert report.cache_tier == "off" and not report.cache_hit
     assert all(stage.seconds >= 0 for stage in report.stages)
-    assert report.stage(STAGE_FORMULA_COMPILE).detail["source"] in ("compiled", "node-cache")
     assert report.stage(STAGE_PROOF_SEARCH).detail["proof_size"] > 0
     simplification = report.stage(STAGE_SIMPLIFICATION).detail
     assert simplification["size_after"] <= simplification["size_before"]
@@ -58,14 +55,13 @@ def test_cache_miss_then_hit_skips_expensive_stages():
     warm = pipeline.run(problem)
     assert warm.cache_tier == "memory" and warm.cache_hit
     warm_names = [stage.name for stage in warm.stages]
-    assert warm_names == [STAGE_VALIDATE, STAGE_CACHE_LOOKUP, STAGE_FORMULA_COMPILE]
-    assert warm.stage(STAGE_FORMULA_COMPILE).detail["source"] == "node-cache"
+    assert warm_names == [STAGE_VALIDATE, STAGE_CACHE_LOOKUP]
     assert warm.result.expression == cold.result.expression
     assert warm.digest == cold.digest
 
 
-def test_verification_stage_runs_on_hits_too():
-    cache = SynthesisCache()
+def test_verification_stage_runs_on_hits_too(tmp_path):
+    cache = SynthesisCache(disk_dir=tmp_path)
     pipeline = _pipeline(cache)
     problem = examples.union_view()
     instances = examples.multi_union_view_instances(2, 10)
@@ -73,9 +69,14 @@ def test_verification_stage_runs_on_hits_too():
     cold = pipeline.run(problem, instances)
     assert cold.verification is not None and cold.verification.ok
     warm = pipeline.run(problem, instances)
-    assert warm.cache_hit
+    assert warm.cache_tier == "memory"
     assert warm.verification is not None and warm.verification.ok
     assert warm.stage(STAGE_VERIFICATION).detail["satisfying"] == 10
+    # A result read back from disk (as by a fresh process) is verified too.
+    disk = _pipeline(SynthesisCache(disk_dir=tmp_path)).run(problem, instances)
+    assert disk.cache_tier == "disk"
+    assert disk.verification is not None and disk.verification.ok
+    assert disk.stage(STAGE_VERIFICATION).detail["satisfying"] == 10
 
 
 def test_unsimplified_mode_returns_raw():

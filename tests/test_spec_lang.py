@@ -24,6 +24,7 @@ from repro.service.pipeline import SynthesisPipeline
 from repro.service.registry import default_registry
 from repro.specs.fuzz import build_spec, generate_spec, replay_spec_text, run_fuzz
 from repro.specs.lang import (
+    MAX_NESTING,
     SpecParseError,
     parse_expr,
     parse_formula,
@@ -214,3 +215,37 @@ def test_spec_text_parse_failure_is_a_structured_parse_error():
     assert excinfo.value.code == "parse_error"
     assert set(excinfo.value.detail) == {"line", "column", "offset"}
     assert api.ERROR_CODES["parse_error"] == 400
+
+
+def _nested_spec(depth):
+    """A spec whose brackets nest ``depth`` levels: the problem block's
+    ``{`` and ``depth - 1`` parenthesised disjunctions."""
+    formula = "y = x"
+    for _ in range(depth - 1):
+        formula = f"(x = y | {formula})"
+    return f"problem deep {{ input x : Ur; output y : Ur; spec {formula} }}"
+
+
+def test_nesting_up_to_the_cap_parses():
+    assert MAX_NESTING == 128
+    problem = parse_problem(_nested_spec(MAX_NESTING))
+    assert problem.name == "deep"
+    assert problem == parse_problem(pretty_problem(problem))
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
+def test_nesting_past_the_cap_is_a_parse_error(depth):
+    """Too deep a spec answers ``parse_error`` with the position of the first
+    bracket past the cap, never an ``internal`` error from a recursion
+    overflow in the parser or in a later pass over the spec."""
+    from repro.service.workers import execute_synthesize_request
+
+    text = _nested_spec(depth)
+    with pytest.raises(SpecParseError, match="nest deeper than 128"):
+        parse_problem(text)
+    with pytest.raises(api.ApiError) as excinfo:
+        execute_synthesize_request(api.SynthesizeRequest(spec_text=text))
+    assert excinfo.value.code == "parse_error"
+    offset = excinfo.value.detail["offset"]
+    assert text[offset] == "("
+    assert text[:offset].count("(") + text[:offset].count("{") == MAX_NESTING

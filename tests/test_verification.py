@@ -1,16 +1,19 @@
-"""Semantic verification and the formula oracles it rests on.
+"""Semantic verification and the formula oracle it rests on.
 
-* ``eval_formula_batch`` vs per-assignment ``eval_formula`` on random
+* ``eval_formula``/``satisfying_assignments`` vs the frozen
+  ``reference_eval_formula`` (``tests/reference_core.py``) on random
   well-typed Δ0 formulas × random assignment families;
-* ``check_explicit_definition`` with the compiled formula filter vs its
-  per-assignment ``eval_formula`` oracle on synthesized definitions over
+* ``check_explicit_definition`` and ``check_implicitly_defines`` vs the same
+  checks built on the oracle (:func:`reference_check_explicit_definition`,
+  :func:`reference_check_implicitly_defines`) on synthesized definitions over
   enumerated assignment families;
-* ``check_view_rewriting`` and ``check_implicitly_defines`` on small families;
+* ``check_view_rewriting`` on a small family;
 * ``check_collection`` on the standalone parameter-collection goal.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from reference_core import reference_eval_formula
 from test_core_property import _values_of
 
 from repro.logic.formulas import (
@@ -25,7 +28,7 @@ from repro.logic.formulas import (
     Or,
     Top,
 )
-from repro.logic.semantics import eval_formula, eval_formula_batch, satisfying_assignments
+from repro.logic.semantics import eval_formula, satisfying_assignments
 from repro.logic.terms import Proj, Var
 from repro.nr.types import UR, prod, set_of
 from repro.nr.values import ur, vset
@@ -78,31 +81,43 @@ well_typed_formulas = _formulas()
 
 
 @given(formula=well_typed_formulas, size=families, data=st.randoms(use_true_random=False))
-def test_eval_formula_batch_agrees_with_per_assignment(formula, size, data):
+def test_eval_formula_agrees_with_reference(formula, size, data):
     assignments = [{var: _values_of(var.typ, data) for var in FORMULA_VARS} for _ in range(size)]
     if len(assignments) >= 2:
         assignments[-1] = assignments[0]  # duplicate-assignment edge case
-    batch = eval_formula_batch(formula, assignments)
-    assert batch == [eval_formula(formula, assignment) for assignment in assignments]
-    expected = [a for a, ok in zip(assignments, batch) if ok]
+    mask = [reference_eval_formula(formula, assignment) for assignment in assignments]
+    assert [eval_formula(formula, assignment) for assignment in assignments] == mask
+    expected = [a for a, ok in zip(assignments, mask) if ok]
     assert satisfying_assignments(formula, assignments) == expected
 
 
-def test_eval_formula_batch_empty_family():
-    assert eval_formula_batch(Top(), []) == []
-
-
-def test_eval_formula_batch_lazy_unbound_is_per_row():
-    """Same per-row laziness for quantifiers over empty bounds."""
-    z = Var("z", UR)
-    phi = Exists(z, S, EqUr(z, U))
-    assignments = [{S: vset([ur(1)]), U: ur(1)}, {S: vset([])}]
-    assert eval_formula_batch(phi, assignments) == [
-        eval_formula(phi, assignment) for assignment in assignments
-    ]
-
-
 # ----------------------------------------------- end-to-end consumer checks
+def reference_check_explicit_definition(problem, expression, assignments):
+    """``check_explicit_definition`` with the family filtered by the oracle."""
+    from repro.nrc.eval import eval_nrc
+    from repro.synthesis.verification import VerificationReport
+
+    assignments = list(assignments)
+    satisfying = [a for a in assignments if reference_eval_formula(problem.phi, a)]
+    mismatches = []
+    for assignment in satisfying:
+        env = {NVar(v.name, v.typ): assignment[v] for v in problem.inputs}
+        if eval_nrc(expression, env) != assignment[problem.output]:
+            mismatches.append(assignment)
+    return VerificationReport(len(assignments), len(satisfying), mismatches)
+
+
+def reference_check_implicitly_defines(problem, assignments):
+    """``check_implicitly_defines`` by the oracle and a pairwise comparison."""
+    satisfying = [a for a in assignments if reference_eval_formula(problem.phi, a)]
+    for first in satisfying:
+        for second in satisfying:
+            if all(first[i] == second[i] for i in problem.inputs):
+                if first[problem.output] != second[problem.output]:
+                    return False
+    return True
+
+
 def _union_view_family(count):
     """Assignment families for the union_view problem, with heavy value sharing."""
     from repro.specs import examples
@@ -128,7 +143,7 @@ def test_check_explicit_definition_batched_agrees_with_oracle(count):
     problem, assignments = _union_view_family(count)
     result = synthesize(problem, search=ProofSearch(max_depth=12))
     batched = check_explicit_definition(problem, result.expression, assignments)
-    oracle = check_explicit_definition(problem, result.expression, assignments, batched=False)
+    oracle = reference_check_explicit_definition(problem, result.expression, assignments)
     assert batched.ok and oracle.ok
     assert (batched.checked, batched.satisfying) == (oracle.checked, oracle.satisfying)
 
@@ -141,7 +156,7 @@ def test_check_explicit_definition_batched_reports_mismatches():
     # flag exactly the satisfying assignments where v1 ≠ v1 ∪ v2.
     wrong = NVar(problem.inputs[0].name, problem.inputs[0].typ)
     batched = check_explicit_definition(problem, wrong, assignments)
-    oracle = check_explicit_definition(problem, wrong, assignments, batched=False)
+    oracle = reference_check_explicit_definition(problem, wrong, assignments)
     assert not batched.ok and not oracle.ok
     assert batched.mismatches == oracle.mismatches
     assert (batched.checked, batched.satisfying) == (oracle.checked, oracle.satisfying)
@@ -177,18 +192,25 @@ def test_check_view_rewriting_accepts_the_rewriting_and_flags_a_wrong_one():
 def test_check_implicitly_defines_batched_agrees_with_oracle():
     problem, assignments = _union_view_family(12)
     assert problem.check_implicitly_defines(assignments)
-    assert problem.check_implicitly_defines(assignments, batched=False)
+    assert reference_check_implicitly_defines(problem, assignments)
     # Same inputs, different output: both paths must report the counterexample.
     broken = dict(assignments[0])
     broken[problem.output] = vset([ur("conflict")])
     conflicting = assignments + [broken]
     # The broken row no longer satisfies phi, so definability still holds...
     assert problem.check_implicitly_defines(conflicting)
-    assert problem.check_implicitly_defines(conflicting, batched=False)
+    assert reference_check_implicitly_defines(problem, conflicting)
+    # ...while a specification that leaves the output free is refuted by two
+    # satisfying rows with equal inputs and different outputs.
+    from repro.specs.problems import ImplicitDefinitionProblem
+
+    loose = ImplicitDefinitionProblem("loose", Top(), problem.inputs, problem.output)
+    assert not loose.check_implicitly_defines(conflicting)
+    assert not reference_check_implicitly_defines(loose, conflicting)
 
 
 def test_check_collection_batched_on_standalone_goal():
-    """Theorem 8 semantics, validated over a family (compiled hypothesis filter)."""
+    """Theorem 8 semantics, validated over a family (hypothesis filter)."""
     from repro.interpolation.partition import Partition
     from repro.logic.macros import iff, member_hat, negate
     from repro.proofs.search import ProofSearch

@@ -1,5 +1,6 @@
 """Witness store: crash consistency, exact-witness replay, worker warm-up, hand-written proofs."""
 
+import io
 import logging
 import pickle
 import random
@@ -36,6 +37,7 @@ from repro.witness.handwritten import (
 )
 from repro.witness.store import (
     WitnessStore,
+    _WitnessUnpickler,
     witness_digest,
     witness_fingerprint,
 )
@@ -133,6 +135,43 @@ def test_import_drops_memos_planted_in_a_problem_state(tmp_path, union_spec, uni
     assert adopted.problem.determinacy_goal() == union_spec.problem.determinacy_goal()
     assert spec_digest(adopted.problem) == spec_digest(union_spec.problem)
     assert spec_key(adopted.problem) == spec_key(union_spec.problem)
+
+
+def test_unpickling_drops_memos_planted_in_nodes_and_sequents(monkeypatch):
+    """A pickled sequent whose state carries a forged free-variable set
+    (``_fv``), and a formula whose state carries a forged rendering
+    (``_cstr``), unpickle through the witness allow-list with their declared
+    fields only, so the sequent renders as what it is."""
+    from repro.core.node import Node
+
+    x, y = Var("x", UR), Var("y", UR)
+    atom = EqUr(x, y)
+    sequent = Sequent.of([], [atom, NeqUr(y, x)])
+    truth = str(sequent)
+    object.__setattr__(atom, "_cstr", "forged-rendering")
+    object.__setattr__(sequent, "_fv", frozenset({Var("forged", UR)}))
+    assert "forged-rendering" in str(sequent)
+    with monkeypatch.context() as patch:
+        for cls in (Node, Sequent):
+            patch.setattr(cls, "__getstate__", lambda self: dict(self.__dict__))
+        blob = pickle.dumps(sequent)
+    assert b"forged-rendering" in blob and b"_fv" in blob
+
+    restored = _WitnessUnpickler(io.BytesIO(blob)).load()
+    assert "_fv" not in vars(restored)
+    assert all("_cstr" not in vars(formula) for formula in restored.delta)
+    assert restored == sequent
+    assert str(restored) == truth
+
+
+def test_field_only_setstate_accepts_a_dict_only():
+    from repro.nr.values import ur
+
+    value = ur(1)
+    with pytest.raises(TypeError, match="not a dict"):
+        value.__setstate__(("atom", 1))
+    with pytest.raises(TypeError, match="not a dict"):
+        Var("x", UR).__setstate__(None)
 
 
 def test_import_rejects_garbage(tmp_path):

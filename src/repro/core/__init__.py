@@ -8,18 +8,13 @@ traversal/caching/rewriting substrate they all share.  See ARCHITECTURE.md.
 from repro.core.node import (
     Node,
     cached_fold,
+    canonical_nodes,
     fold,
     free_vars,
     map_children,
     node_size,
     transform_bottom_up,
     walk,
-)
-from repro.core.interning import (
-    clear_intern_cache,
-    install_hash_cache,
-    intern,
-    intern_table_size,
 )
 from repro.core.subst import fresh_name, free_var_names, replace_subtree, substitute
 from repro.core.engine import RewriteEngine, RewriteStats
@@ -33,10 +28,7 @@ __all__ = [
     "transform_bottom_up",
     "node_size",
     "free_vars",
-    "intern",
-    "install_hash_cache",
-    "intern_table_size",
-    "clear_intern_cache",
+    "canonical_nodes",
     "substitute",
     "replace_subtree",
     "fresh_name",

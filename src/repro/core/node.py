@@ -14,6 +14,11 @@ Binder nodes (``Forall``/``Exists``/``NBigUnion``) additionally expose
 ``binder`` (the bound variable), ``body_index`` (which child the binder scopes
 over) and ``rebuild_binder(var, children)``.
 
+Nodes are canonical by construction (hash-consing): the :class:`Node`
+metaclass returns the live node with the same class and fields when there is
+one, so structurally equal trees are one object and ``==``/``hash`` are
+identity.
+
 On top of the protocol this module provides the generic traversal engine used
 everywhere in place of the seed's five hand-rolled walkers:
 
@@ -28,6 +33,9 @@ everywhere in place of the seed's five hand-rolled walkers:
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from dataclasses import fields as _dataclass_fields
 from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
 
@@ -42,8 +50,8 @@ _FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 def dataclass_field_names(cls: type) -> Tuple[str, ...]:
     """Declared dataclass field names of ``cls``, memoized per class.
 
-    Shared by pickling (below) and hash-consing (``core.interning``), which
-    both need the field tuple on hot paths.
+    Shared by pickling (below) and node construction, which both need the
+    field tuple.
     """
     names = _FIELD_NAMES.get(cls)
     if names is None:
@@ -53,16 +61,16 @@ def dataclass_field_names(cls: type) -> Tuple[str, ...]:
 
 
 def dataclass_state(self) -> dict:
-    """``__getstate__`` for frozen AST dataclasses: persist declared fields only.
+    """``__getstate__`` for frozen dataclasses that memoize in ``__dict__``.
 
-    The memoized analyses of the caching contract (``_chash``, ``_fv``,
-    ``_typ``, ``_runner``, ...) live in the instance ``__dict__`` next to the
-    dataclass fields, so default pickling would drag them across process
-    boundaries.  That is both wasteful and wrong: the structural hash is
-    salted per process (``PYTHONHASHSEED``), and the compiled evaluator
-    closures are not picklable at all.  Restricting the pickled state to the
-    declared fields makes every AST round-trip cleanly — caches are simply
-    recomputed on first use in the receiving process.
+    Sequents, proof nodes, problems and results keep memoized analyses
+    (``_chash``, ``_fv``, ``_valid_height``, ...) in the instance
+    ``__dict__`` next to their dataclass fields, so default pickling would
+    drag them across process boundaries.  That is both wasteful and wrong:
+    a hash is salted per process (``PYTHONHASHSEED``) and a validation mark
+    only holds where it was earned.  Restricting the pickled state to the
+    declared fields makes every such object round-trip cleanly; the memos
+    are recomputed on first use in the receiving process.
     """
     state = self.__dict__
     return {name: state[name] for name in dataclass_field_names(self.__class__)}
@@ -73,10 +81,10 @@ def dataclass_setstate(self, state: object) -> None:
 
     A pickle from outside the program (an imported witness) may carry more
     than the fields.  Default unpickling would install every key, so a
-    payload could plant a memo (a sequent's ``_fv``, a formula's rendering
-    in ``_cstr``, a proof's validation mark) that this process then trusts.
-    Only a dict is accepted and only the declared fields are copied; a
-    missing field stays missing, for the reader's own shape checks to reject.
+    payload could plant a memo (a sequent's ``_fv``, a proof's validation
+    mark) that this process then trusts.  Only a dict is accepted and only
+    the declared fields are copied; a missing field stays missing, for the
+    reader's own shape checks to reject.
     """
     if not isinstance(state, dict):
         raise TypeError(f"{type(self).__name__} state is a {type(state).__name__}, not a dict")
@@ -86,8 +94,67 @@ def dataclass_setstate(self, state: object) -> None:
             target[name] = state[name]
 
 
-class Node:
+# ------------------------------------------------------------ hash-consing
+#: ``(class, *fields)`` → the one live node with those fields.  Values are
+#: weak, so a node leaves the table with its last outside reference.
+_CANONICAL: "weakref.WeakValueDictionary[tuple, Node]" = weakref.WeakValueDictionary()
+_canonical_ref = _CANONICAL.data.get
+_CANONICAL_LOCK = threading.RLock()
+
+
+def _reset_canonical_lock() -> None:
+    # A fork taken while another thread held the lock would leave it held
+    # for good in the child.
+    global _CANONICAL_LOCK
+    _CANONICAL_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_reset_canonical_lock)
+
+
+class _Canonical(type):
+    """Metaclass of :class:`Node`: construction returns the canonical node.
+
+    A call with all fields positional looks its argument tuple up directly;
+    any other call builds the node first and looks up its declared fields.
+    Only a miss takes the lock, so two threads building the same node get
+    one object.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if not kwargs:
+            ref = _canonical_ref((cls, *args))
+            if ref is not None:
+                node = ref()
+                if node is not None:
+                    return node
+        node = object.__new__(cls)
+        node.__init__(*args, **kwargs)
+        state = node.__dict__
+        key = (cls, *[state[name] for name in dataclass_field_names(cls)])
+        with _CANONICAL_LOCK:
+            live = _CANONICAL.get(key)
+            if live is not None:
+                return live
+            _CANONICAL[key] = node
+        return node
+
+
+def canonical_nodes() -> int:
+    """Number of live canonical nodes (service telemetry)."""
+    return len(_CANONICAL)
+
+
+class Node(metaclass=_Canonical):
     """Base class of every AST node (terms, formulas, NRC expressions).
+
+    Nodes are hash-consed: building a node whose class and fields equal a
+    live node's returns that node (:class:`_Canonical`).  Subclasses are
+    ``@dataclass(frozen=True, eq=False)``, so ``==`` and ``hash`` are object
+    identity, which on canonical nodes is structural equality.  A node
+    pickles as its constructor call, so unpickling is construction too;
+    ``__new__`` and ``__setstate__`` refuse, so a payload can neither make a
+    second copy of a node nor plant a memo on the canonical one.
 
     Every concrete subclass must implement ``children()`` — leaves via the
     :func:`leaf` helper, composites explicitly.  The default *raises* so that
@@ -101,8 +168,15 @@ class Node:
     binder = None  # the bound variable on binder nodes, None elsewhere
     body_index = -1  # index in children() the binder scopes over
 
-    __getstate__ = dataclass_state
-    __setstate__ = dataclass_setstate
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__} nodes are built by calling the class")
+
+    def __reduce__(self):
+        state = self.__dict__
+        return self.__class__, tuple(state[name] for name in dataclass_field_names(self.__class__))
+
+    def __setstate__(self, state: object) -> None:
+        raise TypeError(f"{type(self).__name__} nodes take no pickled state")
 
     def children(self) -> Tuple["Node", ...]:
         raise TypeError(
@@ -137,6 +211,27 @@ class Node:
 def leaf_children(self) -> Tuple[Node, ...]:
     """Assign ``children = leaf_children`` in a class body to declare a leaf."""
     return ()
+
+
+def install_str_cache(*classes: type) -> None:
+    """Replace each class's ``__str__`` with a caching wrapper.
+
+    The proof search orders candidate formulas by their (deterministic)
+    string rendering; rendering is O(size) per call on frozen trees, so the
+    result is cached in the node's ``_cstr``.
+    """
+    for cls in classes:
+        original = cls.__dict__.get("__str__") or cls.__str__
+
+        def cached_str(self, _original=original):
+            d = self.__dict__
+            s = d.get("_cstr")
+            if s is None:
+                s = _original(self)
+                object.__setattr__(self, "_cstr", s)
+            return s
+
+        cls.__str__ = cached_str  # type: ignore[assignment]
 
 
 def walk(root: Node) -> Iterator[Node]:

@@ -24,16 +24,15 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.core import node as core
-from repro.core.interning import install_hash_cache, install_str_cache
 from repro.logic.terms import Term, Var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula(core.Node):
     """Base class of (extended) Δ0 formulas."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqUr(Formula):
     """Equality of Ur-elements ``left =𝔘 right``."""
 
@@ -50,7 +49,7 @@ class EqUr(Formula):
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeqUr(Formula):
     """Disequality of Ur-elements ``left ≠𝔘 right``."""
 
@@ -67,7 +66,7 @@ class NeqUr(Formula):
         return f"{self.left} != {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     """The true formula ⊤."""
 
@@ -77,7 +76,7 @@ class Top(Formula):
         return "T"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     """The false formula ⊥."""
 
@@ -87,7 +86,7 @@ class Bottom(Formula):
         return "F"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     """Conjunction."""
 
@@ -104,7 +103,7 @@ class And(Formula):
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     """Disjunction."""
 
@@ -121,7 +120,7 @@ class Or(Formula):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Formula):
     """Bounded universal quantification ``∀ var ∈ bound . body``."""
 
@@ -148,7 +147,7 @@ class Forall(Formula):
         return f"(all {self.var} in {self.bound}. {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Formula):
     """Bounded existential quantification ``∃ var ∈ bound . body``."""
 
@@ -175,7 +174,7 @@ class Exists(Formula):
         return f"(ex {self.var} in {self.bound}. {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Member(Formula):
     """A primitive membership literal ``elem ∈ collection`` (extended Δ0 only)."""
 
@@ -192,7 +191,7 @@ class Member(Formula):
         return f"{self.elem} in {self.collection}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotMember(Formula):
     """A primitive non-membership literal ``elem ∉ collection`` (extended Δ0)."""
 
@@ -209,8 +208,7 @@ class NotMember(Formula):
         return f"{self.elem} notin {self.collection}"
 
 
-install_hash_cache(EqUr, NeqUr, Top, Bottom, And, Or, Forall, Exists, Member, NotMember)
-install_str_cache(EqUr, NeqUr, And, Or, Forall, Exists, Member, NotMember)
+core.install_str_cache(EqUr, NeqUr, And, Or, Forall, Exists, Member, NotMember)
 
 
 def conj(formulas: Sequence[Formula]) -> Formula:

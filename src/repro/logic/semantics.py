@@ -105,11 +105,6 @@ def eval_formula(formula: Formula, env: Assignment) -> bool:
     raise EvaluationError(f"unknown formula {formula!r}")
 
 
-def models(env: Assignment, *formulas: Formula) -> bool:
-    """True iff the assignment satisfies every formula."""
-    return all(eval_formula(formula, env) for formula in formulas)
-
-
 def satisfying_assignments(formula: Formula, assignments: Sequence[Assignment]) -> List[Assignment]:
     """The assignments of the family that satisfy ``formula``, in order."""
     return [assignment for assignment in assignments if eval_formula(formula, assignment)]

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from repro.core import node as core
-from repro.core.interning import install_hash_cache, install_str_cache
 from repro.errors import TypeMismatchError
 from repro.nr.types import ProdType, Type, UNIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Term(core.Node):
     """Base class of Δ0 terms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     """A typed variable."""
 
@@ -43,7 +42,7 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitTerm(Term):
     """The unit term ``()``."""
 
@@ -53,7 +52,7 @@ class UnitTerm(Term):
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairTerm(Term):
     """A pair term ``<left, right>``."""
 
@@ -70,7 +69,7 @@ class PairTerm(Term):
         return f"<{self.left}, {self.right}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Proj(Term):
     """A projection ``π_index(arg)`` with ``index`` in {1, 2}."""
 
@@ -91,8 +90,7 @@ class Proj(Term):
         return f"pi{self.index}({self.arg})"
 
 
-install_hash_cache(Var, UnitTerm, PairTerm, Proj)
-install_str_cache(PairTerm, Proj)
+core.install_str_cache(PairTerm, Proj)
 
 
 def proj1(term: Term) -> Proj:

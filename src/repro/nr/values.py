@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, Hashable, Iterable, Iterator, List
 
-from repro.core.interning import install_hash_cache
 from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import TypeMismatchError
 from repro.nr.types import ProdType, SetType, Type, UnitType, UrType
@@ -29,8 +28,8 @@ from repro.nr.types import ProdType, SetType, Type, UnitType, UrType
 class Value:
     """Base class of nested relational values."""
 
-    # Values carry the same in-__dict__ memo caches as AST nodes (UrValue
-    # caches its structural hash); pickle only the declared fields, both ways.
+    # Pickle only the declared fields, both ways: a payload cannot plant
+    # attributes on a value.
     __getstate__ = dataclass_state
     __setstate__ = dataclass_setstate
 
@@ -82,13 +81,6 @@ class SetValue(Value):
 
     def __contains__(self, item: Value) -> bool:
         return item in self.elements
-
-
-# Ur-elements are the only values that persist across evaluator runs (inputs
-# are built once, outputs are rebuilt); caching their hash speeds up every
-# frozenset the evaluator builds around them without taxing the short-lived
-# pair/set wrappers with a wrapper-call on their single hashing.
-install_hash_cache(UrValue)
 
 
 def unit() -> UnitValue:

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.core import node as core
-from repro.core.interning import install_hash_cache
 from repro.errors import TypeMismatchError
 from repro.nr.types import Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NRCExpr(core.Node):
     """Base class of NRC expressions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NVar(NRCExpr):
     """A typed input (free) variable."""
 
@@ -44,7 +43,7 @@ class NVar(NRCExpr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NUnit(NRCExpr):
     """The unit expression ``()``."""
 
@@ -54,7 +53,7 @@ class NUnit(NRCExpr):
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NPair(NRCExpr):
     """Pairing ``<left, right>``."""
 
@@ -71,7 +70,7 @@ class NPair(NRCExpr):
         return f"<{self.left}, {self.right}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NProj(NRCExpr):
     """Projection ``π_index(arg)`` with index in {1, 2}."""
 
@@ -92,7 +91,7 @@ class NProj(NRCExpr):
         return f"pi{self.index}({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NSingleton(NRCExpr):
     """Singleton set ``{arg}``."""
 
@@ -108,7 +107,7 @@ class NSingleton(NRCExpr):
         return f"{{{self.arg}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NGet(NRCExpr):
     """``get_T``: extract the unique element of a singleton set (default otherwise)."""
 
@@ -124,7 +123,7 @@ class NGet(NRCExpr):
         return f"get({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NBigUnion(NRCExpr):
     """Binding union ``⋃{ body | var ∈ source }``; ``var`` is bound in ``body``."""
 
@@ -151,7 +150,7 @@ class NBigUnion(NRCExpr):
         return f"U{{{self.body} | {self.var} in {self.source}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NEmpty(NRCExpr):
     """The empty set ``∅`` of element type ``elem_type``."""
 
@@ -163,7 +162,7 @@ class NEmpty(NRCExpr):
         return "{}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NUnion(NRCExpr):
     """Binary set union."""
 
@@ -180,7 +179,7 @@ class NUnion(NRCExpr):
         return f"({self.left} u {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NDiff(NRCExpr):
     """Set difference ``left \\ right``."""
 
@@ -195,11 +194,6 @@ class NDiff(NRCExpr):
 
     def __str__(self) -> str:
         return f"({self.left} \\ {self.right})"
-
-
-install_hash_cache(
-    NVar, NUnit, NPair, NProj, NSingleton, NGet, NBigUnion, NEmpty, NUnion, NDiff
-)
 
 
 def expr_size(expr: NRCExpr) -> int:

@@ -79,7 +79,7 @@ from repro.proofs.sequents import Sequent, sequent_free_vars
 def _render_key(formula: Formula) -> str:
     """The deterministic ordering key: the node's cached rendering.
 
-    Formulas cache ``__str__`` in ``_cstr`` (``core.interning``); reading the
+    Formulas cache ``__str__`` in ``_cstr`` (``core.node``); reading the
     slot directly skips the bound-method dispatch that ``key=str`` pays per
     element per sort per visit.
     """

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
-from repro.core.interning import install_hash_cache
 from repro.core.node import dataclass_setstate, dataclass_state
 from repro.errors import FormulaError
 from repro.logic.formulas import Formula, Member, is_delta0, is_existential_leading
@@ -37,6 +36,14 @@ class Sequent:
     # core.node.dataclass_state and dataclass_setstate.
     __getstate__ = dataclass_state
     __setstate__ = dataclass_setstate
+
+    def __hash__(self) -> int:
+        # Sequents key the proof search's failure memo; hash once per sequent.
+        h = self.__dict__.get("_chash")
+        if h is None:
+            h = hash((self.theta, self.delta))
+            object.__setattr__(self, "_chash", h)
+        return h
 
     @staticmethod
     def of(theta: Iterable[Member] = (), delta: Iterable[Formula] = ()) -> "Sequent":
@@ -63,11 +70,6 @@ class Sequent:
         theta = ", ".join(sorted(str(a) for a in self.theta))
         delta = ", ".join(sorted(str(f) for f in self.delta))
         return f"{theta} |- {delta}"
-
-
-# Sequents are used as dict keys by the proof search's failure memo; cache
-# their structural hash like every other frozen node of the system.
-install_hash_cache(Sequent)
 
 
 def sequent_free_vars(sequent: Sequent) -> FrozenSet[Var]:

@@ -3,26 +3,24 @@
 Synthesis is pure: the explicit definition depends only on the specification
 ``φ(ī, ā, o)`` and the declared variable roles — never on the problem *name*
 or the process that ran the proof search.  Results are therefore cached under
-a **content address** derived from the interned specification:
+a **content address** derived from the specification:
 
-* the in-memory tier keys an LRU ``OrderedDict`` on a :class:`SpecKey` whose
-  formula component is hash-consed (:func:`repro.core.interning.intern`), so
-  key hashing reuses the per-node ``_chash`` cache and key equality degrades
-  to pointer comparisons between canonical trees;
+* the in-memory tier keys an LRU ``OrderedDict`` on a :class:`SpecKey`; its
+  formula component is a canonical node (nodes are hash-consed when built,
+  see ``core.node``), so key hashing and equality are identity checks;
 * the optional on-disk tier addresses entries by :func:`spec_digest`, a
   SHA-256 over the *deterministic rendering* of the specification and the
   variable signature.  Renderings — unlike Python hashes — are stable across
   processes (``PYTHONHASHSEED``) and machines, so sweep workers and later
   service processes share one persistent store.  Each entry is a pickle of
   the full :class:`~repro.synthesis.implicit_to_explicit.SynthesisResult`
-  (AST classes pickle fields-only, see ``core.node.dataclass_state``),
+  (AST nodes pickle as constructor calls, see ``core.node.Node``),
   stamped with :func:`~repro.nrc.simplify.simplifier_fingerprint` so entries
   simplified by another rule set read as stale misses, next to a
   human-readable JSON sidecar used by ``python -m repro cache-stats``.
 
 Long-running services must not grow without bound; :meth:`SynthesisCache.
-maintain` size-bounds the hash-consing intern table (``core/interning.py``)
-and the **disk tier itself**, with a cost-aware policy: each sidecar
+maintain` size-bounds the **disk tier**, with a cost-aware policy: each sidecar
 records the synthesis wall-time that produced its entry, and past the bounds
 the cheapest-to-recompute entries are evicted first (a microsecond union view
 is disposable; a multi-second copy-chain proof is kept).
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.interning import clear_intern_cache, intern, intern_cache_stats
 from repro.logic.formulas import Formula
 from repro.logic.terms import Var
 from repro.nrc.expr import expr_size
@@ -54,9 +51,6 @@ from repro.witness.store import WITNESS_SUBDIR, WitnessStore, atomic_write_bytes
 #: expressions are small compared to the proof trees they carry).
 DEFAULT_CAPACITY = 128
 
-#: Defaults for :meth:`SynthesisCache.maintain`'s process-global bounds.
-DEFAULT_INTERN_TABLE_BOUND = 250_000
-
 #: Defaults for the disk tier's cost-aware eviction (entries / payload bytes).
 DEFAULT_DISK_ENTRY_BOUND = 1024
 DEFAULT_DISK_PAYLOAD_BOUND = 256 * 1024 * 1024
@@ -64,7 +58,7 @@ DEFAULT_DISK_PAYLOAD_BOUND = 256 * 1024 * 1024
 
 @dataclass(frozen=True)
 class SpecKey:
-    """The in-memory content key: interned specification + variable roles."""
+    """The in-memory content key: canonical specification + variable roles."""
 
     phi: Formula
     inputs: Tuple[Var, ...]
@@ -73,19 +67,16 @@ class SpecKey:
 
 
 def spec_key(problem: ImplicitDefinitionProblem) -> SpecKey:
-    """Content key of ``problem`` (the formula component is hash-consed).
+    """Content key of ``problem``.
 
     Built once per problem object and kept on it: a registry entry's problem
-    lives as long as the process, so a warm lookup hashes a ready key
-    instead of re-interning φ.  A key built before the intern table was
-    cleared stays correct; it only compares structurally, not by pointer,
-    against keys built after.
+    lives as long as the process, so a warm lookup hashes a ready key.
     """
     return problem.memo("_spec_key", _build_spec_key)
 
 
 def _build_spec_key(problem: ImplicitDefinitionProblem) -> SpecKey:
-    return SpecKey(intern(problem.phi), problem.inputs, problem.output, problem.auxiliaries)
+    return SpecKey(problem.phi, problem.inputs, problem.output, problem.auxiliaries)
 
 
 def spec_digest(problem: ImplicitDefinitionProblem) -> str:
@@ -114,7 +105,7 @@ def _build_spec_digest(problem: ImplicitDefinitionProblem) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for both tiers plus maintenance telemetry."""
+    """Hit/miss/eviction counters for both tiers."""
 
     hits: int = 0
     misses: int = 0
@@ -123,7 +114,6 @@ class CacheStats:
     disk_hits: int = 0
     disk_stores: int = 0
     disk_evictions: int = 0
-    intern_table_clears: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -174,7 +164,6 @@ class SynthesisCache:
         self,
         capacity: int = DEFAULT_CAPACITY,
         disk_dir: Optional[os.PathLike] = None,
-        intern_table_bound: int = DEFAULT_INTERN_TABLE_BOUND,
         disk_entry_bound: Optional[int] = DEFAULT_DISK_ENTRY_BOUND,
         disk_payload_bound: Optional[int] = DEFAULT_DISK_PAYLOAD_BOUND,
     ) -> None:
@@ -182,7 +171,6 @@ class SynthesisCache:
             raise ValueError("cache capacity must be at least 1")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.intern_table_bound = intern_table_bound
         self.disk_entry_bound = disk_entry_bound
         self.disk_payload_bound = disk_payload_bound
         self.stats = CacheStats()
@@ -299,19 +287,11 @@ class SynthesisCache:
 
     # ----------------------------------------------------------- maintenance
     def maintain(self) -> None:
-        """Size-bound the process-global memo structures synthesis feeds.
+        """Size-bound the disk tiers after a store (called by the pipeline after every run).
 
-        Called by the pipeline after every run: clears the hash-consing intern
-        table once it holds more than ``intern_table_bound`` nodes
-        (:func:`~repro.core.interning.intern_cache_stats`).  The table is a
-        pure cache — clearing it never changes results, it only resets
-        sharing — so bounding it here keeps long-running service processes
-        flat.  (Processes that drive synthesis without a pipeline can instead
-        install a standing insert-time bound via ``set_intern_table_limit``.)
+        Canonical AST nodes need no bound here: the node table holds them
+        weakly, so it shrinks with what the caches keep alive.
         """
-        if self.intern_table_bound and intern_cache_stats()["nodes"] > self.intern_table_bound:
-            clear_intern_cache()
-            self.stats.intern_table_clears += 1
         if self._disk_dirty:
             self._disk_dirty = False
             self._evict_cheapest_disk_entries()
@@ -401,8 +381,6 @@ class SynthesisCache:
             # by the next store.
             self._disk_evict(digest)
             return None
-        # Re-canonicalize so the loaded tree shares caches with live nodes.
-        result.expression = intern(result.expression)
         return result
 
     def _disk_store(

@@ -36,7 +36,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.core.interning import intern, intern_table_size
+from repro.core.node import canonical_nodes
 from repro.logic.formulas import formula_size
 from repro.logic.free_vars import free_vars
 from repro.logic.terms import Var
@@ -222,23 +222,19 @@ class PipelineReport:
 
 
 def canonical_problem(problem: ImplicitDefinitionProblem) -> ImplicitDefinitionProblem:
-    """``problem`` re-checked, with a hash-consed ``φ`` (the validate stage).
+    """``problem``, re-checked (the validate stage).
 
-    The check and the interning run on the first call per problem object;
-    the canonical problem is kept on it, so running a registry entry's
-    long-lived problem again costs a dict read.
+    The check runs on the first call per problem object and is recorded on
+    it, so running a registry entry's long-lived problem again costs a dict
+    read.  ``φ`` is canonical already: nodes are hash-consed when built.
     """
-    return problem.memo("_canonical", _build_canonical_problem)
+    problem.memo("_canonical", _check_problem)
+    return problem
 
 
-def _build_canonical_problem(problem: ImplicitDefinitionProblem) -> ImplicitDefinitionProblem:
+def _check_problem(problem: ImplicitDefinitionProblem) -> bool:
     check_formula(problem.phi, allow_membership=False)
-    canonical_phi = intern(problem.phi)
-    if canonical_phi is problem.phi:
-        return problem
-    return ImplicitDefinitionProblem(
-        problem.name, canonical_phi, problem.inputs, problem.output, problem.auxiliaries
-    )
+    return True
 
 
 class SynthesisPipeline:
@@ -277,15 +273,15 @@ class SynthesisPipeline:
         )
         stages = report.stages
 
-        # -------- validate: re-check the specification, canonicalize φ
-        # (once per problem object, see ``canonical_problem``).
+        # -------- validate: re-check the specification (once per problem
+        # object, see ``canonical_problem``).
         with _timed_stage(stages, STAGE_VALIDATE) as detail:
             problem = canonical_problem(problem)
             detail.update(
                 {
                     "formula_size": formula_size(problem.phi),
                     "free_vars": len(free_vars(problem.phi)),
-                    "intern_table_nodes": intern_table_size(),
+                    "canonical_nodes": canonical_nodes(),
                 }
             )
 

@@ -60,10 +60,10 @@ class RegistryEntry:
         """The entry's problem: built by ``factory`` on the first call, then kept.
 
         Problems are immutable, and the memos they carry (determinacy
-        sequent, content key and digest, canonical form) are what make a
+        sequent, content key and digest, validation) are what make a
         warm read cheap, so every caller in the process shares one object.
-        The first call only builds it: interning and validation stay in the
-        pipeline's validate stage, where they are timed.
+        The first call only builds it: validation stays in the pipeline's
+        validate stage, where it is timed.
         """
         problem = self.__dict__.get("_problem")
         if problem is None:

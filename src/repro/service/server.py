@@ -75,7 +75,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, quote, urlencode, urlsplit
 
-from repro.core.interning import intern_cache_stats
+from repro.core.node import canonical_nodes
 from repro.obs.metrics import get_registry, process_uptime_seconds
 from repro.obs.trace import TRACE_HEADER, TraceContext, get_tracer
 from repro.proofs.search import last_tables_stats
@@ -281,7 +281,7 @@ class SynthesisService:
                     "limit/cursor apply to the disk entry listing; pass cache_dir"
                 )
             return api.ProcessCacheStats(
-                intern_table=intern_cache_stats(),
+                intern_table={"nodes": canonical_nodes()},
                 search_tables=last_tables_stats(),
                 result_cache=self.cache.stats.as_dict(),
                 witness_store=(
@@ -695,12 +695,9 @@ def _register_service_collectors(service: SynthesisService) -> None:
         registry.counter(
             "repro_sweeps_enqueued_total", "Sweep jobs accepted into the queue"
         ).set(float(svc.sweeps_enqueued))
-        for key, value in intern_cache_stats().items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            registry.gauge(
-                "repro_interner_table", "Formula intern table telemetry", labelnames=("key",)
-            ).set(float(value), key=str(key))
+        registry.gauge(
+            "repro_interner_table", "Live canonical AST nodes", labelnames=("key",)
+        ).set(float(canonical_nodes()), key="nodes")
         for key, value in last_tables_stats().items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

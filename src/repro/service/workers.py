@@ -19,9 +19,9 @@ arrives, so the pool grows only to the peak number of concurrent jobs.  A
 worker runs one request at a time; per request it resets its telemetry
 (:func:`~repro.obs.trace.install_child_obs`) and opens a fresh
 :class:`~repro.service.cache.SynthesisCache`, so spans, metrics and
-``cache_tier`` answers are per job, while its process-wide caches (interning,
-compiled formula programs, warm witness successes) carry over to the next
-job.  :func:`stop_idle_workers` ends the idle workers when a server stops.
+``cache_tier`` answers are per job, while its process-wide caches (canonical
+nodes and their memos, warm witness successes) carry over to the next job.
+:func:`stop_idle_workers` ends the idle workers when a server stops.
 
 Requests cross the process boundary as their JSON dicts and come back as the
 wire response plus the synthesized AST — the HTTP job engine and sweeps use

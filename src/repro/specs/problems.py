@@ -24,7 +24,7 @@ from repro.errors import SpecificationError
 from repro.logic.formulas import Formula
 from repro.logic.free_vars import free_vars, substitute_many
 from repro.logic.macros import equivalent, negate
-from repro.logic.semantics import eval_formula, satisfying_assignments
+from repro.logic.semantics import satisfying_assignments
 from repro.logic.terms import Var
 from repro.logic.typecheck import check_formula
 from repro.nr.values import Value
@@ -92,10 +92,6 @@ class ImplicitDefinitionProblem:
         return self.phi, primed_phi, goal
 
     # ------------------------------------------------------------ semantics
-    def holds_on(self, assignment: Mapping[Var, Value]) -> bool:
-        """Does the specification hold under the assignment?"""
-        return eval_formula(self.phi, assignment)
-
     def check_implicitly_defines(self, assignments: Sequence[Mapping[Var, Value]]) -> bool:
         """Semantic sanity check on a finite sample of instances.
 

@@ -51,7 +51,7 @@ WITNESS_SUBDIR = "witnesses"
 
 #: Bump on any change to the payload dict shape, the proof-tree format or
 #: the address scheme of :func:`witness_digest`.
-WITNESS_FORMAT_VERSION = 2
+WITNESS_FORMAT_VERSION = 3
 
 #: Default bound on stored witnesses per store (cost of a witness is one
 #: pickle; the bound exists so interactive editing sessions cannot grow the

@@ -1,16 +1,22 @@
-"""Tests for the core IR layer: node protocol, traversals, interning, engine."""
+"""Tests for the core IR layer: node protocol, traversals, hash-consing, engine."""
+
+import gc
+import pickle
+import sys
+import threading
+import weakref
 
 from repro.core import (
     RewriteEngine,
-    clear_intern_cache,
+    canonical_nodes,
     fold,
     free_vars,
-    intern,
     map_children,
     node_size,
     transform_bottom_up,
     walk,
 )
+from repro.core import node as node_module
 from repro.logic.formulas import And, EqUr, Exists, Or, Top, formula_size, subformulas
 from repro.logic.free_vars import free_vars as formula_free_vars, substitute
 from repro.logic.terms import PairTerm, Proj, Var, term_size, term_vars
@@ -112,20 +118,58 @@ def test_fold_counts_nodes():
     assert count == expr_size(expr)
 
 
-# ----------------------------------------------------------------- interning
-def test_intern_shares_equal_subtrees():
-    clear_intern_cache()
+# ------------------------------------------------------------- hash-consing
+def test_equal_constructions_are_one_node():
     a = NPair(NVar("x", UR), NVar("x", UR))
-    b = NPair(NVar("x", UR), NVar("x", UR))
-    ia, ib = intern(a), intern(b)
-    assert ia is ib
-    assert ia.left is ia.right
+    b = NPair(NVar(name="x", typ=UR), right=NVar("x", UR))
+    assert a is b
+    assert a.left is a.right
+    assert sample_formula() is sample_formula()
+    assert a != NPair(NVar("x", UR), NVar("y", UR))
 
 
-def test_intern_preserves_equality_semantics():
-    clear_intern_cache()
-    expr = sample_expr()
-    assert intern(expr) == expr
+def test_pickle_round_trip_returns_the_live_node():
+    expr, phi = sample_expr(), sample_formula()
+    assert pickle.loads(pickle.dumps(expr)) is expr
+    assert pickle.loads(pickle.dumps((phi, phi))) == (phi, phi)
+
+
+def test_threads_building_one_deep_term_get_one_node():
+    depth, results = 400, []
+    barrier = threading.Barrier(4, timeout=60)
+
+    def build():
+        barrier.wait()
+        term = Var("deep_leaf", UR)
+        for index in range(depth):
+            term = PairTerm(term, Proj(1 + index % 2, term))
+        results.append(term)
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-construction
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 and all(term is results[0] for term in results)
+
+
+def test_unreachable_node_leaves_the_table():
+    def names():
+        return {key[1] for key in list(node_module._CANONICAL.keys()) if key[0] is Var}
+
+    term = PairTerm(Var("gone_a", UR), Var("gone_b", UR))
+    alive = weakref.ref(term)
+    assert {"gone_a", "gone_b"} <= names() and canonical_nodes() >= 3
+    del term
+    gc.collect()
+    assert alive() is None
+    assert not {"gone_a", "gone_b"} & names()
 
 
 # ------------------------------------------------------------ rewrite engine

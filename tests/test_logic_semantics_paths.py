@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError, FormulaError, TypeMismatchError
-from repro.logic.formulas import EqUr, Exists, Forall, Member, Top
+from repro.logic.formulas import And, EqUr, Exists, Forall, Member, Top
 from repro.logic.free_vars import FreshNames
 from repro.logic.general_models import (
     GeneralModel,
@@ -19,7 +19,7 @@ from repro.logic.paths import (
     quantifiable_paths,
     subtype_at,
 )
-from repro.logic.semantics import eval_formula, eval_term, models
+from repro.logic.semantics import eval_formula, eval_term
 from repro.logic.terms import PairTerm, Proj, UnitTerm, Var, proj1, proj2
 from repro.logic.typecheck import check_formula
 from repro.nr.types import UR, prod, set_of
@@ -58,7 +58,7 @@ def test_eval_membership_literal():
     x = Var("x", UR)
     env = {s: vset([ur(1)]), x: ur(1)}
     assert eval_formula(Member(x, s), env)
-    assert models(env, Member(x, s), Top())
+    assert eval_formula(And(Member(x, s), Top()), env)
 
 
 def test_check_formula_rejects_bad_shapes():

@@ -5,14 +5,6 @@ import pickle
 
 import pytest
 
-from repro.core.interning import (
-    clear_intern_cache,
-    intern,
-    intern_cache_stats,
-    set_intern_table_limit,
-)
-from repro.logic.terms import Var
-from repro.nr.types import UR, set_of
 from repro.nr.values import ur, vset
 from repro.nrc.eval import eval_nrc
 from repro.proofs.search import ProofSearch
@@ -219,29 +211,13 @@ def test_pickled_results_carry_no_process_local_caches():
     result = _result(problem)
     v1, v2 = problem.nrc_input_vars()
     eval_nrc(result.expression, {v1: vset([ur(1)]), v2: vset([ur(2)])})  # attach _runner
+    str(result.problem.phi)  # attach _cstr
+    assert "_runner" in vars(result.expression) and "_cstr" in vars(result.problem.phi)
     blob = pickle.dumps(result)
-    loaded = pickle.loads(blob)
-    assert loaded.expression == result.expression
-    for attr in ("_runner", "_chash", "_fv", "_typ"):
-        assert attr not in loaded.expression.__dict__
-    # Hashing works in this process after the round-trip.
-    assert hash(loaded.expression) == hash(result.expression)
-
-
-def test_maintain_bounds_intern_table():
-    previous = set_intern_table_limit(None)
-    try:
-        clear_intern_cache()
-        cache = SynthesisCache(intern_table_bound=8)
-        for index in range(32):
-            intern(Var(f"bounded_{index}", set_of(UR)))
-        before = intern_cache_stats()["nodes"]
-        assert before > 8
-        cache.maintain()
-        assert intern_cache_stats()["nodes"] == 0
-        assert cache.stats.intern_table_clears == 1
-    finally:
-        set_intern_table_limit(previous)
+    for attr in ("_runner", "_chash", "_fv", "_typ", "_cstr"):
+        assert attr.encode() not in blob
+    # In-process, unpickling builds the live canonical nodes again.
+    assert pickle.loads(blob).expression is result.expression
 
 
 def test_capacity_must_be_positive():

@@ -607,11 +607,10 @@ def test_spec_text_job_snapshot_carries_the_parsed_name():
 
 # ------------------------------------------------------- warm-read cost
 def test_warm_reads_do_no_spec_work(monkeypatch):
-    """Past the first warm read, a memory-tier hit builds, checks, interns
-    and digests nothing: the registry entry's problem carries all of it."""
+    """Past the first warm read, a memory-tier hit builds, checks and
+    digests nothing: the registry entry's problem carries all of it."""
     import hashlib
 
-    from repro.core import interning
     from repro.service import cache as cache_mod
     from repro.service import pipeline as pipeline_mod
     from repro.service.registry import build_default_registry
@@ -619,7 +618,7 @@ def test_warm_reads_do_no_spec_work(monkeypatch):
 
     registry = build_default_registry()
     entry = registry.get("union_view")
-    counts = {"factory": 0, "check_formula": 0, "intern": 0, "sha256": 0}
+    counts = {"factory": 0, "check_formula": 0, "sha256": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -631,7 +630,6 @@ def test_warm_reads_do_no_spec_work(monkeypatch):
     object.__setattr__(entry, "factory", counting("factory", entry.factory))
     for module in (pipeline_mod, problems_mod):
         monkeypatch.setattr(module, "check_formula", counting("check_formula", module.check_formula))
-    monkeypatch.setattr(interning, "_canonicalize", counting("intern", interning._canonicalize))
 
     class CountingHashlib:
         sha256 = staticmethod(counting("sha256", hashlib.sha256))
@@ -652,7 +650,7 @@ def test_warm_reads_do_no_spec_work(monkeypatch):
         return first_warm.result, [status.result for status in reads]
 
     first, results = asyncio.run(scenario())
-    assert counts == {"factory": 0, "check_formula": 0, "intern": 0, "sha256": 0}
+    assert counts == {"factory": 0, "check_formula": 0, "sha256": 0}
     for result in results:
         assert result.cache_tier == "memory"
         assert (result.digest, result.expression, result.expression_size, result.proof_size) == (

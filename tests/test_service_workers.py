@@ -14,6 +14,7 @@ from repro.service.api import SweepOutcome
 from repro.service.registry import default_registry
 from repro.service.server import BackgroundServer, SynthesisService
 from repro.service.workers import SweepSummary, run_request_in_process, run_sweep
+from repro.synthesis import synthesize
 
 FAST_NAMES = ["identity_view", "union_view", "unique_element"]
 
@@ -246,6 +247,16 @@ def test_a_long_lived_worker_answers_like_a_fresh_one(traced):
     assert later_pid == pid
     assert fresh.cache_tier == later.cache_tier == "miss"
     assert (later.expression, later.proof_size) == (fresh.expression, fresh.proof_size)
+
+
+def test_a_result_from_a_worker_is_made_of_this_process_nodes():
+    """Unpickling is construction: the expression and φ a worker sends back
+    are the nodes this process already holds, not copies."""
+    problem = default_registry().problem("union_view")
+    local = synthesize(problem)
+    _, result = run_request_in_process(api.SynthesizeRequest(problem="union_view"), timeout=60)
+    assert result.expression is local.expression
+    assert result.problem.phi is problem.phi
 
 
 def test_concurrent_jobs_never_share_a_worker():

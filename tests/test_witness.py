@@ -1,5 +1,6 @@
 """Witness store: crash consistency, exact-witness replay, worker warm-up, hand-written proofs."""
 
+import copyreg
 import io
 import logging
 import pickle
@@ -7,11 +8,13 @@ import random
 
 import pytest
 
+from repro.core.node import Node, dataclass_field_names
 from repro.errors import ProofError
 from repro.logic.formulas import EqUr, NeqUr
 from repro.logic.terms import PairTerm, Proj, Var
 from repro.nr.types import UNIT, UR, ProdType, SetType
 from repro.nrc.expr import NDiff, NUnion, NVar
+from repro.nrc.simplify import simplifier_fingerprint
 from repro.obs.metrics import get_registry
 from repro.proofs import focused
 from repro.proofs.checker import check_proof
@@ -25,6 +28,7 @@ from repro.service.registry import default_registry
 from repro.service.workers import execute_synthesize_request, warm_tables_from_store
 from repro.specs.fuzz import build_spec, mutate_spec
 from repro.specs.problems import ImplicitDefinitionProblem
+from repro.synthesis import synthesize
 from repro.synthesis.implicit_to_explicit import product_subproblems
 from repro.witness.handwritten import (
     HANDWRITTEN,
@@ -137,31 +141,62 @@ def test_import_drops_memos_planted_in_a_problem_state(tmp_path, union_spec, uni
     assert spec_key(adopted.problem) == spec_key(union_spec.problem)
 
 
-def test_unpickling_drops_memos_planted_in_nodes_and_sequents(monkeypatch):
-    """A pickled sequent whose state carries a forged free-variable set
-    (``_fv``), and a formula whose state carries a forged rendering
-    (``_cstr``), unpickle through the witness allow-list with their declared
-    fields only, so the sequent renders as what it is."""
-    from repro.core.node import Node
+def _fields(node):
+    return {name: getattr(node, name) for name in dataclass_field_names(type(node))}
 
+
+def _newobj_build(node):
+    # How nodes pickled before they were canonical: NEWOBJ, then BUILD with
+    # the declared fields.
+    return copyreg.__newobj__, (type(node),), _fields(node)
+
+
+def _reduce_build(node):
+    # A constructor call, then BUILD with a forged rendering memo.
+    return type(node), tuple(_fields(node).values()), {"_cstr": "forged-rendering"}
+
+
+def test_unpickling_refuses_node_state_and_drops_sequent_memos(
+    tmp_path, union_spec, union_proof, monkeypatch
+):
+    """Nodes pickle as constructor calls and take no state: a hand-built
+    payload that gives a node state fails to import, and a parent-format
+    witness or result on disk reads as a miss.  A sequent's forged
+    free-variable set (``_fv``) is dropped, so it renders as what it is."""
     x, y = Var("x", UR), Var("y", UR)
-    atom = EqUr(x, y)
-    sequent = Sequent.of([], [atom, NeqUr(y, x)])
+    sequent = Sequent.of([], [EqUr(x, y), NeqUr(y, x)])
     truth = str(sequent)
-    object.__setattr__(atom, "_cstr", "forged-rendering")
     object.__setattr__(sequent, "_fv", frozenset({Var("forged", UR)}))
-    assert "forged-rendering" in str(sequent)
     with monkeypatch.context() as patch:
-        for cls in (Node, Sequent):
-            patch.setattr(cls, "__getstate__", lambda self: dict(self.__dict__))
+        patch.setattr(Sequent, "__getstate__", lambda self: dict(self.__dict__))
         blob = pickle.dumps(sequent)
-    assert b"forged-rendering" in blob and b"_fv" in blob
-
+    assert b"_fv" in blob
     restored = _WitnessUnpickler(io.BytesIO(blob)).load()
-    assert "_fv" not in vars(restored)
-    assert all("_cstr" not in vars(formula) for formula in restored.delta)
-    assert restored == sequent
+    assert restored == sequent and "_fv" not in vars(restored)
     assert str(restored) == truth
+
+    result = synthesize(union_spec.problem, proof=union_proof)
+    for builder in (_newobj_build, _reduce_build):
+        root = tmp_path / builder.__name__
+        source = WitnessStore(root / "src")
+        record = source.put(union_proof, name="stateful", problem=union_spec.problem)
+        payload = pickle.loads(source.export_payload(record.digest))
+        digest = SynthesisCache(disk_dir=root / "cache").store(union_spec.problem, result)
+        with monkeypatch.context() as patch:
+            patch.setattr(Node, "__reduce__", builder)
+            witness_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            result_blob = pickle.dumps(
+                {"simplifier": simplifier_fingerprint(), "result": result},
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        with pytest.raises(ProofError, match="does not unpickle"):
+            WitnessStore(root / "dst").import_payload(witness_blob)
+
+        source.path(record.digest).write_bytes(witness_blob)
+        assert WitnessStore(root / "src").get(record.digest) is None
+        (root / "cache" / f"{digest}.pkl").write_bytes(result_blob)
+        assert SynthesisCache(disk_dir=root / "cache").lookup(union_spec.problem) == (None, "miss")
+    assert str(EqUr(x, y)) == "x = y"
 
 
 def test_field_only_setstate_accepts_a_dict_only():
@@ -170,8 +205,8 @@ def test_field_only_setstate_accepts_a_dict_only():
     value = ur(1)
     with pytest.raises(TypeError, match="not a dict"):
         value.__setstate__(("atom", 1))
-    with pytest.raises(TypeError, match="not a dict"):
-        Var("x", UR).__setstate__(None)
+    with pytest.raises(TypeError, match="no pickled state"):
+        Var("x", UR).__setstate__({})
 
 
 def test_import_rejects_garbage(tmp_path):

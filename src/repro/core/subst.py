@@ -42,11 +42,6 @@ _SUBST_CACHE: dict = {}
 _SUBST_CACHE_LIMIT = 1 << 17
 
 
-def clear_subst_cache() -> None:
-    """Drop all memoized substitution results."""
-    _SUBST_CACHE.clear()
-
-
 def substitute(node: Node, mapping: Mapping) -> Node:
     """Simultaneous capture-avoiding substitution of variables by subtrees.
 

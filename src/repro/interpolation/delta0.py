@@ -32,7 +32,7 @@ from repro.logic.formulas import (
     Or,
     Top,
 )
-from repro.logic.free_vars import free_vars, replace_term, substitute
+from repro.logic.free_vars import free_vars, replace_term, replace_term_in_term, substitute, substitute_term
 from repro.logic.terms import PairTerm, Proj, Term, Var, term_vars
 from repro.interpolation.partition import LEFT, Partition, Side
 from repro.proofs.prooftree import ProofNode
@@ -128,7 +128,7 @@ def _interpolate(node: ProofNode, partition: Partition) -> Formula:
         pair = PairTerm(fresh1, fresh2)
         remapped = partition.remap(
             lambda f: substitute(f, var, pair),
-            lambda a: Member(_subst_term(a.elem, var, pair), _subst_term(a.collection, var, pair)),
+            lambda a: Member(substitute_term(a.elem, {var: pair}), substitute_term(a.collection, {var: pair})),
         )
         inner = remapped.for_premise(premise.sequent)
         theta = _interpolate(premise, inner)
@@ -144,8 +144,8 @@ def _interpolate(node: ProofNode, partition: Partition) -> Formula:
         remapped = partition.remap(
             lambda f: replace_term(f, redex, component),
             lambda a: Member(
-                _replace_term_in_term(a.elem, redex, component),
-                _replace_term_in_term(a.collection, redex, component),
+                replace_term_in_term(a.elem, redex, component),
+                replace_term_in_term(a.collection, redex, component),
             ),
         )
         inner = remapped.for_premise(premise.sequent)
@@ -243,16 +243,3 @@ def _interpolate_neq(node: ProofNode, partition: Partition) -> Formula:
         # hypothesis t = u on the left, rewritten atom on the right
         return And(theta, EqUr(neq.left, neq.right))
     return Or(theta, NeqUr(neq.left, neq.right))
-
-
-# ------------------------------------------------------------------ helpers
-def _subst_term(term: Term, var: Var, replacement: Term) -> Term:
-    from repro.logic.free_vars import substitute_term
-
-    return substitute_term(term, {var: replacement})
-
-
-def _replace_term_in_term(term: Term, old: Term, new: Term) -> Term:
-    from repro.logic.free_vars import replace_term_in_term
-
-    return replace_term_in_term(term, old, new)

@@ -32,11 +32,6 @@ SubtypePath = str
 _ALPHABET = {"1", "2", "m"}
 
 
-def validate_path(typ: Type, path: SubtypePath) -> None:
-    """Raise if ``path`` is not a subtype occurrence of ``typ``."""
-    subtype_at(typ, path)
-
-
 def subtype_at(typ: Type, path: SubtypePath) -> Type:
     """The subtype of ``typ`` reached by following ``path``."""
     current = typ

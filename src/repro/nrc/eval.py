@@ -5,19 +5,20 @@
 appropriate type").
 
 The evaluator compiles each expression **once** (cached on the frozen
-expression node) and then runs the compiled form per environment:
+expression node) into straight-line Python source and then runs that per
+environment:
 
-* the primary backend generates straight-line Python source (one statement
-  per node, binding unions become ``for`` loops), so steady-state evaluation
-  runs at hand-written-loop speed with no per-node dispatch at all;
-* a postfix instruction interpreter backs it up for expressions whose binder
-  nesting exceeds CPython's static block limit;
-* both backends are iterative over the expression (compilation and the
-  interpreter use explicit stacks), so 10k-deep chains neither recurse nor
-  overflow — only *binder nesting* consumes stack, and that is bounded by
-  the query, not the data;
-* binders extend the environment with an O(1) loop variable / chain link
-  instead of copying the whole environment dict per ``NBigUnion``;
+* each node becomes one statement and binding unions become ``for`` loops,
+  so steady-state evaluation runs at hand-written-loop speed with no
+  per-node dispatch at all;
+* CPython caps static block nesting, so a binding union whose body would sit
+  more than ``_MAX_GENERATED_BINDER_DEPTH`` binders deep is compiled as its
+  own function and called with the enclosing loop variables added to the
+  environment; deeper nesting splits again;
+* compilation is iterative over the expression (an explicit stack), so
+  10k-deep chains neither recurse nor overflow — only *binder nesting*
+  consumes stack, one frame per split, and that is bounded by the query,
+  not the data;
 * ``get`` defaults resolve through the memoized :func:`repro.nrc.typing.infer_type`.
 
 There is no columnar backend: verification evaluates its candidate once per
@@ -71,31 +72,8 @@ def _get_default(node: NGet) -> Value:
     return default_value(arg_type.elem)
 
 
-def _binder_depth(root: NRCExpr) -> int:
-    """Maximum *body*-side ``NBigUnion`` nesting of ``root`` (iterative).
-
-    Only body nesting matters: generated code indents one ``for`` block per
-    binder **body**, while source-chained unions (the shape
-    ``bigunion-flatten`` produces) evaluate sequentially at the same depth.
-    """
-    deepest = 0
-    stack: List[Tuple[NRCExpr, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if type(node) is NBigUnion:
-            body_depth = depth + 1
-            if body_depth > deepest:
-                deepest = body_depth
-            stack.append((node.body, body_depth))
-            stack.append((node.source, depth))
-        else:
-            for child in node.children():
-                stack.append((child, depth))
-    return deepest
-
-
 # =====================================================================
-# Backend 1: source-code generation
+# Source-code generation
 # =====================================================================
 #
 # Each node becomes one Python statement; the value of a node is held in a
@@ -176,6 +154,15 @@ def _generate_source(root: NRCExpr) -> Tuple[str, dict]:
                 names.append("_UNIT")
             elif cls is NEmpty:
                 names.append("_EMPTY")
+            elif cls is NBigUnion and indent > _MAX_GENERATED_BINDER_DEPTH:
+                # Its body would nest too deep: run the union as its own
+                # compiled function, with the enclosing loop variables added
+                # to ``env`` outermost first, so a shadowing binder wins.
+                runner = const("r", compile_nrc(node))
+                bindings = "".join(f"{const('c', var)}: {loop}, " for var, loop in reversed(scope))
+                target = fresh("t")
+                lines.append(f"{pad}{target} = {runner}({{**env, {bindings}}})")
+                names.append(target)
             elif cls is NBigUnion:
                 stack.append((node, indent, scope, True))
                 body = node.body
@@ -295,173 +282,6 @@ def _compile_codegen(root: NRCExpr) -> Callable[[NRCEnv], Value]:
 
 
 # =====================================================================
-# Backend 2: postfix instruction interpreter (deep-binder fallback)
-# =====================================================================
-
-(
-    _LOADFAST,
-    _LOADGLOBAL,
-    _UNIT_OP,
-    _PAIR,
-    _PROJ1,
-    _PROJ2,
-    _SING,
-    _GET,
-    _EMPTY_OP,
-    _UNION,
-    _DIFF,
-    _BIGU,
-) = range(12)
-
-#: One instruction: (opcode, operand).  Variable references are resolved at
-#: compile time: LOADFAST carries the number of environment links to hop to
-#: the binder (de Bruijn-style), LOADGLOBAL carries ``(var, links_to_base)``
-#: for free variables looked up in the caller's mapping.  GET carries the
-#: ``NGet`` node (defaults resolve its argument type lazily, matching the
-#: seed's behavior on ill-typed-but-evaluable programs); BIGU carries the
-#: ``(body_program, var)`` pair.
-_Instr = Tuple[int, object]
-
-
-class _Link:
-    """One binder extension of the environment: an O(1) chain link."""
-
-    __slots__ = ("value", "parent")
-
-    def __init__(self, value: Optional[Value], parent) -> None:
-        self.value = value
-        self.parent = parent
-
-
-def _compile_program(root: NRCExpr) -> List[_Instr]:
-    """Compile ``root`` to a postfix program, iteratively (deep-chain safe)."""
-    program: List[_Instr] = []
-    # Frames: (node, out, scope, emit).  First visit pushes children; second emits.
-    stack = [(root, program, (), False)]
-    while stack:
-        node, out, scope, emit = stack.pop()
-        cls = node.__class__
-        if not emit:
-            if cls is NVar:
-                for hops, bound in enumerate(scope):
-                    if bound == node:
-                        out.append((_LOADFAST, hops))
-                        break
-                else:
-                    out.append((_LOADGLOBAL, (node, len(scope))))
-            elif cls is NUnit:
-                out.append((_UNIT_OP, None))
-            elif cls is NEmpty:
-                out.append((_EMPTY_OP, None))
-            elif cls is NBigUnion:
-                body_program: List[_Instr] = []
-                stack.append((node, out, scope, True))
-                # The source program is emitted inline (before the BIGU
-                # instruction); the body program is the BIGU operand and is
-                # compiled under the extended binder scope.
-                stack.append((node.source, out, scope, False))
-                stack.append((node.body, body_program, (node.var,) + scope, False))
-                object.__setattr__(node, "_body_prog", body_program)
-            elif cls in (NPair, NUnion, NDiff):
-                stack.append((node, out, scope, True))
-                stack.append((node.right, out, scope, False))
-                stack.append((node.left, out, scope, False))
-            elif cls in (NProj, NSingleton, NGet):
-                stack.append((node, out, scope, True))
-                stack.append((node.arg, out, scope, False))
-            else:
-                raise EvaluationError(f"unknown NRC expression {node!r}")
-            continue
-        if cls is NPair:
-            out.append((_PAIR, None))
-        elif cls is NProj:
-            out.append((_PROJ1 if node.index == 1 else _PROJ2, None))
-        elif cls is NSingleton:
-            out.append((_SING, None))
-        elif cls is NGet:
-            out.append((_GET, node))
-        elif cls is NUnion:
-            out.append((_UNION, None))
-        elif cls is NDiff:
-            out.append((_DIFF, None))
-        else:  # NBigUnion
-            body_program = node.__dict__.pop("_body_prog")
-            out.append((_BIGU, (body_program, node.var)))
-    return program
-
-
-def _run(program: List[_Instr], env) -> Value:
-    stack: List[Value] = []
-    push = stack.append
-    pop = stack.pop
-    for op, arg in program:
-        if op == _LOADFAST:
-            frame = env
-            for _ in range(arg):
-                frame = frame.parent
-            push(frame.value)
-        elif op == _LOADGLOBAL:
-            var, hops = arg
-            frame = env
-            for _ in range(hops):
-                frame = frame.parent
-            try:
-                push(frame[var])
-            except KeyError as exc:
-                raise EvaluationError(f"unbound NRC variable {var} : {var.typ}") from exc
-        elif op == _PAIR:
-            right = pop()
-            left = pop()
-            push(PairValue(left, right))
-        elif op == _PROJ1 or op == _PROJ2:
-            value = pop()
-            if not isinstance(value, PairValue):
-                raise EvaluationError(f"projection of non-pair value {value}")
-            push(value.first if op == _PROJ1 else value.second)
-        elif op == _SING:
-            push(SetValue(frozenset((pop(),))))
-        elif op == _GET:
-            value = pop()
-            if not isinstance(value, SetValue):
-                raise EvaluationError(f"get of non-set value {value}")
-            if len(value.elements) == 1:
-                push(next(iter(value.elements)))
-            else:
-                push(_get_default(arg))
-        elif op == _UNION:
-            right = pop()
-            left = pop()
-            if not isinstance(left, SetValue) or not isinstance(right, SetValue):
-                raise EvaluationError("union of non-set values")
-            push(SetValue(left.elements | right.elements))
-        elif op == _DIFF:
-            right = pop()
-            left = pop()
-            if not isinstance(left, SetValue) or not isinstance(right, SetValue):
-                raise EvaluationError("difference of non-set values")
-            push(SetValue(left.elements - right.elements))
-        elif op == _BIGU:
-            source = pop()
-            if not isinstance(source, SetValue):
-                raise EvaluationError(f"union-bind over non-set value {source}")
-            body_program, _var = arg
-            link = _Link(None, env)
-            accumulated: set = set()
-            for element in source.elements:
-                link.value = element
-                body_value = _run(body_program, link)
-                if not isinstance(body_value, SetValue):
-                    raise EvaluationError(f"union-bind body evaluated to non-set {body_value}")
-                accumulated.update(body_value.elements)
-            push(SetValue(frozenset(accumulated)))
-        elif op == _UNIT_OP:
-            push(_UNIT)
-        else:  # _EMPTY_OP
-            push(_EMPTY)
-    return stack[-1]
-
-
-# =====================================================================
 # Public API
 # =====================================================================
 
@@ -470,14 +290,7 @@ def compile_nrc(expr: NRCExpr) -> Callable[[NRCEnv], Value]:
     """Compile ``expr`` once; returns ``run(env) -> Value`` (cached on the node)."""
     runner = expr.__dict__.get("_runner")
     if runner is None:
-        if _binder_depth(expr) <= _MAX_GENERATED_BINDER_DEPTH:
-            runner = _compile_codegen(expr)
-        else:
-            program = _compile_program(expr)
-
-            def runner(env: NRCEnv, _program=program) -> Value:
-                return _run(_program, env)
-
+        runner = _compile_codegen(expr)
         object.__setattr__(expr, "_runner", runner)
     return runner
 

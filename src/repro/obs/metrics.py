@@ -391,10 +391,6 @@ def reset_registry() -> None:
     _REGISTRY.reset()
 
 
-def process_start_time() -> float:
-    return _REGISTRY.started_at
-
-
 def process_uptime_seconds() -> float:
     """Seconds since registry start, immune to wall-clock steps."""
     return time.monotonic() - _REGISTRY.started_monotonic

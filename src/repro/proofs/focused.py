@@ -42,7 +42,7 @@ from repro.logic.formulas import (
     Top,
     is_atomic,
 )
-from repro.logic.free_vars import replace_term, substitute
+from repro.logic.free_vars import replace_term, replace_term_in_term, substitute, substitute_term
 from repro.logic.terms import PairTerm, Proj, Term, Var
 from repro.nr.types import ProdType
 from repro.proofs.prooftree import ProofNode, mark_validated
@@ -298,19 +298,13 @@ def make_exists(
 def _substitute_sequent(sequent: Sequent, var: Var, term: Term) -> Sequent:
     theta = frozenset(
         Member(
-            _sub_term(atom.elem, var, term),
-            _sub_term(atom.collection, var, term),
+            substitute_term(atom.elem, {var: term}),
+            substitute_term(atom.collection, {var: term}),
         )
         for atom in sequent.theta
     )
     delta = frozenset(substitute(formula, var, term) for formula in sequent.delta)
     return Sequent(theta, delta)
-
-
-def _sub_term(term: Term, var: Var, replacement: Term) -> Term:
-    from repro.logic.free_vars import substitute_term
-
-    return substitute_term(term, {var: replacement})
 
 
 def prod_eta_premises(sequent: Sequent, var: Var, fresh1: Var, fresh2: Var) -> Tuple[Sequent, ...]:
@@ -341,19 +335,13 @@ def prod_beta_premises(sequent: Sequent, pair: PairTerm, index: int) -> Tuple[Se
     component = pair.left if index == 1 else pair.right
     theta = frozenset(
         Member(
-            _replace_in_term(atom.elem, redex, component),
-            _replace_in_term(atom.collection, redex, component),
+            replace_term_in_term(atom.elem, redex, component),
+            replace_term_in_term(atom.collection, redex, component),
         )
         for atom in sequent.theta
     )
     delta = frozenset(replace_term(formula, redex, component) for formula in sequent.delta)
     return (Sequent(theta, delta),)
-
-
-def _replace_in_term(term: Term, old: Term, new: Term) -> Term:
-    from repro.logic.free_vars import replace_term_in_term
-
-    return replace_term_in_term(term, old, new)
 
 
 def make_prod_beta(sequent: Sequent, pair: PairTerm, index: int, premise: ProofNode) -> ProofNode:

@@ -12,7 +12,8 @@ stage                     what it does
 ``validate``              re-checks the specification, hash-conses ``φ``
                           (once per problem object)
 ``cache-lookup``          content-addressed lookup (:mod:`repro.service.cache`)
-``witness-lookup``        exact stored-proof replay (witness tier)
+``witness-lookup``        exact stored-proof replay (witness tier), with
+                          the Appendix G component proofs of a product
 ``proof-search``          focused determinacy proof (Theorem 2's witness)
 ``extraction``            proof → raw NRC definition (Theorems 4/10, App. G)
 ``simplification``        rewrite-engine cleanup of the raw definition
@@ -41,6 +42,7 @@ from repro.logic.formulas import formula_size
 from repro.logic.free_vars import free_vars
 from repro.logic.terms import Var
 from repro.logic.typecheck import check_formula
+from repro.nr.types import ProdType
 from repro.nr.values import Value
 from repro.nrc.expr import expr_size
 from repro.obs.metrics import get_registry
@@ -54,10 +56,11 @@ from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import (
     SynthesisResult,
     find_determinacy_proof,
+    product_subproblems,
     synthesize,
 )
 from repro.synthesis.verification import VerificationReport, check_explicit_definition
-from repro.witness.store import witness_digest
+from repro.witness.store import WitnessStore, witness_digest
 
 #: Never called.  ``perfbench/perf_layers.py`` wraps these names on every
 #: traced benchmark run and fails when one is missing; they go once that
@@ -294,9 +297,12 @@ class SynthesisPipeline:
                 detail["tier"] = tier
 
         # -------- witness-lookup: replay the stored proof of exactly this
-        # goal.  Only on a miss — a cache hit already has the finished
-        # result, so no proof work (and no provenance source) remains.
+        # goal, and of each Appendix G component goal a product output's
+        # extraction proves again.  Only on a miss — a cache hit already has
+        # the finished result, so no proof work (and no provenance source)
+        # remains.
         replay_proof: Optional[ProofNode] = None
+        component_proofs: List[ProofNode] = []
         witnesses = self.cache.witnesses if self.cache is not None else None
         if result is None:
             report.source = SOURCE_COLD
@@ -309,13 +315,15 @@ class SynthesisPipeline:
                         replay_proof = record.proof
                         report.source = SOURCE_WITNESS
                         detail["witness"] = record.digest
+                        component_proofs = _component_witnesses(problem, witnesses)
+                        detail["components"] = len(component_proofs)
                     detail["source"] = report.source
 
         subresults: List[SynthesisResult] = []
         if result is None:
             try:
                 result = self._synthesize_staged(
-                    problem, stages, proof=replay_proof, collect=subresults
+                    problem, stages, proof=replay_proof, components=component_proofs, collect=subresults
                 )
             except Exception:
                 if replay_proof is None:
@@ -356,11 +364,11 @@ class SynthesisPipeline:
 
         # -------- witness-store: persist the determinacy proof, so a later
         # run of the same goal replays it, and the component proofs of the
-        # Appendix G product recursion, which worker warm-up seeds search
-        # tables from (``workers.warm_tables_from_store``).  Runs on cache hits too (the proof travels inside the
-        # result), backfilling stores that predate the witness tier;
-        # re-storing an existing digest is skipped, so a replayed witness is
-        # never rewritten.
+        # Appendix G product recursion, which that replay looks up by goal
+        # (``_component_witnesses``).  Runs on cache hits too (the proof
+        # travels inside the result), backfilling stores that predate the
+        # witness tier; re-storing an existing digest is skipped, so a
+        # replayed witness is never rewritten.
         if witnesses is not None and result.proof is not None:
             # The top-level proof first, then any collected component results
             # (``collect`` also re-delivers the top-level result; the seen-set
@@ -417,6 +425,7 @@ class SynthesisPipeline:
         problem: ImplicitDefinitionProblem,
         stages: List[StageTiming],
         proof: Optional[ProofNode] = None,
+        components: Sequence[ProofNode] = (),
         collect: Optional[List[SynthesisResult]] = None,
     ) -> SynthesisResult:
         """Run the synthesis stages for one cache-missed problem.
@@ -426,10 +435,13 @@ class SynthesisPipeline:
         ``witness.replay`` span (``synthesize`` checks the proof against the
         problem's determinacy goal; the witness store validated it already,
         so only the goal comparison costs anything).
+        ``components`` — stored proofs of component goals, seeded into this
+        run's search tables so extraction's component searches replay them.
         ``collect`` — accumulates the component results of product outputs
         for the witness-store stage.
         """
         search = self.search_factory()
+        search.tables.successes.update((component.sequent, component) for component in components)
         replay = proof is not None
 
         if not replay:
@@ -501,3 +513,25 @@ class SynthesisPipeline:
             interpolant=raw_result.interpolant,
             raw_expression=raw,
         )
+
+
+def _component_witnesses(problem: ImplicitDefinitionProblem, witnesses: WitnessStore) -> List[ProofNode]:
+    """The stored proofs of ``problem``'s Appendix G component goals.
+
+    Extraction of a product output proves one determinacy goal per component,
+    recursively through nested products (:func:`product_subproblems` is
+    deterministic in the problem), and the witness-store stage persisted each
+    of them, so every one is an exact lookup by goal digest.
+    """
+    found: List[ProofNode] = []
+    pending = [problem]
+    while pending:
+        current = pending.pop()
+        if not isinstance(current.output.typ, ProdType):
+            continue
+        for sub in product_subproblems(current):
+            record = witnesses.get_for_sequent(sub.determinacy_goal())
+            if record is not None:
+                found.append(record.proof)
+            pending.append(sub)
+    return found

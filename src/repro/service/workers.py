@@ -20,7 +20,7 @@ worker runs one request at a time; per request it resets its telemetry
 (:func:`~repro.obs.trace.install_child_obs`) and opens a fresh
 :class:`~repro.service.cache.SynthesisCache`, so spans, metrics and
 ``cache_tier`` answers are per job, while its process-wide caches (canonical
-nodes and their memos, warm witness successes) carry over to the next job.
+nodes and their memos) carry over to the next job.
 :func:`stop_idle_workers` ends the idle workers when a server stops.
 
 Requests cross the process boundary as their JSON dicts and come back as the
@@ -40,7 +40,6 @@ mode the test-suite uses for determinism.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 import signal
@@ -53,17 +52,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, export_obs_state, get_tracer, install_child_obs
-from repro.proofs.prooftree import ProofNode
-from repro.proofs.search import ProofSearch, SearchTables
-from repro.proofs.sequents import Sequent
+from repro.proofs.search import ProofSearch
 from repro.service import api
 from repro.service.cache import SynthesisCache
 from repro.service.pipeline import PipelineReport, SynthesisPipeline
 from repro.service.registry import EXPECTED_OK, ProblemRegistry, RegistryEntry, default_registry
 from repro.synthesis.implicit_to_explicit import SynthesisResult
-from repro.witness.store import WitnessStore
-
-logger = logging.getLogger(__name__)
 
 #: Default verification family size when a sweep verifies (``scale`` rows).
 DEFAULT_VERIFY_SCALE = api.DEFAULT_VERIFY_SCALE
@@ -106,92 +100,6 @@ class SweepSummary:
             ok=self.ok,
             jobs=tuple(self.outcomes),
         )
-
-
-# ----------------------------------------------------- warm-start transposition
-#: Cap on witnesses replayed into a worker's table at warm-up.
-WARM_LIMIT = 64
-
-
-def warm_tables_from_store(store: WitnessStore, tables: SearchTables) -> int:
-    """Seed ``tables`` from the newest stored witnesses; returns #sequents.
-
-    Every subproof of each of the :data:`WARM_LIMIT` newest witnesses
-    (component witnesses of product outputs included) becomes a success
-    entry, so a search that re-reaches any sequent an earlier worker proved
-    replays it.  Each record is re-checked by :meth:`WitnessStore.get`
-    before use.
-    """
-    successes = tables.successes
-    warmed = 0
-    for summary in store.list()[:WARM_LIMIT]:
-        record = store.get(summary.digest)
-        if record is None:
-            continue
-        stack = [record.proof]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.premises)
-            if node.sequent not in successes:
-                successes[node.sequent] = node
-                warmed += 1
-    if warmed:
-        get_registry().counter(
-            "repro_witness_warm_seeded_total",
-            "Sequents seeded into worker transposition tables at warm-up",
-        ).inc(warmed)
-    return warmed
-
-
-#: Per-process snapshot of witness-derived success entries, keyed by witness
-#: store root.  Warmed once per (process, store) from the disk tier, then
-#: copied into every fresh search's tables — so a worker assigned a problem
-#: any earlier worker already proved starts with those subproofs in hand.
-_WARM_SUCCESSES: Dict[str, Dict[Sequent, ProofNode]] = {}
-
-
-def warm_successes_for(cache: Optional[SynthesisCache]) -> Optional[Dict[Sequent, ProofNode]]:
-    """The witness-warmed success table for ``cache``'s disk tier (memoized).
-
-    Only *success* entries are shared: a checked proof is sound under any
-    search configuration, whereas failure/closure entries are relative to
-    the search's own budgets (:class:`~repro.proofs.search.SearchTables`).
-    Warm-up is best-effort — any store problem logs and yields an empty map.
-
-    The memo is taken once per process and store and never refreshed.  A pool
-    worker therefore gets its snapshot once: forked with the parent's memo
-    when the parent had already warmed that store, otherwise at its own first
-    job on it; later jobs on the same worker reuse it instead of re-reading
-    the store.
-    """
-    if cache is None or cache.witnesses is None:
-        return None
-    key = str(cache.witnesses.root)
-    warmed = _WARM_SUCCESSES.get(key)
-    if warmed is None:
-        tables = SearchTables()
-        try:
-            warm_tables_from_store(cache.witnesses, tables)
-        except Exception:  # noqa: BLE001 - warm-up must never fail a job
-            logger.warning("witness warm-up from %s failed", key, exc_info=True)
-        warmed = tables.successes
-        _WARM_SUCCESSES[key] = warmed
-    return warmed
-
-
-def warmed_search_factory(
-    depth: Optional[int], cache: Optional[SynthesisCache]
-) -> Callable[[], ProofSearch]:
-    """A search factory whose tables start from the witness-warmed successes."""
-    warmed = warm_successes_for(cache)
-
-    def factory() -> ProofSearch:
-        search = ProofSearch(max_depth=depth) if depth is not None else ProofSearch()
-        if warmed:
-            search.tables.successes.update(warmed)
-        return search
-
-    return factory
 
 
 # ----------------------------------------------------- typed request execution
@@ -252,7 +160,7 @@ def execute_synthesize_request(
                 f"cannot use cache dir {request.cache_dir!r}: {type(exc).__name__}: {exc}"
             ) from exc
     depth = entry.max_depth if request.max_depth is None else request.max_depth
-    pipeline = SynthesisPipeline(cache=cache, search_factory=warmed_search_factory(depth, cache))
+    pipeline = SynthesisPipeline(cache=cache, search_factory=lambda: ProofSearch(max_depth=depth))
     assignments = None
     if request.verify_scale and entry.instances is not None:
         assignments = entry.instances(request.verify_scale)

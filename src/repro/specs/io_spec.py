@@ -199,9 +199,3 @@ def _membership_term(expr: NRCExpr, element: Term, env: Dict[NVar, Term], fresh:
     placeholder = fresh.fresh_var("zm", expr_type.elem)
     formula = _membership(expr, placeholder, env, fresh)
     return substitute(formula, placeholder, element)
-
-
-def _as_var(term: Term, fresh: FreshNames) -> Var:  # pragma: no cover - defensive
-    if isinstance(term, Var):
-        return term
-    raise SpecificationError(f"expected a variable, got {term}")

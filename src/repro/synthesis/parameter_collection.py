@@ -51,7 +51,7 @@ from repro.logic.formulas import (
     Or,
     Top,
 )
-from repro.logic.free_vars import free_vars, replace_term, substitute
+from repro.logic.free_vars import free_vars, replace_term, replace_term_in_term, substitute, substitute_term
 from repro.logic.macros import negate
 from repro.logic.terms import PairTerm, Proj, Term, Var, term_vars
 from repro.nr.types import SetType
@@ -160,7 +160,7 @@ def _collect(node: ProofNode, partition: Partition, goal: CollectionGoal) -> Tup
         pair = PairTerm(fresh1, fresh2)
         remapped = partition.remap(
             lambda f: substitute(f, var, pair),
-            lambda a: Member(_sub_term(a.elem, var, pair), _sub_term(a.collection, var, pair)),
+            lambda a: Member(substitute_term(a.elem, {var: pair}), substitute_term(a.collection, {var: pair})),
         )
         inner = remapped.for_premise(premise.sequent)
         expr, theta = _collect(premise, inner, goal.replaced(var, pair))
@@ -176,7 +176,10 @@ def _collect(node: ProofNode, partition: Partition, goal: CollectionGoal) -> Tup
         component = pair.left if index == 1 else pair.right
         remapped = partition.remap(
             lambda f: replace_term(f, redex, component),
-            lambda a: Member(_rep_term(a.elem, redex, component), _rep_term(a.collection, redex, component)),
+            lambda a: Member(
+                replace_term_in_term(a.elem, redex, component),
+                replace_term_in_term(a.collection, redex, component),
+            ),
         )
         inner = remapped.for_premise(premise.sequent)
         return _collect(premise, inner, goal.replaced(redex, component))
@@ -352,16 +355,3 @@ def collect_set_answers(proof, target, lhs, inputs, left_formulas, right_formula
         "the nested set case of Theorem 10 (Lemma 6/7 plumbing) is not wired end-to-end in this "
         "release; outputs with set-of-set element types are not yet synthesized automatically"
     )
-
-
-# ------------------------------------------------------------------ helpers
-def _sub_term(term: Term, var: Var, replacement: Term) -> Term:
-    from repro.logic.free_vars import substitute_term
-
-    return substitute_term(term, {var: replacement})
-
-
-def _rep_term(term: Term, old: Term, new: Term) -> Term:
-    from repro.logic.free_vars import replace_term_in_term
-
-    return replace_term_in_term(term, old, new)

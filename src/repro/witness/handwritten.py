@@ -21,8 +21,7 @@ Two tactics carry the creative content of the scripts:
   one-sided Δ) at chosen witnesses: the refutation reading of "apply the
   ∀-hypothesis at these elements".
 * :meth:`Prover.equality` — close a goal whose remaining content is a chain
-  of ur-equalities: saturate the ≠-rule over the sequent's atoms until a
-  reflexive equality appears, then replay the found derivation.
+  of ur-equalities with the proof search's ≠-rule saturation.
 
 The proofs follow the semantic argument of the paper: an element ``b`` of one
 side is flattened through the view (``C2``), pulled back on the other side
@@ -39,17 +38,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ProofError
 from repro.logic.formulas import (
     And,
-    EqUr,
     Exists,
     Forall,
     Formula,
-    NeqUr,
     Or,
     is_atomic,
 )
 from repro.logic.free_vars import substitute, substitute_many
 from repro.logic.macros import negate
-from repro.logic.terms import PairTerm, Proj, Term, Var
+from repro.logic.terms import Term, Var
 from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.search import ProofSearch
@@ -239,18 +236,6 @@ class Prover:
             raise TacticError("keep: some formulas are not in the current goal")
         self._apply((premise,), lambda ps, g=goal: focused.make_weaken(g, ps[0]))
 
-    def rewrite(self, neq: Formula, source: Formula, target: Formula) -> Formula:
-        """≠-rule: add ``target``, obtained from ``source`` by ``neq``."""
-        goal = self.goal
-        premises = focused.neq_premises(goal, neq, source, target)
-        self._apply(
-            premises,
-            lambda ps, g=goal, n=neq, s=source, t=target: focused.make_neq(
-                g, n, s, t, ps[0]
-            ),
-        )
-        return target
-
     def close_eq(self, principal: Formula) -> None:
         """The ``=`` axiom: a reflexive equality is in the goal."""
         goal = self.goal
@@ -270,91 +255,19 @@ class Prover:
     def equality(self, max_atoms: int = 4000) -> None:
         """Close the goal by equational (≠-rule) reasoning over its atoms.
 
-        Weakens Δ to its ``=``/``≠`` atoms, then saturates: every ≠ atom is
-        read as an equality hypothesis (its dual) and used to rewrite every
-        atom, until some ``=`` atom becomes reflexive.  The discovered
-        derivation — and only it — is replayed as ≠-rule applications.
+        Weakens Δ to its ``=``/``≠`` atoms, then closes it with the proof
+        search's equality closure: every ≠ atom is read as an equality
+        hypothesis (its dual) and used to rewrite every atom, until some
+        ``=`` atom becomes reflexive, and only that derivation is replayed.
         """
         atoms = [f for f in self.goal.delta if is_atomic(f)]
         if len(atoms) != len(self.goal.delta):
             self.keep(*atoms)
-        known: Dict[Formula, Optional[Tuple[Formula, Formula]]] = {
-            atom: None for atom in atoms
-        }
-        target = _reflexive(known)
-        frontier = list(known)
-        while target is None and frontier and len(known) < max_atoms:
-            fresh: List[Formula] = []
-            neqs = [a for a in known if isinstance(a, NeqUr) and a.left != a.right]
-            for neq in neqs:
-                # Rewriting newly derived atoms by old ≠s and vice versa both
-                # matter; the frontier restriction only prunes (old, old)
-                # pairs, which previous rounds exhausted.
-                sources = list(known) if neq in frontier else frontier
-                for source in sources:
-                    derived = _rewrite_atom(source, neq)
-                    if derived != source and derived not in known:
-                        known[derived] = (neq, source)
-                        fresh.append(derived)
-            frontier = fresh
-            target = _reflexive(known)
-        if target is None:
-            raise TacticError(
-                f"equality: no reflexive equality derivable from\n  {self.goal}"
-            )
-        for neq, source, derived in _derivation(known, target):
-            self.rewrite(neq, source, derived)
-        self.close_eq(target)
-
-
-def _reflexive(known: Dict[Formula, object]) -> Optional[Formula]:
-    for atom in known:
-        if isinstance(atom, EqUr) and atom.left == atom.right:
-            return atom
-    return None
-
-
-def _replace_term(term: Term, old: Term, new: Term) -> Term:
-    if term == old:
-        return new
-    if isinstance(term, Proj):
-        return Proj(term.index, _replace_term(term.arg, old, new))
-    if isinstance(term, PairTerm):
-        return PairTerm(
-            _replace_term(term.left, old, new), _replace_term(term.right, old, new)
-        )
-    return term
-
-
-def _rewrite_atom(atom: Formula, neq: NeqUr) -> Formula:
-    """``atom`` with every occurrence of ``neq.left`` replaced by ``neq.right``."""
-    return type(atom)(
-        _replace_term(atom.left, neq.left, neq.right),
-        _replace_term(atom.right, neq.left, neq.right),
-    )
-
-
-def _derivation(
-    known: Dict[Formula, Optional[Tuple[Formula, Formula]]], target: Formula
-) -> List[Tuple[Formula, Formula, Formula]]:
-    """The ≠-rule applications (in order) that derive ``target``."""
-    steps: List[Tuple[Formula, Formula, Formula]] = []
-    emitted: set = set()
-
-    def visit(atom: Formula) -> None:
-        if atom in emitted:
-            return
-        emitted.add(atom)
-        provenance = known[atom]
-        if provenance is None:
-            return
-        neq, source = provenance
-        visit(neq)
-        visit(source)
-        steps.append((neq, source, atom))
-
-    visit(target)
-    return steps
+        goal = self.goal
+        node = ProofSearch(max_depth=1, max_equality_atoms=max_atoms).prove_or_none(goal)
+        if node is None:
+            raise TacticError(f"equality: no reflexive equality derivable from\n  {goal}")
+        self._apply((), lambda ps, n=node: n)
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,14 @@ DEFAULT_WITNESS_ENTRY_BOUND = 512
 #: checked again, which is free for a tree validated in this process.
 DEFAULT_WITNESS_MEMORY_BOUND = 32
 
+#: Records decoded from disk in this process, keyed by ``(address, SHA-256 of
+#: the payload bytes)``: reading the same bytes again returns the record whose
+#: proof already carries the checker's mark, instead of unpickling and fully
+#: checking a new tree.  Unlike a store's own LRU it is shared by every store
+#: instance, and changed bytes miss it.  Bounded LRU.
+_DECODED: "OrderedDict[Tuple[str, bytes], WitnessRecord]" = OrderedDict()
+_DECODED_BOUND = 64
+
 
 #: Every global an exported witness payload may name, as ``(module, name)``:
 #: the proof tree, its sequents and problem, and the formula, term and type
@@ -347,18 +355,29 @@ class WitnessStore:
         return record
 
     def _read(self, digest: str) -> Optional[WitnessRecord]:
-        """The unchecked record on disk for ``digest``; ``None`` is a counted miss."""
+        """The record on disk for ``digest``, for :meth:`get` to check; ``None`` is a counted miss."""
         try:
             blob = self.path(digest).read_bytes()
         except OSError:
             self._miss("absent")
             return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            self._corrupt(digest, "truncated", "payload does not unpickle")
-            return None
-        return self._validate_payload(payload, digest=digest, source="disk")
+        key = (digest, hashlib.sha256(blob).digest())
+        # Pop and re-insert rather than ``move_to_end``: jobs run on executor
+        # threads, and each single dict operation is atomic.
+        record = _DECODED.pop(key, None)
+        if record is None:
+            try:
+                payload = pickle.loads(blob)
+            except Exception:
+                self._corrupt(digest, "truncated", "payload does not unpickle")
+                return None
+            record = self._validate_payload(payload, digest=digest, source="disk")
+            if record is None:
+                return None
+        _DECODED[key] = record
+        if len(_DECODED) > _DECODED_BOUND:
+            _DECODED.popitem(last=False)
+        return record
 
     def get_for_sequent(self, sequent: Sequent) -> Optional[WitnessRecord]:
         """The stored witness proving exactly ``sequent``, if any."""

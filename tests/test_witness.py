@@ -1,4 +1,4 @@
-"""Witness store: crash consistency, exact-witness replay, worker warm-up, hand-written proofs."""
+"""Witness store: crash consistency, exact-witness replay, component lookup, hand-written proofs."""
 
 import copyreg
 import io
@@ -19,13 +19,13 @@ from repro.obs.metrics import get_registry
 from repro.proofs import focused
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode
-from repro.proofs.search import ProofSearch, SearchTables
+from repro.proofs.search import ProofSearch
 from repro.proofs.sequents import Sequent
 from repro.service import api
 from repro.service.cache import SynthesisCache, spec_digest, spec_key
 from repro.service.pipeline import SynthesisPipeline
 from repro.service.registry import default_registry
-from repro.service.workers import execute_synthesize_request, warm_tables_from_store
+from repro.service.workers import execute_synthesize_request
 from repro.specs.fuzz import build_spec, mutate_spec
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis import synthesize
@@ -246,6 +246,22 @@ def test_memory_tier_fronts_the_disk(tmp_path, union_spec, union_proof):
     assert WitnessStore(tmp_path).get(record.digest) is None
 
 
+def test_identical_payload_bytes_are_decoded_once_per_process(tmp_path, union_spec, union_proof):
+    store = WitnessStore(tmp_path)
+    record = store.put(union_proof, name="decoded", problem=union_spec.problem)
+    first = WitnessStore(tmp_path).get(record.digest)
+    assert first is not None and first.proof is not record.proof
+    # Another store instance reading the same bytes gets the same checked
+    # record, not a new tree to check in full.
+    assert WitnessStore(tmp_path).get(record.digest) is first
+    # The same payload pickled differently is other bytes: decoded anew.
+    payload = pickle.loads(store.path(record.digest).read_bytes())
+    store.path(record.digest).write_bytes(pickle.dumps(payload, protocol=2))
+    again = WitnessStore(tmp_path).get(record.digest)
+    assert again is not first and again.proof is not first.proof
+    assert again.sequent == first.sequent
+
+
 # ----------------------------------------------------------- crash consistency
 def test_truncated_payload_is_a_clean_miss(tmp_path, union_spec, union_proof, caplog):
     store = WitnessStore(tmp_path)
@@ -317,51 +333,100 @@ def test_maintain_bounds_the_tier(tmp_path):
     assert store.maintain() == 0  # not dirty: no rescan, nothing more to evict
 
 
-# ------------------------------------------------------------ worker warm-up
-def test_seed_search_tables_warm_mode(tmp_path, union_spec, union_proof):
-    store = WitnessStore(tmp_path)
-    record = store.put(union_proof, name="warm", problem=union_spec.problem)
-    tables = SearchTables()
-    warmed = warm_tables_from_store(store, tables)
-    # Every subproof of the stored witness is seeded, the root as the very
-    # proof object the store holds.
-    assert warmed == len({node.sequent for node in _subproofs(record.proof)}) > 1
-    assert tables.successes[record.sequent] is record.proof
-    # Warming tables that already hold every sequent seeds nothing more.
-    assert warm_tables_from_store(store, tables) == 0
-    assert tables.successes[record.sequent] is record.proof
+# ------------------------------------------------- component witness lookup
+def _lose_result_tier(cache_dir):
+    """Delete the top-level result files; ``witnesses/`` stays."""
+    for path in cache_dir.iterdir():
+        if path.is_file():
+            path.unlink()
 
 
-def test_warm_tables_from_store(tmp_path, union_spec, union_proof):
-    store = WitnessStore(tmp_path)
-    store.put(union_proof, name="fleet", problem=union_spec.problem)
-    tables = SearchTables()
-    warmed = warm_tables_from_store(store, tables)
-    assert warmed > 0
-    assert union_spec.problem.determinacy_goal() in tables.successes
+def _recording_factory(searches):
+    def factory():
+        search = ProofSearch(max_depth=12)
+        searches.append(search)
+        return search
+
+    return factory
 
 
-def _subproofs(proof):
-    yield proof
-    for premise in proof.premises:
-        yield from _subproofs(premise)
-
-
-def test_product_outputs_store_and_warm_their_component_witnesses(tmp_path):
+def test_product_outputs_store_and_replay_their_component_witnesses(tmp_path):
     """A cold product run stores one witness per Appendix G component as well
-    as the top-level one, and warm-up seeds each component goal from them."""
-    problem = default_registry().get("pair_tower_2").problem()
-    components = product_subproblems(problem)
+    as the top-level one; after the result tier is lost, the replay answers
+    every component goal by exact lookup and searches nothing."""
+    problem = default_registry().get("pair_tower_3").problem()
     cache = SynthesisCache(disk_dir=tmp_path)
-    report = SynthesisPipeline(cache=cache).run(problem)
-    assert report.source == "cold"
-    assert report.stage("witness-store").detail["stored"] == 1 + len(components)
+    cold = SynthesisPipeline(cache=cache).run(problem)
+    assert cold.source == "cold"
+    assert cold.stage("witness-store").detail["stored"] == 1 + 4
+    components = list(product_subproblems(problem))
+    components += product_subproblems(components[1])  # <V2, V3> is a product
     for sub in (problem, *components):
         assert witness_digest(sub.determinacy_goal()) in cache.witnesses, sub.name
-    tables = SearchTables()
-    assert warm_tables_from_store(WitnessStore(tmp_path / "witnesses"), tables) > 0
-    for sub in components:
-        assert sub.determinacy_goal() in tables.successes, sub.name
+
+    _lose_result_tier(tmp_path)
+    searches = []
+    replay = SynthesisPipeline(
+        cache=SynthesisCache(disk_dir=tmp_path), search_factory=_recording_factory(searches)
+    ).run(problem)
+    assert replay.cache_tier == "miss"
+    assert replay.source == "witness"
+    assert replay.stage("witness-lookup").detail["components"] == 4
+    assert replay.stage("proof-search") is None
+    assert replay.stage("extraction").detail["component_searches"] == 4
+    assert sum(search.stats.attempts for search in searches) == 0
+    assert str(replay.result.expression) == str(cold.result.expression)
+
+
+def test_component_lookup_does_not_depend_on_earlier_jobs(tmp_path, union_spec):
+    """The first job on an empty store leaves nothing behind that a later
+    replay in the same process depends on."""
+    cache_dir = tmp_path / "shared"
+
+    def request(**fields):
+        return api.SynthesizeRequest(cache_dir=str(cache_dir), **fields)
+
+    _, _, first = execute_synthesize_request(request(spec_text=union_spec.spec_text()))
+    assert first.source == "cold"
+    _, _, cold = execute_synthesize_request(request(problem="pair_of_views"))
+    assert cold.source == "cold"
+    _lose_result_tier(cache_dir)
+    response, _, replay = execute_synthesize_request(request(problem="pair_of_views"))
+    assert replay.source == response.source == "witness"
+    assert replay.stage("witness-lookup").detail["components"] == 2
+    assert replay.stage("proof-search") is None
+    assert str(replay.result.expression) == str(cold.result.expression)
+
+
+def test_missing_component_witness_is_searched_again(tmp_path):
+    problem = default_registry().get("pair_of_views").problem()
+    cache = SynthesisCache(disk_dir=tmp_path)
+    cold = SynthesisPipeline(cache=cache).run(problem)
+    first, _ = product_subproblems(problem)
+    lost = witness_digest(first.determinacy_goal())
+    cache.witnesses.path(lost).unlink()
+    _lose_result_tier(tmp_path)
+    searches = []
+    replay = SynthesisPipeline(
+        cache=SynthesisCache(disk_dir=tmp_path), search_factory=_recording_factory(searches)
+    ).run(problem)
+    assert replay.source == "witness"
+    assert replay.stage("witness-lookup").detail["components"] == 1
+    assert sum(search.stats.attempts for search in searches) > 0
+    assert str(replay.result.expression) == str(cold.result.expression)
+    # The re-searched component proof is stored again.
+    assert replay.stage("witness-store").detail["stored"] == 1
+    assert lost in cache.witnesses
+
+
+def test_replay_of_a_set_output_looks_up_no_components(tmp_path, union_spec):
+    cache = SynthesisCache(disk_dir=tmp_path)
+    SynthesisPipeline(cache=cache).run(union_spec.problem)
+    _lose_result_tier(tmp_path)
+    replay = SynthesisPipeline(cache=SynthesisCache(disk_dir=tmp_path)).run(union_spec.problem)
+    assert replay.source == "witness"
+    assert replay.stage("witness-lookup").detail["components"] == 0
+    assert replay.stage("extraction").detail["component_searches"] == 0
 
 
 # --------------------------------------------------------- exact-witness replay

@@ -13,8 +13,9 @@ a **content address** derived from the specification:
   variable signature.  Renderings — unlike Python hashes — are stable across
   processes (``PYTHONHASHSEED``) and machines, so sweep workers and later
   service processes share one persistent store.  Each entry is a pickle of
-  the full :class:`~repro.synthesis.implicit_to_explicit.SynthesisResult`
-  (AST nodes pickle as constructor calls, see ``core.node.Node``),
+  the :class:`~repro.synthesis.implicit_to_explicit.SynthesisResult` it was
+  given — from the pipeline, one without its proof, which the witness tier
+  keeps (AST nodes pickle as constructor calls, see ``core.node.Node``),
   stamped with :func:`~repro.nrc.simplify.simplifier_fingerprint` so entries
   simplified by another rule set read as stale misses, next to a
   human-readable JSON sidecar used by ``python -m repro cache-stats``.
@@ -47,8 +48,8 @@ from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import SynthesisResult
 from repro.witness.store import WITNESS_SUBDIR, WitnessStore, atomic_write_bytes, disk_census
 
-#: Default bound on the in-memory tier (entries, not bytes: synthesized
-#: expressions are small compared to the proof trees they carry).
+#: Default bound on the in-memory tier (entries, not bytes: the pipeline
+#: stores results without their proof trees, and expressions are small).
 DEFAULT_CAPACITY = 128
 
 #: Defaults for the disk tier's cost-aware eviction (entries / payload bytes).
@@ -374,11 +375,13 @@ class SynthesisCache:
         result = payload.get("result") if isinstance(payload, dict) else None
         if (
             not isinstance(result, SynthesisResult)
+            or not isinstance(result.proof_size, int)
             or payload.get("simplifier") != simplifier_fingerprint()
         ):
-            # A truncated entry, or one simplified by another rule set, must
-            # read as a miss, never an error; drop it so the slot is rebuilt
-            # by the next store.
+            # A truncated entry, one simplified by another rule set, or one
+            # written before results recorded their proof size must read as
+            # a miss, never an error; drop it so the slot is rebuilt by the
+            # next store.
             self._disk_evict(digest)
             return None
         return result

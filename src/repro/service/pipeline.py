@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.node import canonical_nodes
@@ -362,22 +362,20 @@ class SynthesisPipeline:
                     }
                 )
 
-        # -------- witness-store: persist the determinacy proof, so a later
-        # run of the same goal replays it, and the component proofs of the
-        # Appendix G product recursion, which that replay looks up by goal
-        # (``_component_witnesses``).  Runs on cache hits too (the proof
-        # travels inside the result), backfilling stores that predate the
-        # witness tier; re-storing an existing digest is skipped, so a
-        # replayed witness is never rewritten.
-        if witnesses is not None and result.proof is not None:
+        # -------- witness-store: persist the fresh determinacy proof, so a
+        # later run of the same goal replays it, and the component proofs of
+        # the Appendix G product recursion, which that replay looks up by goal
+        # (``_component_witnesses``).  Runs only when synthesis ran: the
+        # witness tier is the one home of a finished proof, and cached results
+        # carry none (see cache-store).  A proof already stored (a replayed
+        # witness or component) is not rewritten.
+        if witnesses is not None and not report.cache_hit:
             # The top-level proof first, then any collected component results
             # (``collect`` also re-delivers the top-level result; the seen-set
-            # dedupes it).  ``put`` checks every proof: one built or checked in
-            # this process carries the checker's mark and costs nothing; one
-            # recalled from the result cache that came from another process or
-            # from disk (backfill) gets a full check.
+            # dedupes it).  ``put`` checks every proof; one built or checked
+            # in this process carries the checker's mark and costs nothing.
             candidates = [(result.proof, problem)]
-            candidates += [(sub.proof, sub.problem) for sub in subresults if sub.proof is not None]
+            candidates += [(sub.proof, sub.problem) for sub in subresults]
             seen = set()
             to_store = []
             for proof_, problem_ in candidates:
@@ -400,13 +398,14 @@ class SynthesisPipeline:
                         }
                     )
 
-        # -------- cache-store + bounded-memory maintenance.
+        # -------- cache-store + bounded-memory maintenance.  Both tiers get
+        # the result without its proof; ``report.result`` keeps it.
         if self.cache is not None:
             if not report.cache_hit:
                 with _timed_stage(stages, STAGE_CACHE_STORE) as detail:
                     self.cache.store(
                         problem,
-                        result,
+                        result.without_proof(),
                         digest=report.digest,
                         cost_seconds=report.synthesis_seconds,
                     )
@@ -506,13 +505,7 @@ class SynthesisPipeline:
                         "rewrite_passes": rewrite_stats.passes,
                     }
                 )
-        return SynthesisResult(
-            problem=problem,
-            expression=simplified,
-            proof=raw_result.proof,
-            interpolant=raw_result.interpolant,
-            raw_expression=raw,
-        )
+        return replace(raw_result, expression=simplified, raw_expression=raw)
 
 
 def _component_witnesses(problem: ImplicitDefinitionProblem, witnesses: WitnessStore) -> List[ProofNode]:

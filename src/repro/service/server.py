@@ -22,8 +22,8 @@ Job engine invariants
   use too), awaited through an executor thread.  The loop stays free to
   answer ``/healthz``, job polls and further submissions while searches
   run.  The pool forks its first worker at the first cold job and grows
-  only to the peak number of concurrent jobs; its idle workers end when
-  the server stops.
+  only to the peak number of concurrent jobs; all its workers, busy ones
+  too, end when the server stops.
 * **Warm-cache submissions never enter the queue.**  ``submit`` peeks the
   cache first (:meth:`SynthesisCache.peek` — no stats mutation); a hit is
   served inline as an already-``done`` job, concurrent hits cost a dict
@@ -36,9 +36,10 @@ Job engine invariants
   (request field or service default) does the same and surfaces the
   structured ``timeout`` error.  A worker that dies fails only its job,
   with ``internal``; the next job forks a fresh one.
-* **Results flow back into the cache.**  A cold job's synthesized AST rides
-  home over the result pipe and is adopted into the parent's memory tier, so
-  the next identical submission is a warm hit even without a disk tier.
+* **Results flow back into the cache.**  A cold job's result rides home
+  over the result pipe, without its proof (the witness tier keeps proofs),
+  and is adopted into the parent's memory tier, so the next identical
+  submission is a warm hit even without a disk tier.
 
 The HTTP layer is a deliberately small stdlib-only HTTP/1.1 implementation
 over ``asyncio.start_server`` (one JSON document per request/response,
@@ -88,7 +89,7 @@ from repro.service.workers import (
     resolve_sweep_names,
     run_request_in_process,
     run_sweep,
-    stop_idle_workers,
+    stop_workers,
 )
 
 logger = logging.getLogger(__name__)
@@ -568,7 +569,7 @@ class SynthesisService:
                 self._finish(job, api.JOB_CANCELLED, error=api.job_cancelled(job.id).info)
 
     def _adopt_result(self, job: _Job, result) -> None:
-        """Warm the parent's memory tier with the worker's synthesized AST."""
+        """Warm the parent's memory tier with the worker's result (sent without its proof)."""
         if result is None:
             return
         try:
@@ -1068,7 +1069,7 @@ async def serve(
         async with server:
             await server.serve_forever()
     finally:
-        stop_idle_workers()
+        stop_workers()
 
 
 class BackgroundServer:
@@ -1129,7 +1130,7 @@ class BackgroundServer:
             self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
             self._thread.join(timeout=30)
-        stop_idle_workers()
+        stop_workers()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

@@ -21,11 +21,13 @@ worker runs one request at a time; per request it resets its telemetry
 :class:`~repro.service.cache.SynthesisCache`, so spans, metrics and
 ``cache_tier`` answers are per job, while its process-wide caches (canonical
 nodes and their memos) carry over to the next job.
-:func:`stop_idle_workers` ends the idle workers when a server stops.
+:func:`stop_workers` ends every worker, busy ones too, when a server stops,
+and a worker whose parent dies ends itself, mid-job as well.
 
 Requests cross the process boundary as their JSON dicts and come back as the
-wire response plus the synthesized AST — the HTTP job engine and sweeps use
-the same runner.  :func:`run_sweep` turns each problem name into one
+wire response plus the synthesized result without its proof, which the
+worker stored in the witness tier — the HTTP job engine and sweeps use the
+same runner.  :func:`run_sweep` turns each problem name into one
 :class:`~repro.service.api.SynthesizeRequest` and runs it through that runner,
 at most ``processes`` at a time, recording one flat
 :class:`~repro.service.api.SweepOutcome` per name.  Workers share results
@@ -47,7 +49,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import get_registry
@@ -178,9 +180,9 @@ def _run_request(payload: Dict[str, object], options: Dict[str, object]) -> tupl
     """Run one request in a worker; the tagged reply for the parent.
 
     The reply's last two elements are always this request's finished trace
-    spans and metric snapshot: ``("ok", response_json, result_ast, spans,
-    metrics)`` on success (the AST rides along so the parent can warm its
-    memory tier), ``("api_error", error_json, spans, metrics)`` for
+    spans and metric snapshot: ``("ok", response_json, result, spans,
+    metrics)`` on success (the result, without its proof, rides along so the
+    parent can warm its memory tier), ``("api_error", error_json, spans, metrics)`` for
     structured failures, and ``("internal_error", message, spans, metrics)``
     for anything unexpected.
     """
@@ -197,7 +199,7 @@ def _run_request(payload: Dict[str, object], options: Dict[str, object]) -> tupl
             "worker.request", problem=request.problem or "<spec_text>", pid=os.getpid()
         ):
             response, result, _ = execute_synthesize_request(request, cache=cache)
-        message: tuple = ("ok", response.to_json_dict(), result)
+        message: tuple = ("ok", response.to_json_dict(), result.without_proof())
     except api.ApiError as exc:
         message = ("api_error", exc.to_json_dict())
     except Exception as exc:  # noqa: BLE001 - the parent re-raises as ApiError
@@ -205,8 +207,19 @@ def _run_request(payload: Dict[str, object], options: Dict[str, object]) -> tupl
     return message + (get_tracer().export_all(), get_registry().snapshot())
 
 
-#: Seconds an idle worker waits for a request before checking its parent.
+#: Seconds between a worker's checks that its parent process still lives.
 _PARENT_CHECK_SECONDS = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once ``parent`` is gone, busy or idle.
+
+    Runs on a daemon thread: an orphaned worker would otherwise finish its
+    search (minutes for the hard registry entries) before noticing.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_CHECK_SECONDS)
+    os._exit(0)
 
 
 def _worker_main(conn) -> None:
@@ -217,12 +230,9 @@ def _worker_main(conn) -> None:
     whose parent is gone exits on its own.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = os.getppid()
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
     while True:
         try:
-            while not conn.poll(_PARENT_CHECK_SECONDS):
-                if os.getppid() != parent:
-                    return
             job = conn.recv()
         except (EOFError, OSError):
             return
@@ -238,23 +248,29 @@ class _Worker:
         self.process = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
+        with _LOCK:
+            _LIVE_WORKERS.add(self)
 
     def discard(self) -> None:
         """End the worker and release its pipe."""
+        with _LOCK:
+            _LIVE_WORKERS.discard(self)
         if self.process.is_alive():
             self.process.terminate()
         self.process.join()
         self.conn.close()
 
 
+#: Every worker not yet discarded, idle or busy, so shutdown can end them all.
+_LIVE_WORKERS: Set[_Worker] = set()
 #: Workers waiting for a job; busy workers are held by their job's thread.
 _IDLE_WORKERS: List[_Worker] = []
-_IDLE_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
 def _take_worker() -> _Worker:
     """An idle live worker, or a freshly forked one."""
-    with _IDLE_LOCK:
+    with _LOCK:
         while _IDLE_WORKERS:
             worker = _IDLE_WORKERS.pop()
             if worker.process.is_alive():
@@ -263,11 +279,18 @@ def _take_worker() -> _Worker:
     return _Worker()
 
 
-def stop_idle_workers() -> None:
-    """Terminate every idle pool worker (called when a server stops)."""
-    with _IDLE_LOCK:
+def stop_workers() -> None:
+    """End every pool worker of this process (called when a server stops).
+
+    Idle workers are discarded here.  A busy worker is terminated, so its
+    job fails cleanly with ``internal`` and the job's thread discards it.
+    """
+    with _LOCK:
         idle = list(_IDLE_WORKERS)
         _IDLE_WORKERS.clear()
+        busy = [worker for worker in _LIVE_WORKERS if worker not in idle]
+    for worker in busy:
+        worker.process.terminate()
     for worker in idle:
         worker.discard()
 
@@ -322,7 +345,7 @@ def run_request_in_process(
         # Only a worker that answered cleanly goes back to the pool; one
         # past its deadline, cancelled, dead or failing unexpectedly is ended.
         if message is not None and message[0] != "internal_error":
-            with _IDLE_LOCK:
+            with _LOCK:
                 _IDLE_WORKERS.append(worker)
         else:
             worker.discard()

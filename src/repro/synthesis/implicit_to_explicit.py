@@ -25,7 +25,7 @@ The algorithm follows the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.core.node import dataclass_setstate, dataclass_state
@@ -42,34 +42,38 @@ from repro.nrc.macros import atoms_expr, comprehension
 from repro.nrc.simplify import simplify
 from repro.proofs.admissible import and_inversion, forall_eigenvariable, forall_inversion
 from repro.proofs.checker import check_proof
-from repro.proofs.prooftree import ProofNode, proof_size
+from repro.proofs.prooftree import ProofNode, proof_size as count_proof_nodes
 from repro.proofs.search import ProofSearch
 from repro.specs.problems import ImplicitDefinitionProblem
 
 
 @dataclass
 class SynthesisResult:
-    """The synthesized explicit definition plus provenance information."""
+    """The synthesized explicit definition plus provenance information.
+
+    ``proof_size`` is the node count of the determinacy proof, counted when
+    the result is built; it outlives the proof, which caches drop
+    (:meth:`without_proof`) because the witness tier keeps it by goal.
+    """
 
     problem: ImplicitDefinitionProblem
     expression: NRCExpr
-    proof: ProofNode
+    proof: Optional[ProofNode]
     interpolant: Optional[Formula] = None
     raw_expression: Optional[NRCExpr] = None
+    proof_size: Optional[int] = None
 
-    #: Pickles (disk tier, worker pipes) carry the five fields only, never
-    #: the ``proof_size`` memo below, and unpickling restores no more.
+    #: Pickles (disk tier, worker pipes) carry the declared fields only.
     __getstate__ = dataclass_state
     __setstate__ = dataclass_setstate
 
-    @property
-    def proof_size(self) -> int:
-        """Node count of ``proof``: one tree walk per result and proof object."""
-        memo = self.__dict__.get("_proof_size")
-        if memo is None or memo[0] is not self.proof:
-            memo = (self.proof, proof_size(self.proof))
-            self.__dict__["_proof_size"] = memo
-        return memo[1]
+    def __post_init__(self) -> None:
+        if self.proof_size is None and self.proof is not None:
+            self.proof_size = count_proof_nodes(self.proof)
+
+    def without_proof(self) -> "SynthesisResult":
+        """This result with ``proof=None`` and the same ``proof_size``."""
+        return replace(self, proof=None)
 
 
 def find_determinacy_proof(

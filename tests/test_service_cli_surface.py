@@ -13,6 +13,7 @@ remote-only ``client`` operations and ``fuzz --url`` run end to end.
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,17 @@ def test_client_trace(capsys, traced):
         assert code == 0
         job_id = json.loads(out)["id"]
         assert run_cli(capsys, *url, "synthesize", "union_view")[0] == 0
+        # The synchronous submit above is another job, which can finish
+        # first: wait on this job's own status before reading its trace.
+        deadline = time.monotonic() + 120
+        while True:
+            code, out, _ = run_cli(capsys, *url, "job", job_id)
+            assert code == 0
+            state = json.loads(out)["state"]
+            if state == "done" or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert state == "done"
         code, out, _ = run_cli(capsys, *url, "trace", job_id, "--json")
         assert code == 0
         trace = api.TraceInfo.from_json(out)

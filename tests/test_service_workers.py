@@ -225,7 +225,7 @@ def test_a_killed_worker_fails_only_its_job(traced):
 
 
 def test_a_long_lived_worker_answers_like_a_fresh_one(traced):
-    workers.stop_idle_workers()
+    workers.stop_workers()
     request = api.SynthesizeRequest(problem="union_of_3_views")
 
     def run(request):
@@ -266,7 +266,7 @@ def test_concurrent_jobs_never_share_a_worker():
     from repro.service.cache import spec_digest
     from repro.specs.lang import parse_problem
 
-    workers.stop_idle_workers()
+    workers.stop_workers()
     texts = _spec_texts(16)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -308,3 +308,99 @@ def test_stopping_the_server_ends_every_worker():
         assert [answer["state"] for answer in answers] == ["done", "done"]
         assert multiprocessing.active_children()
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------- `repro serve` with a busy job
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as ended)."""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = open(f"/proc/{entry}/stat").read() if entry.isdigit() else ""
+        except OSError:
+            continue
+        if stat and int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.fixture
+def serving_example_1_1():
+    """A ``repro serve`` process whose pool worker is searching ``example_1_1``.
+
+    Yields ``(server, worker_pids)``; whatever is still running afterwards
+    is killed.
+    """
+    import json
+    import re
+    import subprocess
+    import sys
+    import time
+    import urllib.request
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    worker_pids = []
+    try:
+        port = re.search(r":(\d+)", server.stdout.readline().decode()).group(1)
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/synthesize",
+            data=json.dumps({"problem": "example_1_1", "timeout": 120}).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        job = json.loads(urllib.request.urlopen(request, timeout=30).read())
+        deadline = time.monotonic() + 30
+        while not worker_pids and time.monotonic() < deadline:
+            time.sleep(0.05)
+            status = json.loads(
+                urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/jobs/{job['id']}", timeout=10).read()
+            )
+            if status["state"] == api.JOB_RUNNING:
+                worker_pids = _children(server.pid)
+        assert worker_pids, "no worker started on example_1_1"
+        yield server, worker_pids
+    finally:
+        for pid in [server.pid, *worker_pids]:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        server.wait()
+        server.stdout.close()
+
+
+def _all_ended(pids, seconds):
+    import time
+
+    deadline = time.monotonic() + seconds
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(_running(pid) for pid in pids)
+
+
+def test_an_interrupted_server_ends_its_busy_worker(serving_example_1_1):
+    server, worker_pids = serving_example_1_1
+    server.send_signal(signal.SIGINT)
+    assert server.wait(timeout=5) == 0
+    assert _all_ended(worker_pids, 1)
+
+
+def test_a_busy_worker_ends_when_its_server_is_killed(serving_example_1_1):
+    server, worker_pids = serving_example_1_1
+    server.kill()
+    server.wait()
+    assert _all_ended(worker_pids, 3)

@@ -3,8 +3,8 @@
 An :class:`Assignment` maps variables to values; ``eval_formula`` evaluates an
 (extended) Δ0 formula under an assignment.  Because values are extensional,
 this is the "nested relation" semantics (|=nested) of the paper.  The
-non-extensional ("every model") semantics lives in
-:mod:`repro.logic.general_models`.
+non-extensional ("every model") semantics is a test oracle, in
+``tests/general_models.py``.
 
 ``eval_formula`` is the only Δ0 evaluator.  It is lazy: ``And``/``Or`` stop
 at the first deciding operand and ``∀``/``∃`` at the first deciding element

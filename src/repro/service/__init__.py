@@ -20,50 +20,8 @@
   running server with the same methods.
 * :mod:`repro.service.cli`      — ``python -m repro`` subcommands, each
   declared once and run against either service.
+
+The package re-exports nothing: callers import the submodule they use, so a
+process that only synthesizes never loads the HTTP server, asyncio or the
+worker pool.
 """
-
-from repro.service.api import (
-    API_VERSION,
-    ApiError,
-    JobStatus,
-    ProblemInfo,
-    SweepRequest,
-    SynthesizeRequest,
-    VerifyRequest,
-)
-from repro.service.cache import CacheStats, SynthesisCache, spec_digest, spec_key
-from repro.service.pipeline import PipelineReport, StageTiming, SynthesisPipeline
-from repro.service.registry import (
-    ProblemRegistry,
-    RegistryEntry,
-    build_default_registry,
-    default_registry,
-)
-from repro.service.server import BackgroundServer, SynthesisService, serve
-from repro.service.workers import SweepSummary, run_sweep
-
-__all__ = [
-    "API_VERSION",
-    "ApiError",
-    "JobStatus",
-    "ProblemInfo",
-    "SweepRequest",
-    "SynthesizeRequest",
-    "VerifyRequest",
-    "CacheStats",
-    "SynthesisCache",
-    "spec_digest",
-    "spec_key",
-    "PipelineReport",
-    "StageTiming",
-    "SynthesisPipeline",
-    "ProblemRegistry",
-    "RegistryEntry",
-    "build_default_registry",
-    "default_registry",
-    "BackgroundServer",
-    "SynthesisService",
-    "serve",
-    "SweepSummary",
-    "run_sweep",
-]

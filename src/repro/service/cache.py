@@ -209,13 +209,10 @@ class SynthesisCache:
             self._lru.move_to_end(key)
             self.stats.hits += 1
             return result, "memory"
-        if self.disk_dir is not None:
-            result = self._disk_load(spec_digest(problem))
-            if result is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self._memory_store(key, result)
-                return result, "disk"
+        result = self.promote(problem)
+        if result is not None:
+            self.stats.hits += 1
+            return result, "disk"
         self.stats.misses += 1
         return None, "miss"
 
@@ -236,6 +233,22 @@ class SynthesisCache:
             if payload_path.exists():
                 return "disk"
         return None
+
+    def promote(self, problem: ImplicitDefinitionProblem) -> Optional[SynthesisResult]:
+        """Load ``problem``'s disk entry into the memory tier (``None``: absent or unreadable).
+
+        Counts a disk hit but no hit: a disk ``lookup`` adds the hit itself,
+        and the server's warm path answers from the memory tier next, whose
+        lookup adds it.  Either way a read served from disk adds one to
+        ``hits`` and one to ``disk_hits``.
+        """
+        if self.disk_dir is None:
+            return None
+        result = self._disk_load(spec_digest(problem))
+        if result is not None:
+            self.stats.disk_hits += 1
+            self._memory_store(spec_key(problem), result)
+        return result
 
     # ----------------------------------------------------------------- store
     def store(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -394,9 +395,16 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
+    async def serve_until_stopped() -> None:
+        # SIGTERM takes SIGINT's path: ``asyncio.run`` cancels this task on
+        # SIGINT, and a SIGTERM cancels it too, so ``serve``'s ``finally``
+        # ends every worker either way.
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        await serve(service, host=args.host, port=args.port, ready=announce)
+
     try:
-        asyncio.run(serve(service, host=args.host, port=args.port, ready=announce))
-    except KeyboardInterrupt:
+        asyncio.run(serve_until_stopped())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down", file=sys.stderr)
     return 0
 

@@ -464,16 +464,16 @@ class SynthesisService:
         if request.verify_scale or request.cache_dir:
             return None
         problem = entry.problem()
-        if self.cache.peek(problem) is None:
+        tier = self.cache.peek(problem)
+        if tier is None:
             return None
-        # Confirm the hit before running anything inline: a peeked disk entry
-        # can be corrupt or concurrently evicted, and falling through to a
-        # cold proof search here would block the event loop for seconds.
-        # ``lookup`` promotes the entry to the memory tier, so the inline
-        # pipeline run below is guaranteed a memory hit (nothing can evict
-        # it between these two statements — no awaits, same thread).
-        result, _tier = self.cache.lookup(problem)
-        if result is None:
+        # A peeked disk entry can be corrupt or concurrently evicted, and
+        # falling through to a cold proof search here would block the event
+        # loop for seconds: ``promote`` reads it into the memory tier first.
+        # Either way the inline pipeline run below is a memory hit, its
+        # lookup the read's one counted hit (nothing can evict the entry in
+        # between: no awaits, same thread).
+        if tier == "disk" and self.cache.promote(problem) is None:
             return None
         response, _, _ = execute_synthesize_request(
             request, registry=self.registry, cache=self.cache

@@ -227,9 +227,13 @@ def _worker_main(conn) -> None:
 
     The parent ends its workers (``terminate()``, or the pipe closing), so
     an interrupt meant for the server's terminal is ignored here; a worker
-    whose parent is gone exits on its own.
+    whose parent is gone exits on its own.  The fork inherits the server's
+    SIGTERM handler and signal wakeup fd (``repro serve`` cancels itself on
+    SIGTERM), so both are reset here: ``terminate()`` must end the worker.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
     while True:
         try:

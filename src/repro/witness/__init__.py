@@ -14,38 +14,8 @@ caches, so a goal proved once is replayed instead of searched again:
   for the ``hard`` registry entries (Examples 1.1 / 4.1), scripted in a
   small LCF-style tactic engine over the Figure 3 rule constructors and
   re-checked by ``proofs/checker.py``.
+
+The package re-exports nothing: the pipeline imports only
+:mod:`~repro.witness.store`, and the tactic engine loads when a caller
+imports :mod:`~repro.witness.handwritten`.
 """
-
-from repro.witness.handwritten import (
-    HANDWRITTEN,
-    Prover,
-    TacticError,
-    handwritten_proof,
-    install_handwritten,
-    replay_handwritten,
-    replay_witness,
-)
-from repro.witness.store import (
-    WITNESS_SUBDIR,
-    WitnessRecord,
-    WitnessStore,
-    export_witness,
-    witness_digest,
-    witness_fingerprint,
-)
-
-__all__ = [
-    "HANDWRITTEN",
-    "Prover",
-    "TacticError",
-    "handwritten_proof",
-    "install_handwritten",
-    "replay_handwritten",
-    "replay_witness",
-    "WITNESS_SUBDIR",
-    "WitnessRecord",
-    "WitnessStore",
-    "export_witness",
-    "witness_digest",
-    "witness_fingerprint",
-]

@@ -14,6 +14,9 @@ Two uses:
 * demonstrating the Mostowski-collapse argument: every *extensional*
   well-typed model is isomorphic to a nested relation
   (:func:`collapse_to_instance`).
+
+A test oracle, not library code: only ``tests/test_logic_semantics_paths.py``
+imports it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Unit tests for Δ0 semantics, typechecking, paths and general models."""
 
 import pytest
-
-from repro.errors import EvaluationError, FormulaError, TypeMismatchError
-from repro.logic.formulas import And, EqUr, Exists, Forall, Member, Top
-from repro.logic.free_vars import FreshNames
-from repro.logic.general_models import (
+from general_models import (
     GeneralModel,
     collapse_to_instance,
     model_from_values,
 )
+
+from repro.errors import EvaluationError, FormulaError, TypeMismatchError
+from repro.logic.formulas import And, EqUr, Exists, Forall, Member, Top
+from repro.logic.free_vars import FreshNames
 from repro.logic.macros import equivalent, member_hat
 from repro.logic.paths import (
     all_subtype_paths,

@@ -320,6 +320,32 @@ def test_corrupt_disk_entry_does_not_serve_warm_inline(tmp_path):
     asyncio.run(scenario())
 
 
+def test_each_warm_read_counts_one_hit(tmp_path):
+    """A warm read adds one to ``hits``, plus one to ``disk_hits`` when its
+    entry came from the disk tier (it then answers from memory)."""
+
+    async def scenario():
+        request = api.SynthesizeRequest(problem="union_view")
+        service = SynthesisService(cache_dir=str(tmp_path))
+        cold = await service.wait((await service.submit(request)).id)
+        assert cold.state == api.JOB_DONE
+        stats = service.cache.stats
+        assert (stats.hits, stats.disk_hits) == (0, 0)
+        reads = [await service.submit(request) for _ in range(3)]
+        assert [status.result.cache_tier for status in reads] == ["memory"] * 3
+        assert (stats.hits, stats.disk_hits) == (3, 0)
+        # A fresh service on the same disk tier: the first read comes from
+        # disk and is promoted, the next two from memory.
+        fresh = SynthesisService(cache_dir=str(tmp_path))
+        reads = [await fresh.submit(request) for _ in range(3)]
+        assert fresh.warm_submissions == 3 and fresh.jobs_enqueued == 0
+        assert [status.result.cache_tier for status in reads] == ["memory"] * 3
+        stats = fresh.cache.stats
+        assert (stats.hits, stats.disk_hits, stats.misses) == (3, 1, 0)
+
+    asyncio.run(scenario())
+
+
 def test_negative_content_length_is_a_400(server):
     import http.client
 

@@ -399,6 +399,15 @@ def test_an_interrupted_server_ends_its_busy_worker(serving_example_1_1):
     assert _all_ended(worker_pids, 1)
 
 
+def test_a_terminated_server_ends_its_busy_worker(serving_example_1_1):
+    # SIGTERM takes SIGINT's shutdown path: a clean exit, and no worker
+    # outlives the server.
+    server, worker_pids = serving_example_1_1
+    server.send_signal(signal.SIGTERM)
+    assert server.wait(timeout=10) == 0
+    assert not any(_running(pid) for pid in worker_pids)
+
+
 def test_a_busy_worker_ends_when_its_server_is_killed(serving_example_1_1):
     server, worker_pids = serving_example_1_1
     server.kill()

@@ -37,7 +37,7 @@ import os
 import threading
 import weakref
 from dataclasses import fields as _dataclass_fields
-from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 N = TypeVar("N", bound="Node")
 A = TypeVar("A")
@@ -320,30 +320,34 @@ def map_children(node: N, fn: Callable[[Node], Node]) -> N:
     return node.rebuild(tuple(new_children))  # type: ignore[return-value]
 
 
-def transform_bottom_up(root: Node, fn: Callable[[Node], Node]) -> Node:
+def transform_bottom_up(
+    root: Node, fn: Callable[[Node], Node], results: Optional[Dict[Node, Node]] = None
+) -> Node:
     """Rewrite the tree bottom-up with ``fn``, preserving identity on no-ops.
 
     Children are transformed first; each node is rebuilt only when some child
     actually changed, then ``fn`` is applied to the (possibly rebuilt) node.
     Iterative, so deep chains do not overflow the Python stack; shared
-    sub-DAGs are transformed once per object.
+    sub-DAGs are transformed once per object.  ``results`` maps nodes to
+    their transforms under the same ``fn``; passing one dict to several
+    calls transforms the subtrees they share once.
     """
-    results: dict = {}
+    if results is None:
+        results = {}
     stack: List[Node] = [root]
     while stack:
         node = stack[-1]
-        nid = id(node)
-        if nid in results:
+        if node in results:
             stack.pop()
             continue
         children = node.children()
-        pending = [child for child in children if id(child) not in results]
+        pending = [child for child in children if child not in results]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
         if children:
-            new_children = tuple(results[id(child)] for child in children)
+            new_children = tuple(results[child] for child in children)
             rebuilt = node
             for old, new in zip(children, new_children):
                 if old is not new:
@@ -351,8 +355,8 @@ def transform_bottom_up(root: Node, fn: Callable[[Node], Node]) -> Node:
                     break
         else:
             rebuilt = node
-        results[nid] = fn(rebuilt)
-    return results[id(root)]
+        results[node] = fn(rebuilt)
+    return results[root]
 
 
 # --------------------------------------------------------------- analyses

@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, Mapping, Set
 from repro.core import node as core
 from repro.core import subst as core_subst
 from repro.logic.formulas import And, Exists, Forall, Formula, Or
-from repro.logic.terms import Term, Var
+from repro.logic.terms import Term, Var, beta_step
 from repro.nr.types import Type
 
 
@@ -108,12 +108,4 @@ def replace_term(formula: Formula, old: Term, new: Term) -> Formula:
 
 def beta_normalize_formula(formula: Formula) -> Formula:
     """Normalize every ``πi(<t1,t2>)`` redex in the terms of ``formula``."""
-    return core.transform_bottom_up(formula, _beta_step)
-
-
-def _beta_step(node: core.Node) -> core.Node:
-    from repro.logic.terms import PairTerm, Proj
-
-    if isinstance(node, Proj) and isinstance(node.arg, PairTerm):
-        return node.arg.left if node.index == 1 else node.arg.right
-    return node
+    return core.transform_bottom_up(formula, beta_step)

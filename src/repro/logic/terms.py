@@ -136,7 +136,8 @@ def term_size(term: Term) -> int:
     return core.node_size(term)
 
 
-def _beta_step(term: Term) -> Term:
+def beta_step(term: Term) -> Term:
+    """One ×β contraction at the root: ``πi(<t1,t2>) → ti``; other nodes as they are."""
     if isinstance(term, Proj) and isinstance(term.arg, PairTerm):
         return term.arg.left if term.index == 1 else term.arg.right
     return term
@@ -144,4 +145,4 @@ def _beta_step(term: Term) -> Term:
 
 def beta_normalize_term(term: Term) -> Term:
     """Simplify projections applied to explicit pairs: ``πi(<t1,t2>) → ti``."""
-    return core.transform_bottom_up(term, _beta_step)
+    return core.transform_bottom_up(term, beta_step)

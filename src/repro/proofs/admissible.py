@@ -13,7 +13,9 @@ implemented here are the ones the synthesis pipeline needs:
   :func:`forall_eigenvariable` names the ``z`` at which this is a linear
   walk (the proof's own eigenvariable, so no subproof is renamed).
 * :func:`substitute_proof`        — Lemma 16 (substitution of terms for free
-  variables throughout a proof).
+  variables throughout a proof, read up to ×β).
+* :func:`product_inversion`       — Appendix G's product case: Lemma 16, ×β
+  and Lemma 13 split a proof of ``o ≡ o′`` into its components' proofs.
 * :func:`exists_conjunct_projection`  — the "project a conjunct under an
   existential block" transformation used by the product case of Theorem 10
   (an instance of the routine admissible rules referred to in Appendix F).
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.core.node import Node, transform_bottom_up
 from repro.errors import ProofError
 from repro.logic.formulas import And, Exists, Forall, Formula, Member
-from repro.logic.free_vars import substitute, substitute_many, substitute_term
-from repro.logic.terms import Term, Var
+from repro.logic.free_vars import beta_normalize_formula, substitute, substitute_many
+from repro.logic.terms import PairTerm, Term, Var, beta_step
 from repro.proofs import focused
 from repro.proofs.prooftree import ProofNode
 from repro.proofs.sequents import Sequent, sequent_free_vars
@@ -185,47 +188,87 @@ def _project_walk(node: ProofNode, targets: Dict[Formula, Formula], which: int) 
 def substitute_proof(proof: ProofNode, mapping: Mapping[Var, Term]) -> ProofNode:
     """Apply a variable substitution to every sequent of a proof (Lemma 16).
 
-    Intended for renaming fresh variables or instantiating free variables by
-    terms that do not clash with any bound/fresh variable of the proof; the
-    caller is responsible for freshness (the checker will reject the result
-    otherwise).
+    Every formula and term of the result is β-normalized (``πi(<t1,t2>)``
+    becomes ``ti``), so a pair substituted for a product variable leaves no
+    projection redex behind; a ``prod_beta`` node whose redex that removed
+    concludes what its premise does and is dropped.  Substituting for a
+    variable that a ∀ or ×η node introduces, or that ×η splits, by anything
+    but a variable raises :class:`ProofError`.  Otherwise freshness is the
+    caller's business: the checker rejects a result that captures.
     """
     mapping = dict(mapping)
+    # Nodes are hash-consed, so one entry serves every occurrence of a
+    # formula or term, and the normal forms share one memo; proof nodes
+    # shared by the search are walked once.
+    normal: Dict[Node, Node] = {}
+    beta: Dict[Node, Node] = {}
+    walked: Dict[int, ProofNode] = {}
 
-    def sub_formula(formula: Formula) -> Formula:
-        return substitute_many(formula, mapping)
+    def sub(node: Node) -> Node:
+        done = normal.get(node)
+        if done is None:
+            done = normal[node] = transform_bottom_up(substitute_many(node, mapping), beta_step, beta)
+        return done
 
-    def sub_term(term: Term) -> Term:
-        return substitute_term(term, mapping)
-
-    def sub_atom(atom: Member) -> Member:
-        return Member(sub_term(atom.elem), sub_term(atom.collection))
+    def sub_var(var: Var) -> Var:
+        image = mapping.get(var, var)
+        if not isinstance(image, Var):
+            raise ProofError(f"cannot substitute {image} for {var}, which a rule of the proof binds or splits")
+        return image
 
     def walk(node: ProofNode) -> ProofNode:
+        done = walked.get(id(node))
+        if done is not None:
+            return done
         sequent = Sequent(
-            frozenset(sub_atom(a) for a in node.sequent.theta),
-            frozenset(sub_formula(f) for f in node.sequent.delta),
+            frozenset(sub(a) for a in node.sequent.theta),
+            frozenset(sub(f) for f in node.sequent.delta),
         )
+        premises = tuple(walk(p) for p in node.premises)
+        if node.rule == "prod_beta" and premises[0].sequent == sequent:
+            walked[id(node)] = premises[0]
+            return premises[0]
         meta = dict(node.meta)
         for key in ("principal", "source", "target", "neq", "specialized"):
             if key in meta and isinstance(meta[key], Formula):
-                meta[key] = sub_formula(meta[key])
+                meta[key] = sub(meta[key])
         if "witnesses" in meta:
-            meta["witnesses"] = tuple(sub_term(w) for w in meta["witnesses"])
+            meta["witnesses"] = tuple(sub(w) for w in meta["witnesses"])
         if "fresh" in meta:
             fresh = meta["fresh"]
             if isinstance(fresh, Var):
-                meta["fresh"] = mapping.get(fresh, fresh)
+                meta["fresh"] = sub_var(fresh)
             elif isinstance(fresh, tuple):
-                meta["fresh"] = tuple(mapping.get(v, v) for v in fresh)
+                meta["fresh"] = tuple(sub_var(v) for v in fresh)
         if "var" in meta and isinstance(meta["var"], Var):
-            meta["var"] = mapping.get(meta["var"], meta["var"])
+            meta["var"] = sub_var(meta["var"])
         if "pair" in meta:
-            meta["pair"] = sub_term(meta["pair"])
-        premises = tuple(walk(p) for p in node.premises)
-        return ProofNode(node.rule, sequent, premises, meta)
+            meta["pair"] = sub(meta["pair"])
+        done = walked[id(node)] = ProofNode(node.rule, sequent, premises, meta)
+        return done
 
     return walk(proof)
+
+
+# ------------------------------------------------------------- × inversion
+def product_inversion(
+    proof: ProofNode, target: Formula, pairs: Mapping[Var, PairTerm]
+) -> Tuple[ProofNode, ProofNode]:
+    """Split a proof of ``Θ ⊢ o ≡ o′, Δ`` at product-typed ``o`` (Appendix G).
+
+    ``target`` is ``o ≡ o′`` and ``pairs`` maps ``o ↦ <o1,o2>`` and
+    ``o′ ↦ <o1′,o2′>`` for fresh component variables.  Substituting them and
+    β-normalizing (Lemma 16, ×β) turns ``target`` into ``o1 ≡ o1′ ∧ o2 ≡ o2′``;
+    ∧-inversion (Lemma 13) at that conjunction gives the proofs of
+    ``Θ ⊢ oi ≡ oi′, Δ[pairs]``, first component first.  Raises
+    :class:`ProofError` when the proof does not split this way (a ×η on
+    ``o``, say).
+    """
+    split = substitute_proof(proof, pairs)
+    conjunction = beta_normalize_formula(substitute_many(target, pairs))
+    if not isinstance(conjunction, And) or conjunction not in split.sequent.delta:
+        raise ProofError(f"{target} does not split into a conjunction of components")
+    return and_inversion(split, conjunction, 1), and_inversion(split, conjunction, 2)
 
 
 # ------------------------------------------------------------------ internals

@@ -25,9 +25,8 @@ Search state is memoized in a :class:`SearchTables` transposition table keyed
 on the (hash-consed) sequent:
 
 * **successes** — a proof of a sequent is valid wherever that sequent
-  reappears: conjunctive siblings, later deepening rounds, and (when tables
-  are shared between searches) other problems of a parametric family all
-  reuse the finished subproof instead of re-deriving it;
+  reappears: conjunctive siblings and later deepening rounds reuse the
+  finished subproof instead of re-deriving it;
 * **failures** — recorded with the *remaining* ∃-budget at which exploration
   was exhausted; a sequent that failed with ``b`` budget remaining cannot
   succeed with less, so deepening rounds skip the entire shallower tree
@@ -125,15 +124,11 @@ _Expansion = Tuple[Tuple[Term, ...], Formula, Tuple[Member, ...], float, str]
 
 
 class SearchTables:
-    """Transposition state shared across budgets — and, optionally, searches.
+    """Transposition state shared across the budgets of one :class:`ProofSearch`.
 
-    A fresh instance is created per :class:`ProofSearch` unless one is passed
-    in; passing one table to every search of a parametric problem family lets
-    later instances reuse the subproofs the earlier ones finished (the
-    registry's ``multi_union_view(k)`` sizes share most subgoals).  Only share
-    tables between searches with identical configuration: failure entries are
-    relative to ``max_branching``/``max_attempts`` and closure entries to
-    ``max_equality_atoms``.
+    Each search owns one instance, kept across its ``prove`` calls.  Failure
+    entries are relative to the search's ``max_branching``/``max_attempts``
+    and closure entries to its ``max_equality_atoms``.
     """
 
     #: Size bound applied by :meth:`maintain`: the tables are pure caches, so
@@ -242,15 +237,12 @@ class ProofSearch:
         max_attempts: int = 400_000,
         max_branching: int = 24,
         max_equality_atoms: int = 4_000,
-        depth_schedule: Optional[Sequence[int]] = None,
-        tables: Optional[SearchTables] = None,
     ) -> None:
         self.max_depth = max_depth
         self.max_attempts = max_attempts
         self.max_branching = max_branching
         self.max_equality_atoms = max_equality_atoms
-        self.depth_schedule = tuple(depth_schedule) if depth_schedule is not None else None
-        self.tables = tables if tables is not None else SearchTables()
+        self.tables = SearchTables()
         self.stats = SearchStats()
         #: ``(depth budget, attempts spent, distance cuts)`` per round of the
         #: last search.
@@ -283,12 +275,9 @@ class ProofSearch:
 
     def prove_or_none(self, sequent: Sequent) -> Optional[ProofNode]:
         self.stats.searches += 1
-        if self.depth_schedule is not None:
-            budgets = [b for b in self.depth_schedule if b <= self.max_depth] or [self.max_depth]
-        else:
-            budgets = [b for b in (4, 8, self.max_depth) if b <= self.max_depth]
-            if not budgets or budgets[-1] != self.max_depth:
-                budgets.append(self.max_depth)
+        # Iterative deepening over distinct budgets: a budget repeated would
+        # spend the attempt budget twice on the same exhausted tree.
+        budgets = sorted({min(budget, self.max_depth) for budget in (4, 8, self.max_depth)})
         self.tables.maintain()
         tracer = get_tracer()
         self.rounds = []

@@ -12,8 +12,7 @@ stage                     what it does
 ``validate``              re-checks the specification, hash-conses ``φ``
                           (once per problem object)
 ``cache-lookup``          content-addressed lookup (:mod:`repro.service.cache`)
-``witness-lookup``        exact stored-proof replay (witness tier), with
-                          the Appendix G component proofs of a product
+``witness-lookup``        exact stored-proof replay (witness tier)
 ``proof-search``          focused determinacy proof (Theorem 2's witness)
 ``extraction``            proof → raw NRC definition (Theorems 4/10, App. G)
 ``simplification``        rewrite-engine cleanup of the raw definition
@@ -42,7 +41,6 @@ from repro.logic.formulas import formula_size
 from repro.logic.free_vars import free_vars
 from repro.logic.terms import Var
 from repro.logic.typecheck import check_formula
-from repro.nr.types import ProdType
 from repro.nr.values import Value
 from repro.nrc.expr import expr_size
 from repro.obs.metrics import get_registry
@@ -53,14 +51,9 @@ from repro.proofs.search import ProofSearch
 from repro.service import api
 from repro.service.cache import SynthesisCache, spec_digest
 from repro.specs.problems import ImplicitDefinitionProblem
-from repro.synthesis.implicit_to_explicit import (
-    SynthesisResult,
-    find_determinacy_proof,
-    product_subproblems,
-    synthesize,
-)
+from repro.synthesis.implicit_to_explicit import SynthesisResult, find_determinacy_proof, synthesize
 from repro.synthesis.verification import VerificationReport, check_explicit_definition
-from repro.witness.store import WitnessStore, witness_digest
+from repro.witness.store import witness_digest
 
 #: Never called.  ``perfbench/perf_layers.py`` wraps these names on every
 #: traced benchmark run and fails when one is missing; they go once that
@@ -297,12 +290,9 @@ class SynthesisPipeline:
                 detail["tier"] = tier
 
         # -------- witness-lookup: replay the stored proof of exactly this
-        # goal, and of each Appendix G component goal a product output's
-        # extraction proves again.  Only on a miss — a cache hit already has
-        # the finished result, so no proof work (and no provenance source)
-        # remains.
+        # goal.  Only on a miss — a cache hit already has the finished
+        # result, so no proof work (and no provenance source) remains.
         replay_proof: Optional[ProofNode] = None
-        component_proofs: List[ProofNode] = []
         witnesses = self.cache.witnesses if self.cache is not None else None
         if result is None:
             report.source = SOURCE_COLD
@@ -315,16 +305,11 @@ class SynthesisPipeline:
                         replay_proof = record.proof
                         report.source = SOURCE_WITNESS
                         detail["witness"] = record.digest
-                        component_proofs = _component_witnesses(problem, witnesses)
-                        detail["components"] = len(component_proofs)
                     detail["source"] = report.source
 
-        subresults: List[SynthesisResult] = []
         if result is None:
             try:
-                result = self._synthesize_staged(
-                    problem, stages, proof=replay_proof, components=component_proofs, collect=subresults
-                )
+                result = self._synthesize_staged(problem, stages, proof=replay_proof)
             except Exception:
                 if replay_proof is None:
                     raise
@@ -343,8 +328,7 @@ class SynthesisPipeline:
                     "Witness-assisted synthesis runs that fell back to cold",
                 ).inc()
                 report.source = SOURCE_COLD
-                subresults.clear()
-                result = self._synthesize_staged(problem, stages, collect=subresults)
+                result = self._synthesize_staged(problem, stages)
         report.result = result
 
         # -------- verification (runs on hits too: instances may be new).
@@ -363,40 +347,19 @@ class SynthesisPipeline:
                 )
 
         # -------- witness-store: persist the fresh determinacy proof, so a
-        # later run of the same goal replays it, and the component proofs of
-        # the Appendix G product recursion, which that replay looks up by goal
-        # (``_component_witnesses``).  Runs only when synthesis ran: the
-        # witness tier is the one home of a finished proof, and cached results
-        # carry none (see cache-store).  A proof already stored (a replayed
-        # witness or component) is not rewritten.
-        if witnesses is not None and not report.cache_hit:
-            # The top-level proof first, then any collected component results
-            # (``collect`` also re-delivers the top-level result; the seen-set
-            # dedupes it).  ``put`` checks every proof; one built or checked
-            # in this process carries the checker's mark and costs nothing.
-            candidates = [(result.proof, problem)]
-            candidates += [(sub.proof, sub.problem) for sub in subresults]
-            seen = set()
-            to_store = []
-            for proof_, problem_ in candidates:
-                digest_ = witness_digest(proof_.sequent)
-                if digest_ in seen or digest_ in witnesses:
-                    continue
-                seen.add(digest_)
-                to_store.append((proof_, problem_))
-            if to_store:
-                with _timed_stage(stages, STAGE_WITNESS_STORE) as detail:
-                    records = [
-                        witnesses.put(proof_, name=problem_.name, problem=problem_)
-                        for proof_, problem_ in to_store
-                    ]
-                    detail.update(
-                        {
-                            "witness": records[0].digest,
-                            "proof_size": records[0].proof_size,
-                            "stored": len(records),
-                        }
-                    )
+        # later run of the same goal replays it.  Runs only when synthesis
+        # ran: the witness tier is the one home of a finished proof, and
+        # cached results carry none (see cache-store).  A replayed witness is
+        # not rewritten.  ``put`` checks the proof; one built or checked in
+        # this process carries the checker's mark and costs nothing.
+        if (
+            witnesses is not None
+            and not report.cache_hit
+            and witness_digest(result.proof.sequent) not in witnesses
+        ):
+            with _timed_stage(stages, STAGE_WITNESS_STORE) as detail:
+                record = witnesses.put(result.proof, name=problem.name, problem=problem)
+                detail.update({"witness": record.digest, "proof_size": record.proof_size})
 
         # -------- cache-store + bounded-memory maintenance.  Both tiers get
         # the result without its proof; ``report.result`` keeps it.
@@ -424,8 +387,6 @@ class SynthesisPipeline:
         problem: ImplicitDefinitionProblem,
         stages: List[StageTiming],
         proof: Optional[ProofNode] = None,
-        components: Sequence[ProofNode] = (),
-        collect: Optional[List[SynthesisResult]] = None,
     ) -> SynthesisResult:
         """Run the synthesis stages for one cache-missed problem.
 
@@ -434,16 +395,10 @@ class SynthesisPipeline:
         ``witness.replay`` span (``synthesize`` checks the proof against the
         problem's determinacy goal; the witness store validated it already,
         so only the goal comparison costs anything).
-        ``components`` — stored proofs of component goals, seeded into this
-        run's search tables so extraction's component searches replay them.
-        ``collect`` — accumulates the component results of product outputs
-        for the witness-store stage.
         """
-        search = self.search_factory()
-        search.tables.successes.update((component.sequent, component) for component in components)
         replay = proof is not None
-
         if not replay:
+            search = self.search_factory()
             with _timed_stage(stages, STAGE_PROOF_SEARCH) as detail:
                 proof = find_determinacy_proof(problem, search)
                 detail.update(
@@ -477,19 +432,9 @@ class SynthesisPipeline:
         )
         with replay_span:
             with _timed_stage(stages, STAGE_EXTRACTION) as detail:
-                searches_before = search.stats.searches
-                raw_result = synthesize(
-                    problem,
-                    proof=proof,
-                    search=search,
-                    simplify_output=False,
-                    collect=collect,
-                )
+                raw_result = synthesize(problem, proof=proof, simplify_output=False)
                 raw = raw_result.expression
                 detail["raw_size"] = expr_size(raw)
-                # Appendix G product outputs search each component's proof
-                # again inside extraction (DESIGN.md §5.1).
-                detail["component_searches"] = search.stats.searches - searches_before
                 if replay:
                     detail["replayed_witness"] = True
 
@@ -507,24 +452,3 @@ class SynthesisPipeline:
                 )
         return replace(raw_result, expression=simplified, raw_expression=raw)
 
-
-def _component_witnesses(problem: ImplicitDefinitionProblem, witnesses: WitnessStore) -> List[ProofNode]:
-    """The stored proofs of ``problem``'s Appendix G component goals.
-
-    Extraction of a product output proves one determinacy goal per component,
-    recursively through nested products (:func:`product_subproblems` is
-    deterministic in the problem), and the witness-store stage persisted each
-    of them, so every one is an exact lookup by goal digest.
-    """
-    found: List[ProofNode] = []
-    pending = [problem]
-    while pending:
-        current = pending.pop()
-        if not isinstance(current.output.typ, ProdType):
-            continue
-        for sub in product_subproblems(current):
-            record = witnesses.get_for_sequent(sub.determinacy_goal())
-            if record is not None:
-                found.append(record.proof)
-            pending.append(sub)
-    return found

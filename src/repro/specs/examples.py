@@ -222,8 +222,8 @@ def pair_tower(width: int) -> ImplicitDefinitionProblem:
     """``O ≡ <V1, <V2, …>>`` — a right-nested product of ``width`` views.
 
     Exercises the recursive Appendix G product synthesis: each component is
-    re-synthesized against the specification with the sibling component as an
-    auxiliary, ``width - 1`` levels deep.
+    synthesized from its share of the determinacy proof, with the sibling
+    component as an auxiliary, ``width - 1`` levels deep.
     """
     views = _view_vars(width)
     out_typ: Type = set_of(UR)

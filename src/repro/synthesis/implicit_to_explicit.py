@@ -17,19 +17,19 @@ The algorithm follows the paper:
   and return ``{x ∈ E(ī) | κ(ī, x)}``;
 * Ur-typed outputs — interpolate directly and select the unique atom with
   ``get`` (Appendix G);
-* product outputs — synthesize each component and pair the results
-  (Appendix G; the component witnesses are re-derived with the proof-search
-  substrate, see DESIGN.md §5);
+* product outputs — split the proof into one proof per component
+  (Lemma 16, ×β and Lemma 13; Appendix G), synthesize each component from
+  its proof and pair the results;
 * ``Unit`` outputs — the constant ``()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.node import dataclass_setstate, dataclass_state
-from repro.errors import ProofSearchError, SynthesisError
+from repro.errors import ProofError, ProofSearchError, SynthesisError
 from repro.interpolation.delta0 import interpolate
 from repro.interpolation.partition import Partition
 from repro.logic.formulas import And, Exists, Forall, Formula, Member
@@ -40,7 +40,7 @@ from repro.nr.types import ProdType, SetType, UnitType, UrType
 from repro.nrc.expr import NGet, NPair, NRCExpr, NUnit, NVar
 from repro.nrc.macros import atoms_expr, comprehension
 from repro.nrc.simplify import simplify
-from repro.proofs.admissible import and_inversion, forall_eigenvariable, forall_inversion
+from repro.proofs.admissible import and_inversion, forall_eigenvariable, forall_inversion, product_inversion
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode, proof_size as count_proof_nodes
 from repro.proofs.search import ProofSearch
@@ -102,7 +102,6 @@ def synthesize(
     proof: Optional[ProofNode] = None,
     search: Optional[ProofSearch] = None,
     simplify_output: bool = True,
-    collect: Optional[List["SynthesisResult"]] = None,
 ) -> SynthesisResult:
     """Compute an explicit NRC definition of the problem's output variable.
 
@@ -110,11 +109,7 @@ def synthesize(
     omitted, the bundled proof search is used to find one.  The proof is
     always checked; a tree the search (or any rule constructor) built in this
     process carries the checker's validation mark, so only a proof from
-    outside the process costs a full check.  ``collect``
-    accumulates every :class:`SynthesisResult` produced along the way —
-    including the component results of product outputs, whose determinacy
-    proofs are otherwise internal to the Appendix G recursion.  The witness
-    tier uses this to persist component proofs alongside the top-level one.
+    outside the process costs a full check.
     """
     if proof is None:
         proof = find_determinacy_proof(problem, search)
@@ -122,22 +117,16 @@ def synthesize(
     if proof.sequent != problem.determinacy_goal():
         raise SynthesisError("the supplied proof does not prove the determinacy sequent")
 
-    expression, interpolant = _synthesize_typed(problem, proof, search, collect)
+    expression, interpolant = _synthesize_typed(problem, proof)
     raw = expression
     if simplify_output:
         expression = simplify(expression)
-    result = SynthesisResult(problem, expression, proof, interpolant, raw)
-    if collect is not None:
-        collect.append(result)
-    return result
+    return SynthesisResult(problem, expression, proof, interpolant, raw)
 
 
 # --------------------------------------------------------------------------
 def _synthesize_typed(
-    problem: ImplicitDefinitionProblem,
-    proof: ProofNode,
-    search: Optional[ProofSearch],
-    collect: Optional[List[SynthesisResult]] = None,
+    problem: ImplicitDefinitionProblem, proof: ProofNode
 ) -> Tuple[NRCExpr, Optional[Formula]]:
     output = problem.output
     typ = output.typ
@@ -146,7 +135,7 @@ def _synthesize_typed(
     if isinstance(typ, UrType):
         return _synthesize_ur(problem, proof)
     if isinstance(typ, ProdType):
-        return _synthesize_product(problem, search, collect), None
+        return _synthesize_product(problem, proof), None
     if isinstance(typ, SetType):
         return _synthesize_set(problem, proof)
     raise SynthesisError(f"unsupported output type {typ}")
@@ -227,10 +216,10 @@ def product_subproblems(
 ) -> Tuple[ImplicitDefinitionProblem, ImplicitDefinitionProblem]:
     """The two component sub-problems of a product-typed output (Appendix G).
 
-    The decomposition is deterministic in the problem — component variables
+    The decomposition is deterministic in the problem: component variables
     are named ``<output>_1``/``<output>_2`` and φ is β-normalized after the
-    pair substitution — so a component goal, and the address of its stored
-    witness, is the same on every run of the same problem.
+    pair substitution, which is what :func:`product_inversion` turns the
+    problem's determinacy proof into.
     """
     output = problem.output
     typ: ProdType = output.typ  # type: ignore[assignment]
@@ -251,20 +240,28 @@ def product_subproblems(
     return subs[0], subs[1]
 
 
-def _synthesize_product(
-    problem: ImplicitDefinitionProblem,
-    search: Optional[ProofSearch],
-    collect: Optional[List[SynthesisResult]] = None,
-) -> NRCExpr:
-    """Appendix G, product outputs: synthesize each component separately.
+def _synthesize_product(problem: ImplicitDefinitionProblem, proof: ProofNode) -> NRCExpr:
+    """Appendix G, product outputs: synthesize each component from its proof.
 
-    The paper derives the component witnesses from the given proof via
-    substitutivity (Lemma 16), ∧-inversion and the ×β rule; we re-derive them
-    with the proof-search substrate instead (see DESIGN.md §5) and synthesize
-    each component recursively.
+    :func:`product_inversion` derives the determinacy proof of each
+    :func:`product_subproblems` goal from ``proof``, and each component is
+    synthesized from it, unsimplified (the caller simplifies the pair).  A
+    proof that does not split that way raises :class:`SynthesisError`.
     """
-    components = []
-    for sub_problem in product_subproblems(problem):
-        result = synthesize(sub_problem, search=search, collect=collect)
-        components.append(result.expression)
+    subs = product_subproblems(problem)
+    _, _, goal, primed_output = _determinacy_parts(problem)
+    pairs = {
+        problem.output: PairTerm(*(sub.output for sub in subs)),
+        primed_output: PairTerm(*(sub.primed()[1] for sub in subs)),
+    }
+    try:
+        proofs = product_inversion(proof, goal, pairs)
+        components = [
+            synthesize(sub, proof=sub_proof, simplify_output=False).expression
+            for sub, sub_proof in zip(subs, proofs)
+        ]
+    except ProofError as exc:
+        raise SynthesisError(
+            f"the determinacy proof of {problem.name!r} does not split into its components: {exc}"
+        ) from exc
     return NPair(components[0], components[1])

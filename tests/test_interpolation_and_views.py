@@ -103,6 +103,26 @@ def test_forall_inversion_at_the_proofs_eigenvariable_reuses_its_premise():
     assert forall_eigenvariable(inverted, goal.right) is None
 
 
+def test_substitute_proof_beta_normalizes_and_drops_a_spent_prod_beta():
+    """Lemma 16 read up to ×β: the substitution leaves no projection redex,
+    and a ×β node whose redex that removed gives way to its premise."""
+    from repro.logic.terms import PairTerm, Proj
+    from repro.proofs import focused
+    from repro.proofs.admissible import substitute_proof
+    from repro.proofs.sequents import Sequent
+
+    x, y, z = Var("x", UR), Var("y", UR), Var("z", UR)
+    pair = PairTerm(x, y)
+    redex = Sequent.of(delta=[EqUr(Proj(1, pair), x)])
+    (reduced,) = focused.prod_beta_premises(redex, pair, 1)
+    proof = focused.make_prod_beta(redex, pair, 1, focused.make_eq_axiom(reduced, EqUr(x, x)))
+    check_proof(proof)
+    renamed = substitute_proof(proof, {y: z})
+    check_proof(renamed)
+    assert renamed.rule == "eq"
+    assert renamed.sequent == Sequent.of(delta=[EqUr(x, x)])
+
+
 def test_weaken_proof_helper():
     x = Var("x", UR)
     s = Var("s", set_of(UR))

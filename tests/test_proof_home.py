@@ -164,9 +164,9 @@ def test_a_server_replays_pair_tower_3_without_search_after_losing_its_results(t
     assert replay.result.cache_tier == "miss" and replay.result.source == "witness"
     stages = {stage.name: stage for stage in replay.result.stages}
     assert "proof-search" not in stages
-    assert stages["witness-lookup"].detail["components"] == 4
-    rounds = [span for span in trace.spans if span.name == "proof.round"]
-    assert rounds and sum(span.attributes["attempts"] for span in rounds) == 0
+    # Appendix G derives the four component proofs from the replayed one.
+    assert "components" not in stages["witness-lookup"].detail
+    assert not [span for span in trace.spans if span.name == "proof.round"]
     assert (replay.result.expression, replay.result.proof_size) == (
         cold.result.expression,
         cold.result.proof_size,

@@ -7,8 +7,9 @@ differential — the memoized :class:`ProofSearch` against the frozen
 with the independent proof checker validating both sides.  The goal-distance
 cut is held to the same standard: it may only remove subtrees that fail, so
 the differential checks cover it too.  The rest covers the sharing contract
-(success/failure reuse across instances on one :class:`SearchTables`), the
-size bound and the attempt counts the cut buys.
+(success/failure reuse across the ``prove`` calls of one search, whose
+:class:`SearchTables` it keeps), the size bound and the attempt counts the
+cut buys.
 """
 
 import pytest
@@ -136,16 +137,15 @@ def test_repeat_proof_is_deterministic():
 
 def test_shared_tables_serve_the_root_from_the_success_table():
     goal = examples.multi_union_view(3).determinacy_goal()
-    tables = SearchTables()
-    cold = ProofSearch(max_depth=12, tables=tables)
-    proof = cold.prove(goal)
-    assert cold.stats.attempts > 0
-    assert tables.stats()["successes"] > 0
+    search = ProofSearch(max_depth=12)
+    proof = search.prove(goal)
+    attempts, hits = search.stats.attempts, search.stats.table_hits
+    assert attempts > 0
+    assert search.tables.stats()["successes"] > 0
 
-    warm = ProofSearch(max_depth=12, tables=tables)
-    replay = warm.prove(goal)
-    assert warm.stats.table_hits >= 1
-    assert warm.stats.attempts == 0, "the root must come straight from the table"
+    replay = search.prove(goal)
+    assert search.stats.table_hits == hits + 1
+    assert search.stats.attempts == attempts, "the root must come straight from the table"
     assert _same_tree(proof, replay)
     check_proof(replay)
 
@@ -153,10 +153,10 @@ def test_shared_tables_serve_the_root_from_the_success_table():
 def test_shared_table_proofs_still_check():
     """Subproof reuse across *different* goals of one family must splice
     sequent-correct trees (successes are keyed on the full sequent)."""
-    tables = SearchTables()
+    search = ProofSearch(max_depth=12)
     for width in (2, 3):
         goal = examples.multi_union_view(width).determinacy_goal()
-        proof = ProofSearch(max_depth=12, tables=tables).prove(goal)
+        proof = search.prove(goal)
         check_proof(proof)
         assert proof.sequent == goal
 
@@ -166,46 +166,45 @@ def test_failure_entries_survive_across_budgets_and_instances():
     y = Var("y", UR)
     # Stable, closure-free, move-free: ⊢ x = y has no proof at any depth.
     goal = Sequent.of(delta=[EqUr(x, y)])
-    tables = SearchTables()
-    cold = ProofSearch(max_depth=8, tables=tables)
-    assert cold.prove_or_none(goal) is None
-    assert tables.stats()["failures"] > 0
+    search = ProofSearch(max_depth=8)
+    assert search.prove_or_none(goal) is None
+    assert search.tables.stats()["failures"] > 0
+    cold_attempts, cold_hits = search.stats.attempts, search.stats.failure_hits
 
-    warm = ProofSearch(max_depth=8, tables=tables)
-    assert warm.prove_or_none(goal) is None
-    assert warm.stats.failure_hits >= 1
-    assert warm.stats.attempts <= cold.stats.attempts
+    assert search.prove_or_none(goal) is None
+    assert search.stats.failure_hits > cold_hits
+    assert search.stats.attempts - cold_attempts <= cold_attempts
 
 
 def test_closure_entries_are_keyed_on_the_equality_atoms():
     """The ≠-chain saturation depends only on the =/≠ atoms, so one entry
     must serve every sequent sharing that atom set."""
     goal = examples.copy_chain(1).determinacy_goal()
-    tables = SearchTables()
-    search = ProofSearch(max_depth=6, tables=tables)
+    search = ProofSearch(max_depth=6)
     proof = search.prove(goal)
     check_proof(proof)
     assert search.stats.equality_closures > 0
-    closures = tables.stats()["closures"]
+    closures = search.tables.stats()["closures"]
     assert closures > 0
     # Every key is the frozen atom subset, not a whole sequent.
-    for key in tables.closures:
+    for key in search.tables.closures:
         assert isinstance(key, frozenset)
         assert all(isinstance(atom, (EqUr, NeqUr)) for atom in key)
 
 
 def test_tables_maintain_bounds_total_size(monkeypatch):
-    tables = SearchTables()
+    search = ProofSearch(max_depth=12)
+    tables = search.tables
     goal = examples.pair_tower(2).determinacy_goal()
-    ProofSearch(max_depth=12, tables=tables).prove(goal)
+    search.prove(goal)
     assert len(tables) > 0
     monkeypatch.setattr(SearchTables, "MAX_ENTRIES", 1)
     tables.maintain()
     assert len(tables) == 0
     assert tables.clears == 1
     assert tables.stats()["clears"] == 1
-    # A cleared table only resets sharing; the next search still proves.
-    check_proof(ProofSearch(max_depth=12, tables=tables).prove(goal))
+    # A cleared table only resets sharing; the next proof still checks.
+    check_proof(search.prove(goal))
 
 
 def test_fresh_searches_do_not_share_state_by_default():
@@ -247,10 +246,19 @@ def test_exhausted_search_explains_its_budgets_and_attempts(traced):
     assert round_span["attributes"]["cuts"] == detail["cuts_last_round"]
     assert round_span["attributes"]["attempts"] == detail["attempts_last_round"]
 
-    # Under a depth schedule every scheduled round is named and counted.
+
+@pytest.mark.parametrize("max_depth, budgets", [(4, [4]), (6, [4, 6]), (8, [4, 8]), (12, [4, 8, 12])])
+def test_an_exhausted_search_runs_each_depth_budget_once(max_depth, budgets):
+    """Every round of an exhausted search is named and counted, and a budget
+    equal to ``max_depth`` is not run twice: a repeated round would spend the
+    attempt budget again on the same tree."""
+    from repro.errors import ProofSearchError
+
+    x, y = Var("x", UR), Var("y", UR)
     with pytest.raises(ProofSearchError) as excinfo:
-        ProofSearch(max_depth=6, max_attempts=50, depth_schedule=(1, 2)).prove(goal)
+        ProofSearch(max_depth=max_depth).prove(Sequent.of(delta=[EqUr(x, y)]))
     detail = excinfo.value.detail
-    assert detail["budgets"] == [1, 2]
+    assert detail["budgets"] == budgets
     assert detail["attempts_total"] >= detail["attempts_last_round"] > 0
-    assert "depth budgets 1, 2 (max_depth 6)" in str(excinfo.value)
+    rendered = ", ".join(map(str, budgets))
+    assert f"depth budgets {rendered} (max_depth {max_depth})" in str(excinfo.value)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SynthesisError
+from repro.nrc.expr import expr_size
 from repro.proofs.search import ProofSearch
 from repro.service.cache import SynthesisCache
 from repro.service.pipeline import (
@@ -16,6 +17,7 @@ from repro.service.pipeline import (
     SynthesisPipeline,
 )
 from repro.specs import examples
+from repro.synthesis import synthesize
 
 
 def _pipeline(cache=None, **kwargs):
@@ -117,12 +119,41 @@ def test_pipeline_reports_same_digest_for_equal_specs():
 
 
 @pytest.mark.parametrize(
-    "problem, searches",
-    [(examples.union_view(), 0), (examples.pair_of_views(), 2), (examples.pair_tower(3), 4)],
+    "problem",
+    [examples.union_view(), examples.pair_of_views(), examples.pair_tower(3)],
     ids=["union_view", "pair_of_views", "pair_tower_3"],
 )
-def test_extraction_counts_the_component_searches_of_product_outputs(problem, searches):
-    """Appendix G searches each product component again inside extraction;
-    the extraction stage says how many searches that took."""
+def test_extraction_counts_the_component_searches_of_product_outputs(problem, traced):
+    """Appendix G derives each product component's proof from the given one,
+    so a run searches once, in proof-search, and extraction searches none."""
+    searches = []
+
+    def factory():
+        searches.append(ProofSearch(max_depth=12))
+        return searches[-1]
+
+    report = SynthesisPipeline(search_factory=factory).run(problem)
+    assert [search.stats.searches for search in searches] == [1]
+    assert "component_searches" not in report.stage(STAGE_EXTRACTION).detail
+    spans = {span["span_id"]: span for span in traced.export_all()}
+    rounds = [span for span in spans.values() if span["name"] == "proof.round"]
+    assert rounds
+    for span in rounds:
+        assert spans[span["parent_id"]]["name"] == "pipeline." + STAGE_PROOF_SEARCH
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [examples.pair_of_views(), examples.pair_tower(2), examples.pair_tower(3)],
+    ids=["pair_of_views", "pair_tower_2", "pair_tower_3"],
+)
+def test_product_outputs_extract_raw_and_simplify_once(problem):
+    """Components are extracted unsimplified; the simplification stage
+    simplifies the whole pair once, to what the library call returns."""
     report = _pipeline().run(problem)
-    assert report.stage(STAGE_EXTRACTION).detail["component_searches"] == searches
+    result = report.result
+    simplification = report.stage(STAGE_SIMPLIFICATION).detail
+    assert simplification["size_before"] == expr_size(result.raw_expression)
+    assert simplification["size_after"] == expr_size(result.expression)
+    assert simplification["size_before"] > 10 * simplification["size_after"]
+    assert str(result.expression) == str(synthesize(problem).expression)

@@ -264,6 +264,41 @@ def test_parameter_collection_prod_eta_leaves_shadowed_occurrences_alone(monkeyp
     assert expr == NUnion(NSingleton(projected), NBigUnion(NSingleton(nx), nx, S))
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [examples.pair_of_views(), examples.pair_tower(2), examples.pair_tower(3)],
+    ids=["pair_of_views", "pair_tower_2", "pair_tower_3"],
+)
+def test_product_inversion_proves_each_component_goal(problem):
+    """Appendix G: the proofs derived from the searched one conclude exactly
+    the component goals of ``product_subproblems``, nested products too,
+    and pass the checker."""
+    from repro.logic.terms import PairTerm
+    from repro.nr.types import ProdType
+    from repro.proofs.admissible import product_inversion
+    from repro.synthesis.implicit_to_explicit import product_subproblems
+
+    pending = [(problem, ProofSearch(**SEARCH_OPTS).prove(problem.determinacy_goal()))]
+    derived = 0
+    while pending:
+        current, proof = pending.pop()
+        if not isinstance(current.output.typ, ProdType):
+            continue
+        subs = product_subproblems(current)
+        _, primed_output, _ = current.primed()
+        pairs = {
+            current.output: PairTerm(*(sub.output for sub in subs)),
+            primed_output: PairTerm(*(sub.primed()[1] for sub in subs)),
+        }
+        goal = current.determinacy_hypotheses()[2]
+        for sub, sub_proof in zip(subs, product_inversion(proof, goal, pairs)):
+            check_proof(sub_proof)
+            assert sub_proof.sequent == sub.determinacy_goal(), sub.name
+            derived += 1
+            pending.append((sub, sub_proof))
+    assert derived == 2 * (len(problem.inputs) - 1)
+
+
 def _set_and_product_entries():
     from repro.nr.types import ProdType, SetType
     from repro.service.registry import default_registry
@@ -278,14 +313,19 @@ def _set_and_product_entries():
 @pytest.mark.parametrize("name", _set_and_product_entries())
 def test_set_extraction_inverts_at_the_proofs_eigenvariable(name, monkeypatch):
     """Lemma 14 reuses the searched proof's ∀ eigenvariable, so no entry
-    renames a subproof on its way to the membership test."""
+    renames a subproof on its way to the membership test.  The only
+    substitutions are Appendix G's, pairs for a product output."""
+    from repro.logic.terms import PairTerm
     from repro.proofs import admissible
     from repro.service.registry import default_registry
 
-    def no_renaming(*args, **kwargs):
-        raise AssertionError("substitute_proof called during extraction")
+    substitute_proof = admissible.substitute_proof
 
-    monkeypatch.setattr(admissible, "substitute_proof", no_renaming)
+    def pairs_only(proof, mapping):
+        assert all(isinstance(term, PairTerm) for term in mapping.values()), mapping
+        return substitute_proof(proof, mapping)
+
+    monkeypatch.setattr(admissible, "substitute_proof", pairs_only)
     entry = default_registry().get(name)
     result = synthesize(entry.problem(), search=ProofSearch(max_depth=entry.max_depth))
     if entry.instances is not None:

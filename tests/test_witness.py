@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.core.node import Node, dataclass_field_names
-from repro.errors import ProofError
+from repro.errors import ProofError, SynthesisError
 from repro.logic.formulas import EqUr, NeqUr
 from repro.logic.terms import PairTerm, Proj, Var
 from repro.nr.types import UNIT, UR, ProdType, SetType
@@ -333,7 +333,7 @@ def test_maintain_bounds_the_tier(tmp_path):
     assert store.maintain() == 0  # not dirty: no rescan, nothing more to evict
 
 
-# ------------------------------------------------- component witness lookup
+# ------------------------------------------------------- product witnesses
 def _lose_result_tier(cache_dir):
     """Delete the top-level result files; ``witnesses/`` stays."""
     for path in cache_dir.iterdir():
@@ -350,19 +350,18 @@ def _recording_factory(searches):
     return factory
 
 
-def test_product_outputs_store_and_replay_their_component_witnesses(tmp_path):
-    """A cold product run stores one witness per Appendix G component as well
-    as the top-level one; after the result tier is lost, the replay answers
-    every component goal by exact lookup and searches nothing."""
+def test_product_outputs_store_and_replay_one_witness(tmp_path):
+    """A cold product run stores the top-level proof only: extraction derives
+    each Appendix G component's proof from it.  After the result tier is
+    lost, the replay searches nothing and answers the same query."""
     problem = default_registry().get("pair_tower_3").problem()
     cache = SynthesisCache(disk_dir=tmp_path)
     cold = SynthesisPipeline(cache=cache).run(problem)
     assert cold.source == "cold"
-    assert cold.stage("witness-store").detail["stored"] == 1 + 4
-    components = list(product_subproblems(problem))
-    components += product_subproblems(components[1])  # <V2, V3> is a product
-    for sub in (problem, *components):
-        assert witness_digest(sub.determinacy_goal()) in cache.witnesses, sub.name
+    assert len(cache.witnesses) == 1
+    assert cold.stage("witness-store").detail["witness"] == witness_digest(problem.determinacy_goal())
+    for sub in product_subproblems(problem):
+        assert witness_digest(sub.determinacy_goal()) not in cache.witnesses, sub.name
 
     _lose_result_tier(tmp_path)
     searches = []
@@ -371,14 +370,14 @@ def test_product_outputs_store_and_replay_their_component_witnesses(tmp_path):
     ).run(problem)
     assert replay.cache_tier == "miss"
     assert replay.source == "witness"
-    assert replay.stage("witness-lookup").detail["components"] == 4
     assert replay.stage("proof-search") is None
-    assert replay.stage("extraction").detail["component_searches"] == 4
-    assert sum(search.stats.attempts for search in searches) == 0
+    assert searches == []
+    assert replay.stage("witness-store") is None
     assert str(replay.result.expression) == str(cold.result.expression)
+    assert str(replay.result.raw_expression) == str(cold.result.raw_expression)
 
 
-def test_component_lookup_does_not_depend_on_earlier_jobs(tmp_path, union_spec):
+def test_product_replay_does_not_depend_on_earlier_jobs(tmp_path, union_spec):
     """The first job on an empty store leaves nothing behind that a later
     replay in the same process depends on."""
     cache_dir = tmp_path / "shared"
@@ -393,40 +392,62 @@ def test_component_lookup_does_not_depend_on_earlier_jobs(tmp_path, union_spec):
     _lose_result_tier(cache_dir)
     response, _, replay = execute_synthesize_request(request(problem="pair_of_views"))
     assert replay.source == response.source == "witness"
-    assert replay.stage("witness-lookup").detail["components"] == 2
     assert replay.stage("proof-search") is None
     assert str(replay.result.expression) == str(cold.result.expression)
 
 
-def test_missing_component_witness_is_searched_again(tmp_path):
+def _eta_on_the_output(problem):
+    """A checked proof of ``problem``'s goal that splits the output by ×η.
+
+    The searched proof's first ∃ node that mentions the output ``o`` is
+    replaced by ×η on ``o`` (to ``<a, b>``), two ×β steps and the ∃ node's
+    proof with ``<a, b>`` substituted for ``o``.  Such a proof does not
+    split into component proofs: the substitution of Appendix G would have
+    to put a pair where ×η introduces a variable.
+    """
+    from repro.proofs.admissible import substitute_proof
+    from repro.proofs.sequents import sequent_free_vars
+
+    output = problem.output
+    a, b = Var("eta_a", output.typ.left), Var("eta_b", output.typ.right)
+    pair = PairTerm(a, b)
+
+    def replace(node):
+        if node.rule == "exists" and output in sequent_free_vars(node.sequent):
+            (split,) = focused.prod_eta_premises(node.sequent, output, a, b)
+            (first,) = focused.prod_beta_premises(split, pair, 1)
+            (second,) = focused.prod_beta_premises(first, pair, 2)
+            inner = substitute_proof(node, {output: pair})
+            assert inner.sequent == second
+            return focused.make_prod_eta(
+                node.sequent, output, a, b,
+                focused.make_prod_beta(split, pair, 1, focused.make_prod_beta(first, pair, 2, inner)),
+            ), True
+        premises, found = [], False
+        for premise in node.premises:
+            if not found:
+                premise, found = replace(premise)
+            premises.append(premise)
+        return ProofNode(node.rule, node.sequent, tuple(premises), node.meta), found
+
+    proof, found = replace(_proof(problem))
+    assert found
+    check_proof(proof)
+    return proof
+
+
+def test_a_product_proof_that_does_not_split_is_a_typed_error_and_replays_cold(tmp_path):
     problem = default_registry().get("pair_of_views").problem()
-    cache = SynthesisCache(disk_dir=tmp_path)
-    cold = SynthesisPipeline(cache=cache).run(problem)
-    first, _ = product_subproblems(problem)
-    lost = witness_digest(first.determinacy_goal())
-    cache.witnesses.path(lost).unlink()
-    _lose_result_tier(tmp_path)
-    searches = []
-    replay = SynthesisPipeline(
-        cache=SynthesisCache(disk_dir=tmp_path), search_factory=_recording_factory(searches)
-    ).run(problem)
-    assert replay.source == "witness"
-    assert replay.stage("witness-lookup").detail["components"] == 1
-    assert sum(search.stats.attempts for search in searches) > 0
-    assert str(replay.result.expression) == str(cold.result.expression)
-    # The re-searched component proof is stored again.
-    assert replay.stage("witness-store").detail["stored"] == 1
-    assert lost in cache.witnesses
+    proof = _eta_on_the_output(problem)
+    with pytest.raises(SynthesisError, match="does not split"):
+        synthesize(problem, proof=proof)
 
-
-def test_replay_of_a_set_output_looks_up_no_components(tmp_path, union_spec):
     cache = SynthesisCache(disk_dir=tmp_path)
-    SynthesisPipeline(cache=cache).run(union_spec.problem)
-    _lose_result_tier(tmp_path)
-    replay = SynthesisPipeline(cache=SynthesisCache(disk_dir=tmp_path)).run(union_spec.problem)
-    assert replay.source == "witness"
-    assert replay.stage("witness-lookup").detail["components"] == 0
-    assert replay.stage("extraction").detail["component_searches"] == 0
+    cache.witnesses.put(proof, name=problem.name, problem=problem)
+    report = SynthesisPipeline(cache=cache).run(problem)
+    assert report.source == "cold"
+    assert report.stage("proof-search") is not None
+    assert str(report.result.expression) == "<V1, V2>"
 
 
 # --------------------------------------------------------- exact-witness replay

@@ -320,9 +320,7 @@ def map_children(node: N, fn: Callable[[Node], Node]) -> N:
     return node.rebuild(tuple(new_children))  # type: ignore[return-value]
 
 
-def transform_bottom_up(
-    root: Node, fn: Callable[[Node], Node], results: Optional[Dict[Node, Node]] = None
-) -> Node:
+def transform_bottom_up(root: Node, fn: Callable[[Node], Node], results: Optional[Dict[Node, Node]] = None) -> Node:
     """Rewrite the tree bottom-up with ``fn``, preserving identity on no-ops.
 
     Children are transformed first; each node is rebuilt only when some child

@@ -251,9 +251,7 @@ def substitute_proof(proof: ProofNode, mapping: Mapping[Var, Term]) -> ProofNode
 
 
 # ------------------------------------------------------------- × inversion
-def product_inversion(
-    proof: ProofNode, target: Formula, pairs: Mapping[Var, PairTerm]
-) -> Tuple[ProofNode, ProofNode]:
+def product_inversion(proof: ProofNode, target: Formula, pairs: Mapping[Var, PairTerm]) -> Tuple[ProofNode, ProofNode]:
     """Split a proof of ``Θ ⊢ o ≡ o′, Δ`` at product-typed ``o`` (Appendix G).
 
     ``target`` is ``o ≡ o′`` and ``pairs`` maps ``o ↦ <o1,o2>`` and

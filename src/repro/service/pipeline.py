@@ -352,11 +352,7 @@ class SynthesisPipeline:
         # cached results carry none (see cache-store).  A replayed witness is
         # not rewritten.  ``put`` checks the proof; one built or checked in
         # this process carries the checker's mark and costs nothing.
-        if (
-            witnesses is not None
-            and not report.cache_hit
-            and witness_digest(result.proof.sequent) not in witnesses
-        ):
+        if witnesses is not None and not report.cache_hit and witness_digest(result.proof.sequent) not in witnesses:
             with _timed_stage(stages, STAGE_WITNESS_STORE) as detail:
                 record = witnesses.put(result.proof, name=problem.name, problem=problem)
                 detail.update({"witness": record.digest, "proof_size": record.proof_size})

@@ -125,9 +125,7 @@ def synthesize(
 
 
 # --------------------------------------------------------------------------
-def _synthesize_typed(
-    problem: ImplicitDefinitionProblem, proof: ProofNode
-) -> Tuple[NRCExpr, Optional[Formula]]:
+def _synthesize_typed(problem: ImplicitDefinitionProblem, proof: ProofNode) -> Tuple[NRCExpr, Optional[Formula]]:
     output = problem.output
     typ = output.typ
     if isinstance(typ, UnitType):
